@@ -2,8 +2,11 @@
 
 Subcommands: identities, sample, free-energy, cycles, clt, tilted, approx,
 decomposition, report.  Reports are emitted as JSON (stable key order,
-schema_version 1) to --out or standard output; --format csv additionally
-dumps raw samples, one row per replicate.
+schema_version 1) to --out or standard output; --format csv, which needs
+--out, also writes the raw samples to <out>.csv, one row per replicate.
+The five experiment subcommands share one path: their flags become an
+``ExperimentConfig``, which validates the whole --n-grid before any
+replicate runs, and ``experiments.run_<subcommand>`` produces the report.
 
 Exit codes: 0 success with all verdicts passing, 2 verdict failure,
 1 usage, regime or budget errors.
@@ -55,7 +58,7 @@ def _add_run_flags(p):
     p.add_argument("--threads", type=int, default=1, help="parallel workers")
     p.add_argument("--out", type=str, default=None, help="report path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="csv additionally dumps raw samples next to the report")
+                   help="csv also writes raw samples to <out>.csv (needs --out)")
     p.add_argument("--raw-samples", action="store_true",
                    help="keep per-replicate samples in the report")
     p.add_argument("--budget", type=float, default=None,
@@ -137,13 +140,9 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_raw_csv(report: ExperimentReport, out: str | None) -> None:
-    if not report.raw_samples:
-        raise ValueError("--format csv needs --raw-samples")
-    path = (out + ".csv") if out else None
-    fh = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
-    try:
-        names = sorted({k for per_n in report.raw_samples.values() for k in per_n})
+def _emit_raw_csv(report: ExperimentReport, path: str) -> None:
+    names = sorted({k for per_n in report.raw_samples.values() for k in per_n})
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "replicate"] + names)
         for n_str, per_n in report.raw_samples.items():
@@ -152,38 +151,61 @@ def _emit_raw_csv(report: ExperimentReport, out: str | None) -> None:
                 writer.writerow(
                     [n_str, r] + [per_n[name][r] if name in per_n else "" for name in names]
                 )
-    finally:
-        if path:
-            fh.close()
 
 
 def _report_exit(report: ExperimentReport, args) -> int:
-    _emit(report.to_dict(), getattr(args, "out", None))
-    if getattr(args, "format", "json") == "csv":
-        _emit_raw_csv(report, args.out)
+    _emit(report.to_dict(), args.out)
+    if args.format == "csv":
+        _emit_raw_csv(report, args.out + ".csv")
     return EXIT_OK if report.passed else EXIT_VERDICT
 
 
-def _make_config(args, kind, kmax=None, m=4, centering=None) -> ExperimentConfig:
-    params = ModelParams(beta=args.beta, J=args.J, Jprime=args.Jprime, n=args.n)
-    if kind in ("clt", "decomposition"):
-        params.require_paramagnetic()
-    kwargs = {}
-    if args.budget is not None:
-        kwargs["cycle_budget"] = args.budget
+# config field <- flag, for the flags only some experiment subcommands have;
+# an absent or unset flag leaves the config default
+_OPTIONAL_FIELDS = (
+    ("kmax", "kmax"),
+    ("m", "m"),
+    ("centering_replicates", "centering_reps"),
+    ("cycle_budget", "budget"),
+)
+
+
+def _make_config(args) -> ExperimentConfig:
+    optional = {
+        field: getattr(args, flag)
+        for field, flag in _OPTIONAL_FIELDS
+        if getattr(args, flag, None) is not None
+    }
     return ExperimentConfig(
-        kind=kind,
-        params=params,
+        kind=args.command,
+        params=ModelParams(beta=args.beta, J=args.J, Jprime=args.Jprime, n=args.n),
         replicates=args.reps,
         master_seed=args.seed,
-        kmax=kmax if kmax is not None else 4,
-        m=m,
         n_grid=_parse_grid(args.n_grid),
         threads=args.threads,
         keep_raw=args.raw_samples or args.format == "csv",
-        centering_replicates=centering,
-        **kwargs,
+        **optional,
     )
+
+
+def _spins(args):
+    """The --sigma choice as a function of n, so every grid size gets its own
+    vector; random spins use one derived seed at every size."""
+    if args.sigma == "random":
+        seed = randmat.SeedSpec(args.seed).derived(0x5160)
+        return lambda n: randmat.random_spins(n, seed)
+    return {"ones": randmat.all_ones_spins, "alternating": randmat.alternating_spins}[
+        args.sigma
+    ]
+
+
+def _cmd_experiment(args) -> int:
+    if args.format == "csv" and not args.out:
+        raise ValueError("--format csv needs --out; the samples go to <out>.csv")
+    config = _make_config(args)
+    extra = (_spins(args),) if args.command == "tilted" else ()
+    report = getattr(experiments, f"run_{args.command}")(config, *extra)
+    return _report_exit(report, args)
 
 
 def _cmd_identities(args) -> int:
@@ -247,42 +269,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    commands = {
+        "identities": _cmd_identities,
+        "sample": _cmd_sample,
+        "free-energy": _cmd_free_energy,
+        "report": _cmd_report,
+    }
     try:
-        if args.command == "identities":
-            return _cmd_identities(args)
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command == "free-energy":
-            return _cmd_free_energy(args)
-        if args.command == "clt":
-            return _report_exit(experiments.run_clt(_make_config(args, "clt")), args)
-        if args.command == "cycles":
-            cfg = _make_config(args, "cycles", kmax=args.kmax)
-            return _report_exit(experiments.run_cycles(cfg), args)
-        if args.command == "tilted":
-            cfg = _make_config(args, "tilted", kmax=args.kmax)
-            sigma = {
-                "ones": randmat.all_ones_spins(args.n),
-                "alternating": randmat.alternating_spins(args.n),
-                "random": randmat.random_spins(
-                    args.n, randmat.SeedSpec(args.seed).derived(0x5160)
-                ),
-            }[args.sigma]
-            return _report_exit(experiments.run_tilted(cfg, sigma), args)
-        if args.command == "approx":
-            cfg = _make_config(args, "approx", kmax=args.kmax,
-                               centering=args.centering_reps)
-            return _report_exit(experiments.run_approx(cfg), args)
-        if args.command == "decomposition":
-            cfg = _make_config(args, "decomposition", m=args.m)
-            return _report_exit(experiments.run_decomposition(cfg), args)
-        if args.command == "report":
-            return _cmd_report(args)
-        parser.error(f"unknown command {args.command!r}")
+        return commands.get(args.command, _cmd_experiment)(args)
     except (ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -76,21 +76,35 @@ def signed_cycle_bruteforce(
     if method == "walks":
         if k > VECTORIZED_KMAX:
             raise ValueError(f"vectorized path supports k <= {VECTORIZED_KMAX}")
-        # the sweep costs about k matrix-vector passes per start vertex
-        if k * float(n) ** 3 > budget:
-            raise ValueError(
-                f"k*n^3 = {k * float(n)**3:.3g} exceeds the operation budget "
-                f"{budget:.3g}"
-            )
+        check_cycle_budget(n, k, budget)
         sums = _masked_walk_sums(hollowed(a), k)
         return float(sums[k] / n ** (k / 2.0))
     if method == "dfs":
-        if float(n) ** k > budget:
-            raise ValueError(
-                f"n^k = {float(n)**k:.3g} exceeds the operation budget {budget:.3g}"
-            )
+        _require_budget(f"n^{k}", float(n) ** k, budget)
         return float(_dfs_cycle_sum(hollowed(a), k) / n ** (k / 2.0))
     raise ValueError(f"unknown method {method!r}")
+
+
+def check_cycle_budget(n: int, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET) -> None:
+    """Raise ValueError unless C_{n,2..kmax} fit the operation budget.
+
+    ``cycle_series`` pays about min(kmax, 5) * n^3 for the vectorized sweep
+    (k matrix-vector passes per start vertex) and n^k for each k above 5,
+    which falls back to the depth-first enumeration.
+    """
+    if kmax >= 2:
+        _require_budget(
+            f"min(kmax, {VECTORIZED_KMAX})*n^3",
+            min(kmax, VECTORIZED_KMAX) * float(n) ** 3,
+            budget,
+        )
+    if kmax > VECTORIZED_KMAX:
+        _require_budget(f"n^{kmax}", float(n) ** kmax, budget)
+
+
+def _require_budget(what: str, cost: float, budget: float) -> None:
+    if cost > budget:
+        raise ValueError(f"{what} = {cost:.3g} exceeds the operation budget {budget:.3g}")
 
 
 def _dfs_cycle_sum(at: np.ndarray, k: int) -> float:
@@ -219,11 +233,7 @@ def cycle_series(a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET)
         raise ValueError(f"need 1 <= kmax <= n, got kmax={kmax}, n={n}")
     values = [signed_cycle_c1(a)]
     if kmax >= 2:
-        if min(kmax, VECTORIZED_KMAX) * float(n) ** 3 > budget:
-            raise ValueError(
-                f"kmax*n^3 = {kmax * float(n)**3:.3g} exceeds the operation "
-                f"budget {budget:.3g}"
-            )
+        check_cycle_budget(n, kmax, budget)
         at = hollowed(a)
         sums = _masked_walk_sums(at, kmax)
         for k in range(2, min(kmax, VECTORIZED_KMAX) + 1):
@@ -262,8 +272,17 @@ def chebyshev_lss(
         raise ValueError("matrix must have an exactly zero diagonal")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    coeffs = chebyshev_coeffs(k)
     traces = power_traces(a_hollow / np.sqrt(n), k, flop_budget=flop_budget)
+    return chebyshev_trace(traces, n, k)
+
+
+def chebyshev_trace(traces: np.ndarray, n: int, k: int) -> float:
+    """Tr P_k(M) of an n x n matrix M from its power traces (Tr M, ..., Tr M^k).
+
+    One set of traces serves every k up to its length, so callers that
+    need several k pay for the matrix products once.
+    """
+    coeffs = chebyshev_coeffs(k)
     value = coeffs[0] * n
     for j in range(1, k + 1):
         if coeffs[j]:

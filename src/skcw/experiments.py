@@ -1,9 +1,14 @@
 """Replicated Monte Carlo experiments, statistics and machine-readable reports.
 
-Each ``run_*`` function samples replicate matrices with deterministic
-per-replicate seed streams (replicate r at size index s uses
-stream_id = s * 2^32 + r under the configured master seed), aggregates the
-statistics of interest, and compares them against the limit-law targets.
+The five experiments (clt, cycles, tilted, approx, decomposition) share
+one driver, ``_drive``.  Each ``run_*`` names its module-level
+``*_worker`` and a ``_Plan`` with what differs: the task arguments, a
+per-size builder of summaries, checks and raw samples, the cross-size
+checks and the targets.  ``ExperimentConfig`` checks every size of the
+grid, and the driver every per-size input, before any sample is drawn.
+Replicate r at size index s uses stream_id = s * 2^32 + r under the
+configured master seed; the stream id ends every task tuple.
+
 Every comparison is recorded as a named check carrying the rule, the
 observed value, the target and the tolerance; a report is never a bare
 pass/fail.
@@ -26,8 +31,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import combinat
-from .cycles import DEFAULT_CYCLE_BUDGET, cycle_series, lss_centering
+from .cycles import (
+    DEFAULT_CYCLE_BUDGET,
+    chebyshev_trace,
+    check_cycle_budget,
+    cycle_series,
+    lss_centering,
+)
 from .gibbs import (
+    ENUMERATION_MAX_N,
     ModelParams,
     clt_targets,
     decomposition_residual,
@@ -37,6 +49,7 @@ from .randmat import (
     SeedSpec,
     all_ones_spins,
     check_spins,
+    check_trace_budget,
     power_traces,
     sample_gaussian_matrix,
     sample_tilted_matrix,
@@ -76,6 +89,39 @@ class ExperimentConfig:
             if list(grid) != sorted(set(grid)):
                 raise ValueError("n_grid must be strictly increasing")
             object.__setattr__(self, "n_grid", grid)
+        self._check_sizes()
+
+    def _check_sizes(self) -> None:
+        """Reject a configuration that would fail partway through its run.
+
+        Every size of the grid is checked here, so the error comes before
+        any replicate or centering sample is computed.
+        """
+        smallest, largest = self.sizes[0], self.sizes[-1]
+        if smallest < 1:
+            raise ValueError(f"sizes must be positive, got n={smallest}")
+        if self.kind in ("clt", "decomposition"):
+            self.params.require_paramagnetic()
+            if largest > ENUMERATION_MAX_N:
+                raise ValueError(
+                    f"n={largest} exceeds the enumeration bound {ENUMERATION_MAX_N}"
+                )
+        if self.kind in ("cycles", "tilted", "approx", "decomposition"):
+            name = "m" if self.kind == "decomposition" else "kmax"
+            depth = getattr(self, name)
+            low = 3 if self.kind == "approx" else 1
+            if not low <= depth <= smallest:
+                raise ValueError(
+                    f"{self.kind} needs {low} <= {name} <= n at every size, got "
+                    f"{name}={depth} with smallest n={smallest}"
+                )
+            check_cycle_budget(largest, depth, self.cycle_budget)
+        if self.kind == "approx":
+            check_trace_budget(largest, self.kmax)
+            if self.centering_replicates is not None and self.centering_replicates < 1:
+                raise ValueError(
+                    f"need at least 1 centering replicate, got {self.centering_replicates}"
+                )
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -312,6 +358,18 @@ def _check_pvalue(name, rule, p, floor, statistic) -> Check:
     )
 
 
+def _check_max_abs(name, rule, xs, tolerance) -> Check:
+    worst = float(np.max(np.abs(xs)))
+    return Check(
+        name=name,
+        rule=rule,
+        observed=worst,
+        target=0.0,
+        tolerance=tolerance,
+        passed=bool(worst <= tolerance),
+    )
+
+
 def _trend_check_mean_error(
     name: str, errs: list[float], ses: list[float], sizes: Sequence[int]
 ) -> Check:
@@ -349,7 +407,7 @@ def _trend_check_decreasing(name: str, values: list[float], sizes, what: str) ->
 
 
 # ---------------------------------------------------------------------------
-# replicate execution
+# the experiment driver
 
 
 def _map_replicates(worker: Callable, tasks: list, threads: int) -> list:
@@ -360,11 +418,153 @@ def _map_replicates(worker: Callable, tasks: list, threads: int) -> list:
         return list(pool.map(worker, tasks, chunksize=chunk))
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What one experiment kind adds to the shared driver.
+
+    ``task_args(n)`` gives the worker arguments that sit between n and
+    (master_seed, stream_id) in each task tuple; the driver calls it for
+    every size before any replicate runs, so per-size inputs are checked
+    there.  ``size_result(s, n, outputs)`` turns the worker outputs at grid
+    index s into (summaries, checks, raw samples), and
+    ``cross_checks(results)`` compares the sizes of a grid run.
+    """
+
+    task_args: Callable[[int], tuple]
+    size_result: Callable[[int, int, list], tuple[dict, list, dict]]
+    cross_checks: Callable[[list], list] = lambda results: []
+    targets: tuple[TargetValue, ...] = ()
+
+
+def _drive(
+    config: ExperimentConfig,
+    kind: str,
+    worker: Callable,
+    plan_for: Callable[[ExperimentConfig], _Plan],
+) -> ExperimentReport:
+    """Run every replicate of every size and assemble the report.
+
+    The kind is checked before ``plan_for`` builds the plan, so a plan never
+    sees another kind's config.  Each ``run_*`` passes its worker by its
+    module-level name at call time: the pool pickles it by that name, and a
+    wrapper installed under the name (the perfbench tracer) is what runs.
+    """
+    if config.kind != kind:
+        raise ValueError(f"config kind is {config.kind!r}, expected {kind!r}")
+    plan = plan_for(config)
+    size_args = [plan.task_args(n) for n in config.sizes]
+    results = []
+    raw: dict = {}
+    for s, (n, args) in enumerate(zip(config.sizes, size_args)):
+        tasks = [
+            (n, *args, config.master_seed, s * _STREAM_BLOCK + r)
+            for r in range(config.replicates)
+        ]
+        outputs = _map_replicates(worker, tasks, config.threads)
+        summaries, checks, samples = plan.size_result(s, n, outputs)
+        results.append(SizeResult(n=n, summaries=summaries, checks=tuple(checks)))
+        if config.keep_raw:
+            raw[str(n)] = {name: xs.tolist() for name, xs in samples.items()}
+    cross = tuple(plan.cross_checks(results)) if len(results) > 1 else ()
+    passed = all(c.passed for r in results for c in r.checks) and all(
+        c.passed for c in cross
+    )
+    return ExperimentReport(
+        kind=kind,
+        config=_config_echo(config),
+        targets=plan.targets,
+        results=tuple(results),
+        checks=cross,
+        passed=passed,
+        raw_samples=raw or None,
+    )
+
+
+# ---------------------------------------------------------------------------
+# clt: free-energy fluctuations
+
+
 def _clt_worker(task) -> float:
     n, beta, j, jp, master, stream = task
     a = sample_gaussian_matrix(n, SeedSpec(master, stream))
     params = ModelParams(beta=beta, J=j, Jprime=jp, n=n)
     return exact_log_partition(a, params) - n * beta**2
+
+
+def _clt_plan(config: ExperimentConfig) -> _Plan:
+    params = config.params
+    if params.beta == 0.0:
+        t = None
+        targets = (TargetValue("mean", 0.0, "beta=0 degenerate"),)
+    else:
+        t = clt_targets(params)
+        targets = (
+            TargetValue("limit", t.limit, "beta^2"),
+            TargetValue("mean", t.mean, "-log(1-2bJ)/2 + b(J'-J) + log(1-4b^2)/4"),
+            TargetValue("variance", t.variance, "-b^2 - log(1-4b^2)/2"),
+        )
+
+    def size_result(s, n, outputs):
+        xs = np.array(outputs)
+        summ = SampleSummary.from_samples(xs)
+        if t is None:
+            checks = [
+                _check_max_abs(
+                    "degenerate_zero_beta",
+                    "beta = 0 forces every sample to equal 0 exactly",
+                    xs, 0.0,
+                )
+            ]
+        else:
+            checks = [
+                _check_abs(
+                    "clt_mean",
+                    "sample mean of n(F_n - beta^2) within max(0.03, 3*SE) of f1",
+                    summ.mean, t.mean, max(0.03, 3.0 * summ.stderr),
+                ),
+                _check_rel_band(
+                    "clt_variance",
+                    "sample variance within 20% of alpha1",
+                    summ.variance, t.variance, 0.20,
+                ),
+            ]
+            if xs.size >= 20:
+                stat, p = ks_test(xs, t.mean, t.variance)
+                checks.append(
+                    _check_pvalue(
+                        "clt_ks",
+                        "KS p-value vs Normal(f1, alpha1) above 0.001",
+                        p, 0.001, stat,
+                    )
+                )
+        return {"n_fluct": summ}, checks, {"n_fluct": xs}
+
+    def cross_checks(results):
+        if t is None:
+            return []
+        summs = [r.summaries["n_fluct"] for r in results]
+        return [
+            _trend_check_mean_error(
+                "clt_mean_trend",
+                [abs(x.mean - t.mean) for x in summs],
+                [x.stderr for x in summs],
+                config.sizes,
+            )
+        ]
+
+    return _Plan(
+        lambda n: (params.beta, params.J, params.Jprime),
+        size_result, cross_checks, targets,
+    )
+
+
+def run_clt(config: ExperimentConfig) -> ExperimentReport:
+    """Free-energy fluctuation law: n (F_n - beta^2) vs Normal(f1, alpha1)."""
+    return _drive(config, "clt", _clt_worker, _clt_plan)
+
+
+# ---------------------------------------------------------------------------
+# cycles and tilted: signed-cycle laws
 
 
 def _cycles_worker(task) -> list[float]:
@@ -377,125 +577,6 @@ def _tilted_worker(task) -> list[float]:
     n, kmax, beta, sigma, budget, master, stream = task
     a = sample_tilted_matrix(n, sigma, beta, SeedSpec(master, stream))
     return list(cycle_series(a, kmax, budget=budget).values)
-
-
-def _approx_worker(task) -> tuple[list[float], list[float]]:
-    """Per replicate: (C_{n,k} for k=3..kmax, Tr P_k(A/sqrt n) for k=3..kmax)."""
-    n, kmax, budget, master, stream = task
-    a = sample_gaussian_matrix(n, SeedSpec(master, stream), hollow=True)
-    series = cycle_series(a, kmax, budget=budget)
-    traces = power_traces(a / math.sqrt(n), kmax)
-    lss = []
-    for k in range(3, kmax + 1):
-        coeffs = combinat.chebyshev_coeffs(k)
-        val = coeffs[0] * n
-        for jj in range(1, k + 1):
-            if coeffs[jj]:
-                val += coeffs[jj] * traces[jj - 1]
-        lss.append(float(val))
-    return [series.value(k) for k in range(3, kmax + 1)], lss
-
-
-def _decomposition_worker(task) -> tuple[float, float]:
-    n, beta, j, jp, m, budget, master, stream = task
-    a = sample_gaussian_matrix(n, SeedSpec(master, stream))
-    params = ModelParams(beta=beta, J=j, Jprime=jp, n=n)
-    log_z = exact_log_partition(a, params)
-    resid = decomposition_residual(a, params, m, log_z=log_z, cycle_budget=budget)
-    return resid, log_z - n * beta**2
-
-
-# ---------------------------------------------------------------------------
-# experiment runners
-
-
-def run_clt(config: ExperimentConfig) -> ExperimentReport:
-    """Free-energy fluctuation law: n (F_n - beta^2) vs Normal(f1, alpha1)."""
-    if config.kind != "clt":
-        raise ValueError(f"config kind is {config.kind!r}, expected 'clt'")
-    params = config.params
-    degenerate = params.beta == 0.0
-    targets: tuple[TargetValue, ...]
-    if degenerate:
-        targets = (TargetValue("mean", 0.0, "beta=0 degenerate"),)
-    else:
-        t = clt_targets(params)
-        targets = (
-            TargetValue("limit", t.limit, "beta^2"),
-            TargetValue("mean", t.mean, "-log(1-2bJ)/2 + b(J'-J) + log(1-4b^2)/4"),
-            TargetValue("variance", t.variance, "-b^2 - log(1-4b^2)/2"),
-        )
-    results = []
-    raw: dict = {}
-    errs, ses = [], []
-    for s, n in enumerate(config.sizes):
-        tasks = [
-            (n, params.beta, params.J, params.Jprime, config.master_seed,
-             s * _STREAM_BLOCK + r)
-            for r in range(config.replicates)
-        ]
-        xs = np.array(_map_replicates(_clt_worker, tasks, config.threads))
-        summ = SampleSummary.from_samples(xs)
-        checks: list[Check] = []
-        if degenerate:
-            checks.append(
-                Check(
-                    name="degenerate_zero_beta",
-                    rule="beta = 0 forces every sample to equal 0 exactly",
-                    observed=float(np.max(np.abs(xs))),
-                    target=0.0,
-                    tolerance=0.0,
-                    passed=bool(np.all(xs == 0.0)),
-                )
-            )
-        else:
-            t = clt_targets(params)
-            tol = max(0.03, 3.0 * summ.stderr)
-            checks.append(
-                _check_abs(
-                    "clt_mean",
-                    "sample mean of n(F_n - beta^2) within max(0.03, 3*SE) of f1",
-                    summ.mean, t.mean, tol,
-                )
-            )
-            checks.append(
-                _check_rel_band(
-                    "clt_variance",
-                    "sample variance within 20% of alpha1",
-                    summ.variance, t.variance, 0.20,
-                )
-            )
-            if xs.size >= 20:
-                stat, p = ks_test(xs, t.mean, t.variance)
-                checks.append(
-                    _check_pvalue(
-                        "clt_ks",
-                        "KS p-value vs Normal(f1, alpha1) above 0.001",
-                        p, 0.001, stat,
-                    )
-                )
-            errs.append(abs(summ.mean - t.mean))
-            ses.append(summ.stderr)
-        results.append(SizeResult(n=n, summaries={"n_fluct": summ}, checks=tuple(checks)))
-        if config.keep_raw:
-            raw[str(n)] = {"n_fluct": xs.tolist()}
-    global_checks: list[Check] = []
-    if len(config.sizes) > 1 and not degenerate:
-        global_checks.append(
-            _trend_check_mean_error("clt_mean_trend", errs, ses, config.sizes)
-        )
-    passed = all(c.passed for r in results for c in r.checks) and all(
-        c.passed for c in global_checks
-    )
-    return ExperimentReport(
-        kind="clt",
-        config=_config_echo(config),
-        targets=targets,
-        results=tuple(results),
-        checks=tuple(global_checks),
-        passed=passed,
-        raw_samples=raw or None,
-    )
 
 
 def _cycle_statistics_checks(
@@ -576,146 +657,129 @@ def _cycle_statistics_checks(
     return summaries, checks
 
 
+def _cycle_plan(
+    config: ExperimentConfig, task_args, targets, mean_targets, mean_floor, var_rel
+) -> _Plan:
+    """Plan of the plain and tilted cycle runs, whose workers return
+    C_{n,1..kmax} per replicate."""
+    kmax = config.kmax
+
+    def size_result(s, n, outputs):
+        values = np.array(outputs)
+        summaries, checks = _cycle_statistics_checks(
+            values, n, kmax, mean_targets, mean_floor, var_rel
+        )
+        return summaries, checks, {
+            f"cycle_{k}": values[:, k - 1] for k in range(1, kmax + 1)
+        }
+
+    return _Plan(task_args, size_result, targets=targets)
+
+
+def _cycles_plan(config: ExperimentConfig) -> _Plan:
+    return _cycle_plan(
+        config,
+        lambda n: (config.kmax, config.cycle_budget),
+        targets=tuple(
+            TargetValue(f"variance_{k}", 1.0 if k == 1 else 2.0 * k, "2k (k>=2), 1 (k=1)")
+            for k in range(1, config.kmax + 1)
+        ),
+        mean_targets={}, mean_floor=0.0, var_rel=0.10,
+    )
+
+
 def run_cycles(config: ExperimentConfig) -> ExperimentReport:
     """Signed-cycle law under the null ensemble: centered C_{n,k} are
     asymptotically independent Normal(0, 2k), independent of C_{n,1}."""
-    if config.kind != "cycles":
-        raise ValueError(f"config kind is {config.kind!r}, expected 'cycles'")
-    kmax = config.kmax
-    targets = tuple(
-        TargetValue(f"variance_{k}", 1.0 if k == 1 else 2.0 * k, "2k (k>=2), 1 (k=1)")
-        for k in range(1, kmax + 1)
-    )
-    results = []
-    raw: dict = {}
-    for s, n in enumerate(config.sizes):
-        tasks = [
-            (n, kmax, config.cycle_budget, config.master_seed, s * _STREAM_BLOCK + r)
-            for r in range(config.replicates)
-        ]
-        values = np.array(_map_replicates(_cycles_worker, tasks, config.threads))
-        summaries, checks = _cycle_statistics_checks(
-            values, n, kmax, mean_targets={}, mean_floor=0.0, var_rel=0.10
-        )
-        results.append(SizeResult(n=n, summaries=summaries, checks=tuple(checks)))
-        if config.keep_raw:
-            raw[str(n)] = {
-                f"cycle_{k}": values[:, k - 1].tolist() for k in range(1, kmax + 1)
-            }
-    passed = all(c.passed for r in results for c in r.checks)
-    return ExperimentReport(
-        kind="cycles",
-        config=_config_echo(config),
-        targets=targets,
-        results=tuple(results),
-        checks=(),
-        passed=passed,
-        raw_samples=raw or None,
+    return _drive(config, "cycles", _cycles_worker, _cycles_plan)
+
+
+def _tilted_plan(config: ExperimentConfig, sigma) -> _Plan:
+    beta = config.params.beta
+
+    def task_args(n):
+        if sigma is None:
+            sig = all_ones_spins(n)
+        else:
+            sig = check_spins(sigma(n) if callable(sigma) else sigma)
+        if sig.size != n:
+            raise ValueError(f"sigma has length {sig.size}, expected {n}")
+        return (config.kmax, beta, sig, config.cycle_budget)
+
+    mean_targets = {k: (2.0 * beta) ** k for k in range(2, config.kmax + 1)}
+    return _cycle_plan(
+        config,
+        task_args,
+        targets=tuple(
+            TargetValue(f"mean_{k}", mean_targets[k], "(2 beta)^k")
+            for k in range(2, config.kmax + 1)
+        ),
+        mean_targets=mean_targets, mean_floor=0.15, var_rel=0.15,
     )
 
 
 def run_tilted(
-    config: ExperimentConfig, sigma: np.ndarray | None = None
+    config: ExperimentConfig,
+    sigma: np.ndarray | Callable[[int], np.ndarray] | None = None,
 ) -> ExperimentReport:
     """Cycle law under the tilted ensemble: centered C_{n,k} shift to
-    (2 beta)^k with unchanged variance 2k, for any fixed spin vector."""
-    if config.kind != "tilted":
-        raise ValueError(f"config kind is {config.kind!r}, expected 'tilted'")
-    kmax = config.kmax
-    beta = config.params.beta
-    mean_targets = {k: (2.0 * beta) ** k for k in range(2, kmax + 1)}
-    targets = tuple(
-        TargetValue(f"mean_{k}", mean_targets[k], "(2 beta)^k")
-        for k in range(2, kmax + 1)
-    )
-    results = []
-    raw: dict = {}
-    for s, n in enumerate(config.sizes):
-        sig = all_ones_spins(n) if sigma is None else check_spins(sigma)
-        if sig.size != n:
-            raise ValueError(f"sigma has length {sig.size}, expected {n}")
-        tasks = [
-            (n, kmax, beta, sig, config.cycle_budget, config.master_seed,
-             s * _STREAM_BLOCK + r)
-            for r in range(config.replicates)
-        ]
-        values = np.array(_map_replicates(_tilted_worker, tasks, config.threads))
-        summaries, checks = _cycle_statistics_checks(
-            values, n, kmax, mean_targets=mean_targets, mean_floor=0.15, var_rel=0.15
-        )
-        results.append(SizeResult(n=n, summaries=summaries, checks=tuple(checks)))
-        if config.keep_raw:
-            raw[str(n)] = {
-                f"cycle_{k}": values[:, k - 1].tolist() for k in range(1, kmax + 1)
-            }
-    passed = all(c.passed for r in results for c in r.checks)
-    return ExperimentReport(
-        kind="tilted",
-        config=_config_echo(config),
-        targets=targets,
-        results=tuple(results),
-        checks=(),
-        passed=passed,
-        raw_samples=raw or None,
-    )
+    (2 beta)^k with unchanged variance 2k, for any fixed spin vector.
+
+    ``sigma`` is one spin vector, which must then match every size, or a
+    function of n giving the vector at each size; the default is all ones.
+    """
+    return _drive(config, "tilted", _tilted_worker, lambda c: _tilted_plan(c, sigma))
 
 
-def run_approx(config: ExperimentConfig) -> ExperimentReport:
-    """Spectral-statistic approximation: residuals C_{n,k} - centered
-    Tr P_k(A/sqrt n) per matrix, their variance against Var(C_{n,k}), and
-    the shrink across sizes."""
-    if config.kind != "approx":
-        raise ValueError(f"config kind is {config.kind!r}, expected 'approx'")
+# ---------------------------------------------------------------------------
+# approx: cycles against Chebyshev spectral statistics
+
+
+def _approx_worker(task) -> tuple[list[float], list[float]]:
+    """Per replicate: (C_{n,k} for k=3..kmax, Tr P_k(A/sqrt n) for k=3..kmax)."""
+    n, kmax, budget, master, stream = task
+    a = sample_gaussian_matrix(n, SeedSpec(master, stream), hollow=True)
+    series = cycle_series(a, kmax, budget=budget)
+    traces = power_traces(a / math.sqrt(n), kmax)
+    ks = range(3, kmax + 1)
+    return [series.value(k) for k in ks], [chebyshev_trace(traces, n, k) for k in ks]
+
+
+def _approx_plan(config: ExperimentConfig) -> _Plan:
     kmax = config.kmax
-    if kmax < 3:
-        raise ValueError("approximation runs need kmax >= 3")
-    results = []
-    raw: dict = {}
-    residual_vars: dict[int, list[float]] = {k: [] for k in range(3, kmax + 1)}
-    headline_n = config.params.n
-    for s, n in enumerate(config.sizes):
-        centerings = {}
-        cent_reps = config.centering_replicates or max(1000, config.replicates)
-        for k in range(3, kmax + 1):
-            seed = SeedSpec(config.master_seed).derived(0x10_000 + 64 * s + k)
-            centerings[k] = lss_centering(n, k, cent_reps, seed)
-        tasks = [
-            (n, kmax, config.cycle_budget, config.master_seed, s * _STREAM_BLOCK + r)
-            for r in range(config.replicates)
-        ]
-        out = _map_replicates(_approx_worker, tasks, config.threads)
-        cyc = np.array([o[0] for o in out])
-        lss = np.array([o[1] for o in out])
+    cent_reps = config.centering_replicates or max(1000, config.replicates)
+
+    def size_result(s, n, outputs):
+        cyc = np.array([o[0] for o in outputs])
+        lss = np.array([o[1] for o in outputs])
         summaries = {}
         checks: list[Check] = []
+        samples = {}
         for i, k in enumerate(range(3, kmax + 1)):
-            res = cyc[:, i] - (lss[:, i] - centerings[k].value)
+            seed = SeedSpec(config.master_seed).derived(0x10_000 + 64 * s + k)
+            centering = lss_centering(n, k, cent_reps, seed)
+            res = cyc[:, i] - (lss[:, i] - centering.value)
+            samples[f"residual_{k}"] = res
             summaries[f"cycle_{k}"] = SampleSummary.from_samples(cyc[:, i])
-            rsum = SampleSummary.from_samples(res)
-            summaries[f"residual_{k}"] = rsum
-            residual_vars[k].append(rsum.variance)
+            rsum = summaries[f"residual_{k}"] = SampleSummary.from_samples(res)
             if k == 3:
                 checks.append(
-                    Check(
-                        name="residual_3_exact",
-                        rule="k=3 residuals vanish identically (within 1e-9)",
-                        observed=float(np.max(np.abs(res))),
-                        target=0.0,
-                        tolerance=1e-9,
-                        passed=bool(np.max(np.abs(res)) <= 1e-9),
+                    _check_max_abs(
+                        "residual_3_exact",
+                        "k=3 residuals vanish identically (within 1e-9)",
+                        res, 1e-9,
                     )
                 )
             else:
-                tol = 3.0 * math.hypot(rsum.stderr, centerings[k].stderr)
                 checks.append(
                     _check_abs(
                         f"residual_{k}_mean",
                         f"mean residual at k={k} within 3 SE of 0 "
                         "(centering uncertainty included)",
-                        rsum.mean, 0.0, tol,
+                        rsum.mean, 0.0, 3.0 * math.hypot(rsum.stderr, centering.stderr),
                     )
                 )
-            if n == headline_n and k >= 4:
+            if n == config.params.n and k >= 4:
                 ratio = rsum.variance / summaries[f"cycle_{k}"].variance
                 checks.append(
                     Check(
@@ -727,111 +791,91 @@ def run_approx(config: ExperimentConfig) -> ExperimentReport:
                         passed=bool(ratio < 0.1),
                     )
                 )
-        results.append(SizeResult(n=n, summaries=summaries, checks=tuple(checks)))
-        if config.keep_raw:
-            raw[str(n)] = {
-                f"residual_{k}": (cyc[:, i] - (lss[:, i] - centerings[k].value)).tolist()
-                for i, k in enumerate(range(3, kmax + 1))
-            }
-    global_checks = []
-    if len(config.sizes) > 1:
-        for k in range(4, kmax + 1):
-            global_checks.append(
-                _trend_check_decreasing(
-                    f"residual_{k}_variance_trend",
-                    residual_vars[k],
-                    config.sizes,
-                    f"Var(residual_{k})",
-                )
+        return summaries, checks, samples
+
+    def cross_checks(results):
+        return [
+            _trend_check_decreasing(
+                f"residual_{k}_variance_trend",
+                [r.summaries[f"residual_{k}"].variance for r in results],
+                config.sizes,
+                f"Var(residual_{k})",
             )
-    passed = all(c.passed for r in results for c in r.checks) and all(
-        c.passed for c in global_checks
-    )
-    return ExperimentReport(
-        kind="approx",
-        config=_config_echo(config),
-        targets=(),
-        results=tuple(results),
-        checks=tuple(global_checks),
-        passed=passed,
-        raw_samples=raw or None,
+            for k in range(4, kmax + 1)
+        ]
+
+    return _Plan(lambda n: (kmax, config.cycle_budget), size_result, cross_checks)
+
+
+def run_approx(config: ExperimentConfig) -> ExperimentReport:
+    """Spectral-statistic approximation: residuals C_{n,k} - centered
+    Tr P_k(A/sqrt n) per matrix, their variance against Var(C_{n,k}), and
+    the shrink across sizes."""
+    return _drive(config, "approx", _approx_worker, _approx_plan)
+
+
+# ---------------------------------------------------------------------------
+# decomposition: log Z against its signed-cycle expansion
+
+
+def _decomposition_worker(task) -> tuple[float, float]:
+    n, beta, j, jp, m, budget, master, stream = task
+    a = sample_gaussian_matrix(n, SeedSpec(master, stream))
+    params = ModelParams(beta=beta, J=j, Jprime=jp, n=n)
+    log_z = exact_log_partition(a, params)
+    resid = decomposition_residual(a, params, m, log_z=log_z, cycle_budget=budget)
+    return resid, log_z - n * beta**2
+
+
+def _decomposition_plan(config: ExperimentConfig) -> _Plan:
+    params = config.params
+    degenerate = params.beta == 0.0
+
+    def size_result(s, n, outputs):
+        res = np.array([o[0] for o in outputs])
+        fluct = np.array([o[1] for o in outputs])
+        rsum = SampleSummary.from_samples(res)
+        fsum = SampleSummary.from_samples(fluct)
+        if degenerate:
+            check = _check_max_abs(
+                "degenerate_zero_beta",
+                "beta = 0 forces every residual to equal 0 exactly",
+                res, 0.0,
+            )
+        else:
+            check = Check(
+                name="residual_variance_below_fluctuation",
+                rule="Var(residual) < Var(n(F_n - beta^2))",
+                observed=rsum.variance,
+                target=fsum.variance,
+                tolerance=None,
+                passed=bool(rsum.variance < fsum.variance),
+            )
+        summaries = {"residual": rsum, "n_fluct": fsum}
+        return summaries, [check], {"residual": res, "n_fluct": fluct}
+
+    def cross_checks(results):
+        if degenerate:
+            return []
+        return [
+            _trend_check_decreasing(
+                "residual_variance_trend",
+                [r.summaries["residual"].variance for r in results],
+                config.sizes,
+                "Var(residual)",
+            )
+        ]
+
+    return _Plan(
+        lambda n: (params.beta, params.J, params.Jprime, config.m, config.cycle_budget),
+        size_result, cross_checks,
     )
 
 
 def run_decomposition(config: ExperimentConfig) -> ExperimentReport:
     """Signed-cycle decomposition of log Z: the truncated expansion explains
     most of the free-energy fluctuation and its residual shrinks with n."""
-    if config.kind != "decomposition":
-        raise ValueError(
-            f"config kind is {config.kind!r}, expected 'decomposition'"
-        )
-    params = config.params
-    results = []
-    raw: dict = {}
-    res_vars = []
-    for s, n in enumerate(config.sizes):
-        tasks = [
-            (n, params.beta, params.J, params.Jprime, config.m, config.cycle_budget,
-             config.master_seed, s * _STREAM_BLOCK + r)
-            for r in range(config.replicates)
-        ]
-        out = _map_replicates(_decomposition_worker, tasks, config.threads)
-        res = np.array([o[0] for o in out])
-        fluct = np.array([o[1] for o in out])
-        rsum = SampleSummary.from_samples(res)
-        fsum = SampleSummary.from_samples(fluct)
-        res_vars.append(rsum.variance)
-        checks: list[Check] = []
-        if params.beta == 0.0:
-            checks.append(
-                Check(
-                    name="degenerate_zero_beta",
-                    rule="beta = 0 forces every residual to equal 0 exactly",
-                    observed=float(np.max(np.abs(res))),
-                    target=0.0,
-                    tolerance=0.0,
-                    passed=bool(np.all(res == 0.0)),
-                )
-            )
-        else:
-            checks.append(
-                Check(
-                    name="residual_variance_below_fluctuation",
-                    rule="Var(residual) < Var(n(F_n - beta^2))",
-                    observed=rsum.variance,
-                    target=fsum.variance,
-                    tolerance=None,
-                    passed=bool(rsum.variance < fsum.variance),
-                )
-            )
-        results.append(
-            SizeResult(
-                n=n,
-                summaries={"residual": rsum, "n_fluct": fsum},
-                checks=tuple(checks),
-            )
-        )
-        if config.keep_raw:
-            raw[str(n)] = {"residual": res.tolist(), "n_fluct": fluct.tolist()}
-    global_checks = []
-    if len(config.sizes) > 1 and params.beta != 0.0:
-        global_checks.append(
-            _trend_check_decreasing(
-                "residual_variance_trend", res_vars, config.sizes, "Var(residual)"
-            )
-        )
-    passed = all(c.passed for r in results for c in r.checks) and all(
-        c.passed for c in global_checks
-    )
-    return ExperimentReport(
-        kind="decomposition",
-        config=_config_echo(config),
-        targets=(),
-        results=tuple(results),
-        checks=tuple(global_checks),
-        passed=passed,
-        raw_samples=raw or None,
-    )
+    return _drive(config, "decomposition", _decomposition_worker, _decomposition_plan)
 
 
 def run_identities(max_k: int = 30) -> ExperimentReport:

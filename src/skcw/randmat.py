@@ -105,11 +105,7 @@ def power_traces(
         raise ValueError("matrix must be square")
     if kmax < 1:
         raise ValueError(f"kmax must be positive, got {kmax}")
-    n = m.shape[0]
-    if kmax * n**3 > flop_budget:
-        raise ValueError(
-            f"kmax*n^3 = {kmax * n**3:.3g} exceeds the flop budget {flop_budget:.3g}"
-        )
+    check_trace_budget(m.shape[0], kmax, flop_budget)
     traces = np.empty(kmax)
     p = m
     for j in range(kmax):
@@ -117,6 +113,17 @@ def power_traces(
         if j + 1 < kmax:
             p = p @ m
     return traces
+
+
+def check_trace_budget(
+    n: int, kmax: int, flop_budget: float = DEFAULT_TRACE_FLOP_BUDGET
+) -> None:
+    """Raise ValueError unless ``power_traces`` of an n x n matrix up to kmax
+    fits the flop budget (about kmax * n^3)."""
+    if kmax * n**3 > flop_budget:
+        raise ValueError(
+            f"kmax*n^3 = {kmax * n**3:.3g} exceeds the flop budget {flop_budget:.3g}"
+        )
 
 
 def hollowed(a: np.ndarray) -> np.ndarray:

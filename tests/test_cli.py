@@ -5,12 +5,24 @@ import json
 import numpy as np
 import pytest
 
+from skcw import experiments
 from skcw.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, main
 from skcw.randmat import load_matrix_text
 
 
 def run(argv):
     return main(argv)
+
+
+@pytest.fixture
+def no_compute(monkeypatch):
+    """Fail the test if any replicate or centering sample is computed."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the command line was rejected")
+
+    monkeypatch.setattr(experiments, "_map_replicates", refuse)
+    monkeypatch.setattr(experiments, "lss_centering", refuse)
 
 
 def test_identities_exits_zero(tmp_path):
@@ -136,3 +148,50 @@ def test_report_on_failing_verdicts_exits_two(tmp_path):
     data = json.loads(out.read_text())
     assert (code == EXIT_OK) == data["passed"]
     assert run(["report", "--in", str(out)]) == code
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["clt", "--n", "10", "--beta", "0.2", "--J", "0.5", "--n-grid", "29"],
+         "enumeration bound"),
+        (["clt", "--n", "10", "--beta", "0.2", "--n-grid", "0,10"], "positive"),
+        (["decomposition", "--n", "12", "--beta", "0.2", "--J", "0.5",
+          "--n-grid", "12,30"], "enumeration bound"),
+        (["cycles", "--n", "10", "--kmax", "4", "--n-grid", "3,10"], "kmax=4"),
+        (["tilted", "--n", "10", "--beta", "0.2", "--kmax", "3", "--n-grid", "2,10"],
+         "kmax=3"),
+        (["approx", "--n", "10", "--kmax", "4", "--n-grid", "3,10"], "kmax=4"),
+        (["approx", "--n", "10", "--kmax", "2"], "kmax"),
+        (["decomposition", "--n", "10", "--beta", "0.2", "--m", "4",
+          "--n-grid", "3,10"], "m=4"),
+        (["cycles", "--n", "40", "--kmax", "6", "--n-grid", "8,40"],
+         "operation budget"),
+        (["cycles", "--n", "30", "--kmax", "4", "--n-grid", "10,30", "--budget", "1e4"],
+         "operation budget"),
+        (["approx", "--n", "20", "--kmax", "4", "--n-grid", "10,20",
+          "--centering-reps", "-5"], "centering replicate"),
+        (["approx", "--n", "1600", "--kmax", "5", "--n-grid", "10,1600",
+          "--budget", "1e11"], "flop budget"),
+    ],
+)
+def test_whole_grid_validated_before_any_compute(no_compute, capsys, argv, message):
+    assert run(argv + ["--reps", "5"]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", ["ones", "alternating", "random"])
+def test_tilted_grid_builds_spins_per_size(tmp_path, sigma):
+    out = tmp_path / "t.json"
+    argv = ["tilted", "--n", "20", "--beta", "0.2", "--n-grid", "10,20",
+            "--reps", "20", "--kmax", "3", "--sigma", sigma, "--out", str(out)]
+    assert run(argv) in (EXIT_OK, EXIT_VERDICT)
+    assert [r["n"] for r in json.loads(out.read_text())["results"]] == [10, 20]
+
+
+def test_csv_without_out_is_usage_error(no_compute, capsys):
+    argv = ["cycles", "--n", "12", "--reps", "20", "--kmax", "3", "--format", "csv"]
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--out" in captured.err

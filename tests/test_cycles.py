@@ -14,6 +14,7 @@ from skcw.cycles import (
     LssEstimate,
     approx_residual,
     chebyshev_lss,
+    chebyshev_trace,
     cycle_series,
     lss_centering,
     signed_cycle_bruteforce,
@@ -22,6 +23,7 @@ from skcw.cycles import (
 from skcw.randmat import (
     SeedSpec,
     gauge_conjugate,
+    power_traces,
     random_spins,
     sample_gaussian_matrix,
 )
@@ -183,6 +185,16 @@ def test_lss_hand_values():
     assert chebyshev_lss(a, 1) == 0.0
     h = sample_gaussian_matrix(30, SeedSpec(16, 0), hollow=True)
     assert chebyshev_lss(h, 1) == 0.0
+
+
+def test_chebyshev_trace_from_shared_traces_equals_lss_bit_for_bit():
+    """One set of power traces up to k=5 serves k=3, 4, 5 exactly as the
+    per-k evaluation does."""
+    for n in (20, 50, 200):
+        a = sample_gaussian_matrix(n, SeedSpec(31, n), hollow=True)
+        traces = power_traces(a / math.sqrt(n), 5)
+        for k in (3, 4, 5):
+            assert chebyshev_trace(traces, n, k) == chebyshev_lss(a, k)
 
 
 def test_lss_requires_hollow():

@@ -191,23 +191,41 @@ def test_raw_samples_kept_on_request():
 
 
 def test_reproducibility_across_worker_counts():
-    base = dict(kind="clt", params=PARAMS, replicates=30, master_seed=11)
-    serial = ex.run_clt(ex.ExperimentConfig(**base, threads=1))
-    parallel = ex.run_clt(ex.ExperimentConfig(**base, threads=2))
-    assert serial.results == parallel.results
-    assert serial.checks == parallel.checks
+    tiny = {
+        "clt": dict(params=PARAMS, replicates=30),
+        "cycles": dict(params=ModelParams(beta=0.0, n=24), replicates=20, kmax=3),
+        "tilted": dict(
+            params=ModelParams(beta=0.3, n=12), replicates=20, kmax=3, n_grid=(8,)
+        ),
+        "approx": dict(
+            params=ModelParams(beta=0.0, n=12), replicates=20, kmax=4, n_grid=(8,),
+            centering_replicates=10,
+        ),
+        "decomposition": dict(
+            params=ModelParams(beta=0.25, J=0.5, n=10), replicates=20, m=3, n_grid=(8,)
+        ),
+    }
+    for kind, kwargs in tiny.items():
+        run = getattr(ex, f"run_{kind}")
+        serial, parallel = (
+            run(ex.ExperimentConfig(kind=kind, master_seed=11, threads=t, **kwargs))
+            for t in (1, 2)
+        )
+        assert serial.results == parallel.results, kind
+        assert serial.checks == parallel.checks, kind
 
-    cyc = dict(
-        kind="cycles",
-        params=ModelParams(beta=0.0, n=24),
-        replicates=20,
-        master_seed=11,
-        kmax=3,
+
+def test_tilted_spin_vector_checked_at_every_size_first(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("replicates ran before the spin vector was checked")
+
+    monkeypatch.setattr(ex, "_map_replicates", refuse)
+    cfg = ex.ExperimentConfig(
+        kind="tilted", params=ModelParams(beta=0.2, n=12), replicates=5,
+        master_seed=1, kmax=3, n_grid=(8, 12),
     )
-    assert (
-        ex.run_cycles(ex.ExperimentConfig(**cyc, threads=1)).results
-        == ex.run_cycles(ex.ExperimentConfig(**cyc, threads=2)).results
-    )
+    with pytest.raises(ValueError, match="sigma has length 8, expected 12"):
+        ex.run_tilted(cfg, np.ones(8))
 
 
 def test_degenerate_zero_beta_flagged():
