@@ -23,6 +23,8 @@ means, decreasing point estimates for residual variances).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -84,6 +86,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.replicates < 2:
             raise ValueError(f"need at least 2 replicates, got {self.replicates}")
+        if self.threads < 1:
+            raise ValueError(f"need at least 1 thread, got {self.threads}")
         if self.n_grid is not None:
             grid = tuple(self.n_grid)
             if list(grid) != sorted(set(grid)):
@@ -410,12 +414,53 @@ def _trend_check_decreasing(name: str, values: list[float], sizes, what: str) ->
 # the experiment driver
 
 
-def _map_replicates(worker: Callable, tasks: list, threads: int) -> list:
-    if threads <= 1:
+def _openblas_function(action: str):
+    """The ``action`` entry point (``set_num_threads``, ``get_num_threads``)
+    of the OpenBLAS that numpy's core module links, or None without one.
+
+    Symbol lookup through the core module's handle also searches the
+    libraries it depends on; the names cover the scipy-openblas build of
+    the numpy wheels, ILP64 builds and a plain system OpenBLAS.
+    """
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for name in (
+        f"scipy_openblas_{action}64_",
+        f"openblas_{action}64_",
+        f"openblas_{action}",
+    ):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            return fn
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one OpenBLAS thread per worker.
+
+    Forked workers inherit the parent's multi-threaded BLAS, so without
+    this the workers of a run oversubscribe the cores.  The library is
+    looked up here, in the worker, so importing skcw costs nothing more.
+    """
+    set_threads = _openblas_function("set_num_threads")
+    if set_threads is None:
+        return
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    set_threads(1)
+
+
+def _map_replicates(worker: Callable, tasks: list, pool, workers: int) -> list:
+    if pool is None:
         return [worker(t) for t in tasks]
-    chunk = max(1, len(tasks) // (8 * threads))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, tasks, chunksize=chunk))
+    chunk = max(1, len(tasks) // (8 * workers))
+    return list(pool.map(worker, tasks, chunksize=chunk))
 
 
 @dataclass(frozen=True)
@@ -448,6 +493,10 @@ def _drive(
     sees another kind's config.  Each ``run_*`` passes its worker by its
     module-level name at call time: the pool pickles it by that name, and a
     wrapper installed under the name (the perfbench tracer) is what runs.
+
+    Every size runs in one pool of at most ``threads`` workers (never more
+    than replicates), opened after every per-size input is checked and shut
+    down before this returns, so the run's resource usage covers its workers.
     """
     if config.kind != kind:
         raise ValueError(f"config kind is {config.kind!r}, expected {kind!r}")
@@ -455,16 +504,24 @@ def _drive(
     size_args = [plan.task_args(n) for n in config.sizes]
     results = []
     raw: dict = {}
-    for s, (n, args) in enumerate(zip(config.sizes, size_args)):
-        tasks = [
-            (n, *args, config.master_seed, s * _STREAM_BLOCK + r)
-            for r in range(config.replicates)
-        ]
-        outputs = _map_replicates(worker, tasks, config.threads)
-        summaries, checks, samples = plan.size_result(s, n, outputs)
-        results.append(SizeResult(n=n, summaries=summaries, checks=tuple(checks)))
-        if config.keep_raw:
-            raw[str(n)] = {name: xs.tolist() for name, xs in samples.items()}
+    workers = min(config.threads, config.replicates)
+    if workers > 1:
+        pool_context = ProcessPoolExecutor(
+            max_workers=workers, initializer=_one_blas_thread
+        )
+    else:
+        pool_context = contextlib.nullcontext()  # one worker: this process
+    with pool_context as pool:
+        for s, (n, args) in enumerate(zip(config.sizes, size_args)):
+            tasks = [
+                (n, *args, config.master_seed, s * _STREAM_BLOCK + r)
+                for r in range(config.replicates)
+            ]
+            outputs = _map_replicates(worker, tasks, pool, workers)
+            summaries, checks, samples = plan.size_result(s, n, outputs)
+            results.append(SizeResult(n=n, summaries=summaries, checks=tuple(checks)))
+            if config.keep_raw:
+                raw[str(n)] = {name: xs.tolist() for name, xs in samples.items()}
     cross = tuple(plan.cross_checks(results)) if len(results) > 1 else ()
     passed = all(c.passed for r in results for c in r.checks) and all(
         c.passed for c in cross

@@ -19,9 +19,13 @@ and log Z_n decomposes into signed cycles: the residual returned by
 Exact log partition functions are available for n up to the enumeration
 bound (default 28) via three interchangeable methods:
 
-* ``split`` (default) -- vectorized half/half enumeration: energies of all
-  spin assignments are formed from the two half-cube spin tables and the
-  cross coupling block, using the global flip symmetry to halve the work;
+* ``split`` (default) -- vectorized half/half enumeration over the two
+  half-cube spin tables, using the global flip symmetry to halve the work.
+  beta is folded into the half energies and the cross coupling block; each
+  chunk of first-half rows is one matrix product against the second-half
+  spins, shifted per row by its closed-form maximum, exponentiated in place
+  and reduced by one matrix-vector product with exp(e_b - max e_b).  A row
+  whose sum underflows is recomputed with its exact shift;
 * ``gray``  -- serial Gray-code traversal flipping one spin per step with
   O(n) local-field updates and an online running-max log-sum-exp;
 * ``naive`` -- literal re-evaluation of <sigma, M sigma> per state
@@ -42,6 +46,9 @@ from .cycles import DEFAULT_CYCLE_BUDGET, cycle_series, signed_cycle_c1
 
 ENUMERATION_MAX_N = 28
 _SPLIT_CHUNK = 1 << 22
+# A row sum of the split kernel above this floor has every term within
+# 1e-16 of its largest one in the normal float range (2^13 terms at most).
+_ROW_FLOOR = 1e-250
 
 
 @dataclass(frozen=True)
@@ -106,33 +113,55 @@ def _spin_table(nbits: int) -> np.ndarray:
 
 
 def _log_partition_split(m: np.ndarray, beta: float) -> float:
-    """Half/half vectorized enumeration; last spin pinned to +1 by symmetry."""
+    """Half/half vectorized enumeration; last spin pinned to +1 by symmetry.
+
+    For half-cube spin rows sa[i] and sb[j], beta*H = e_a[i] + e_b[j] +
+    cross[i] . sb[j].  Row i of a chunk is shifted by its largest cross
+    term, exponentiated in place and reduced against v = exp(e_b - max e_b)
+    in one matrix-vector product; a log-sum-exp over the rows finishes.
+    """
     n = m.shape[0]
     na = n // 2
     nb = n - na
     sa = _spin_table(na)
-    sb = np.hstack([_spin_table(nb - 1), np.ones((1 << (nb - 1), 1))])
-    e_a = ((sa @ m[:na, :na]) * sa).sum(axis=1)
-    e_b = ((sb @ m[na:, na:]) * sb).sum(axis=1)
-    cross_half = sa @ (2.0 * m[:na, na:])
-    running_max = -np.inf
-    running_sum = 0.0
-    rows_per_chunk = max(1, _SPLIT_CHUNK // sb.shape[0])
+    # free spins of the second half, the pinned spin, and a column of ones
+    # that carries the row shift into the matrix product
+    sb_aug = np.hstack([_spin_table(nb - 1), np.ones((1 << (nb - 1), 2))])
+    sb = sb_aug[:, :-1]
+    e_a = beta * ((sa @ m[:na, :na]) * sa).sum(axis=1)
+    e_b = beta * ((sb @ m[na:, na:]) * sb).sum(axis=1)
+    cross = sa @ (2.0 * beta * m[:na, na:])
+    # max_j cross[i] . sb[j] in closed form: every free sign matches cross[i]
+    shift = np.abs(cross[:, :-1]).sum(axis=1) + cross[:, -1]
+    cross_aug = np.hstack([cross, -shift[:, None]])
+    top_b = float(e_b.max())
+    v = np.exp(e_b - top_b)
+    row_log = np.empty(sa.shape[0])
+    rows_per_chunk = min(sa.shape[0], max(1, _SPLIT_CHUNK // sb.shape[0]))
+    buffer = np.empty((rows_per_chunk, sb.shape[0]))
     for lo in range(0, sa.shape[0], rows_per_chunk):
         hi = min(lo + rows_per_chunk, sa.shape[0])
-        energies = cross_half[lo:hi] @ sb.T
-        energies += e_a[lo:hi, None]
-        energies += e_b[None, :]
-        energies *= beta
-        chunk_max = float(energies.max())
-        if chunk_max > running_max:
-            if np.isfinite(running_max):
-                running_sum *= math.exp(running_max - chunk_max)
-            running_max = chunk_max
-        np.exp(energies - running_max, out=energies)
-        running_sum += float(energies.sum())
+        block = np.matmul(cross_aug[lo:hi], sb_aug.T, out=buffer[: hi - lo])
+        np.exp(block, out=block)
+        sums = block @ v
+        row_log[lo:hi] = np.log(np.maximum(sums, _ROW_FLOOR))
+        # The largest cross term and the largest e_b may sit in different
+        # columns; then the row sum underflows and loses its digits.  Such
+        # rows (never seen on paramagnetic inputs) take their own exact shift.
+        low = lo + np.flatnonzero(sums < _ROW_FLOOR)
+        if low.size:
+            exact = np.matmul(cross[low], sb.T, out=buffer[: low.size])
+            exact += e_b
+            exact_max = exact.max(axis=1, keepdims=True)
+            exact -= exact_max
+            np.exp(exact, out=exact)
+            row_log[low] = (
+                exact_max[:, 0] + np.log(exact.sum(axis=1)) - shift[low] - top_b
+            )
+    row_log += e_a + shift + top_b
+    top = float(row_log.max())
     # the pinned spin accounts for half the cube; sigma -> -sigma is exact
-    return running_max + math.log(2.0 * running_sum) - n * math.log(2.0)
+    return top + math.log(2.0 * float(np.exp(row_log - top).sum())) - n * math.log(2.0)
 
 
 def _log_partition_gray(m: np.ndarray, beta: float) -> float:

@@ -173,6 +173,8 @@ def test_report_on_failing_verdicts_exits_two(tmp_path):
           "--centering-reps", "-5"], "centering replicate"),
         (["approx", "--n", "1600", "--kmax", "5", "--n-grid", "10,1600",
           "--budget", "1e11"], "flop budget"),
+        (["clt", "--n", "10", "--beta", "0.2", "--threads", "0"], "at least 1 thread"),
+        (["cycles", "--n", "10", "--kmax", "3", "--threads", "-1"], "at least 1 thread"),
     ],
 )
 def test_whole_grid_validated_before_any_compute(no_compute, capsys, argv, message):

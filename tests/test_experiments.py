@@ -1,6 +1,7 @@
 """Monte Carlo harness: statistics, calibration, report structure and
 reproducibility across worker counts."""
 
+import ctypes
 import json
 import math
 
@@ -144,6 +145,11 @@ def test_config_validation():
         kind="clt", params=PARAMS, replicates=5, master_seed=1, n_grid=(8, 12)
     )
     assert cfg2.sizes == (8, 10, 12)  # headline size joins the grid
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="at least 1 thread"):
+            ex.ExperimentConfig(
+                kind="clt", params=PARAMS, replicates=5, master_seed=1, threads=threads
+            )
 
 
 def test_report_round_trip_and_named_verdicts():
@@ -206,13 +212,99 @@ def test_reproducibility_across_worker_counts():
         ),
     }
     for kind, kwargs in tiny.items():
-        run = getattr(ex, f"run_{kind}")
-        serial, parallel = (
-            run(ex.ExperimentConfig(kind=kind, master_seed=11, threads=t, **kwargs))
-            for t in (1, 2)
-        )
+        serial, parallel = _one_and_two_workers(kind, **kwargs)
         assert serial.results == parallel.results, kind
         assert serial.checks == parallel.checks, kind
+
+
+def _one_and_two_workers(kind, **kwargs):
+    run = getattr(ex, f"run_{kind}")
+    return [
+        run(ex.ExperimentConfig(kind=kind, master_seed=11, threads=t, **kwargs))
+        for t in (1, 2)
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, kwargs",
+    [
+        ("clt", dict(params=ModelParams(beta=0.25, J=1.0, n=20), replicates=4)),
+        ("clt", dict(params=ModelParams(beta=0.25, J=1.0, n=24), replicates=4)),
+        (
+            "approx",
+            dict(
+                params=ModelParams(beta=0.0, n=200), replicates=4, kmax=5,
+                centering_replicates=10,
+            ),
+        ),
+    ],
+)
+def test_worker_counts_agree_where_parent_blas_is_threaded(kind, kwargs):
+    """One worker computes in this process with its multi-threaded BLAS,
+    two workers with one BLAS thread each; the values must not move."""
+    serial, parallel = _one_and_two_workers(kind, **kwargs)
+    assert serial.results == parallel.results
+    assert serial.checks == parallel.checks
+
+
+def test_one_pool_per_run_never_wider_than_replicates(monkeypatch):
+    created = []
+
+    class RecordingPool:
+        """Records the worker count and maps in this process."""
+
+        def __init__(self, max_workers, initializer=None):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", RecordingPool)
+    grid = dict(kind="clt", params=PARAMS, master_seed=2, n_grid=(6, 8))
+    ex.run_clt(ex.ExperimentConfig(replicates=3, threads=64, **grid))
+    ex.run_clt(ex.ExperimentConfig(replicates=5, threads=2, **grid))
+    ex.run_clt(ex.ExperimentConfig(replicates=5, threads=1, **grid))
+    assert created == [3, 2]
+
+
+def _blas_threads():
+    get_threads = ex._openblas_function("get_num_threads")
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
+    return get_threads()
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    if ex._openblas_function("get_num_threads") is None:
+        pytest.skip("numpy does not link OpenBLAS here")
+    seen = []
+    map_replicates = ex._map_replicates
+
+    def spy(worker, tasks, pool, workers):
+        seen.extend(pool.submit(_blas_threads).result() for _ in range(4))
+        return map_replicates(worker, tasks, pool, workers)
+
+    monkeypatch.setattr(ex, "_map_replicates", spy)
+    cfg = ex.ExperimentConfig(
+        kind="clt", params=PARAMS, replicates=4, master_seed=3, threads=2, n_grid=(8,)
+    )
+    ex.run_clt(cfg)
+    assert seen == [1] * 8
+
+
+def test_blas_initializer_without_openblas_is_a_no_op(monkeypatch):
+    linked = ex._openblas_function("get_num_threads") is not None
+    before = _blas_threads() if linked else None
+    monkeypatch.setattr(ex, "_openblas_function", lambda action: None)
+    ex._one_blas_thread()
+    monkeypatch.undo()
+    assert (_blas_threads() if linked else None) == before
 
 
 def test_tilted_spin_vector_checked_at_every_size_first(monkeypatch):

@@ -128,6 +128,29 @@ def test_split_matches_gray():
         )
 
 
+@pytest.mark.parametrize("n", [9, 12, 13])
+@pytest.mark.parametrize("scale", [300.0, 1000.0])
+def test_split_matches_gray_on_scaled_couplings(scale, n):
+    """Far outside the paramagnetic regime a row's largest cross term and
+    the largest second-half energy fall in different columns, and the
+    split kernel's row sums underflow unless such rows take their own
+    exact shift."""
+    a = scale * sample_gaussian_matrix(n, SeedSpec(37, n))
+    p = ModelParams(beta=0.25, J=1.0, Jprime=0.2, n=n)
+    assert exact_log_partition(a, p, method="split") == pytest.approx(
+        exact_log_partition(a, p, method="gray"), rel=1e-11
+    )
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_split_matches_naive_at_chunked_sizes(n):
+    a = sample_gaussian_matrix(n, SeedSpec(38, n))
+    p = ModelParams(beta=0.3, J=0.5, Jprime=0.1, n=n)
+    assert exact_log_partition(a, p, method="split") == pytest.approx(
+        exact_log_partition(a, p, method="naive"), rel=1e-11
+    )
+
+
 def test_log_partition_n1():
     a = np.array([[0.4]])
     p = ModelParams(beta=0.25, J=0.0, Jprime=0.7, n=1)
