@@ -8,16 +8,27 @@ over ordered tuples of k *distinct* indices; C_{n,1} = n^(-1/2) Tr A.
 Since the indices are distinct, the value only involves off-diagonal
 entries, so all cycle routines operate on the hollowed matrix.
 
-Two evaluation strategies compute the same sum:
+Two evaluations compute the same sum:
+
+* for k <= 5, closed-form trace identities on the hollowed A.  They come
+  from the Moebius inversion of walk counts into distinct-index counts:
+  S_k is the sum over set partitions of the k cycle positions of
+  mu(0, pi) times the closed-walk count of the quotient cycle, and only
+  partitions that never merge adjacent positions survive on a hollow
+  matrix.  With G = A A and d = diag G:
+
+      S_2 = sum d
+      S_3 = <G, A>
+      S_4 = <G, G> - 2 d.d + sum a_ij^4
+      S_5 = <G A, G> - 5 d.diag(G A) + 5 <A o A o A, G>
 
 * a depth-first enumeration with a visited mask and prefix products
-  (the reference; cost n^k, gated by an operation budget), and
-* for k <= 5, a vectorized sweep over the start vertex where the inner
-  walk levels are masked matrix-vector products and the few possible
-  index coincidences of the remaining levels are subtracted explicitly.
+  (the reference and the only path for k >= 6; cost n^k, gated by an
+  operation budget).
 
-Both agree exactly (up to float associativity) and are cross-checked in
-the test suite against an independent nested-loop oracle.
+Both agree exactly on small-integer matrices and to float rounding
+elsewhere, and are cross-checked in the test suite against an
+independent nested-loop oracle.
 
 The spectral side: C_{n,k} for k >= 3 is approximated by the centered
 linear spectral statistic Tr P_k(A_hollow / sqrt(n)) built from the
@@ -37,12 +48,13 @@ from .randmat import (
     DEFAULT_TRACE_FLOP_BUDGET,
     SeedSpec,
     hollowed,
+    one_blas_thread,
     power_traces,
     sample_gaussian_matrix,
 )
 
 DEFAULT_CYCLE_BUDGET = 1e9
-VECTORIZED_KMAX = 5
+CLOSED_FORM_KMAX = 5
 
 
 def signed_cycle_c1(a: np.ndarray) -> float:
@@ -60,10 +72,10 @@ def signed_cycle_bruteforce(
 ) -> float:
     """Exact C_{n,k} for k >= 2.
 
-    ``method`` is one of ``auto`` (vectorized sweep for k <= 5, DFS above),
-    ``walks`` (force the vectorized sweep, k <= 5 only) or ``dfs`` (force
-    the depth-first enumeration; cost n^k, practical only for small n).
-    The budget gates n^k for the DFS path.
+    ``method`` is ``auto`` (the closed forms for k <= 5, the depth-first
+    enumeration above, under ``check_cycle_budget``) or ``dfs`` (force the
+    depth-first enumeration; the budget gates n^k, practical only for
+    small n).
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -72,13 +84,8 @@ def signed_cycle_bruteforce(
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if method == "auto":
-        method = "walks" if k <= VECTORIZED_KMAX else "dfs"
-    if method == "walks":
-        if k > VECTORIZED_KMAX:
-            raise ValueError(f"vectorized path supports k <= {VECTORIZED_KMAX}")
         check_cycle_budget(n, k, budget)
-        sums = _masked_walk_sums(hollowed(a), k)
-        return float(sums[k] / n ** (k / 2.0))
+        return float(_cycle_sums(hollowed(a), k)[-1] / n ** (k / 2.0))
     if method == "dfs":
         _require_budget(f"n^{k}", float(n) ** k, budget)
         return float(_dfs_cycle_sum(hollowed(a), k) / n ** (k / 2.0))
@@ -88,23 +95,43 @@ def signed_cycle_bruteforce(
 def check_cycle_budget(n: int, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET) -> None:
     """Raise ValueError unless C_{n,2..kmax} fit the operation budget.
 
-    ``cycle_series`` pays about min(kmax, 5) * n^3 for the vectorized sweep
-    (k matrix-vector passes per start vertex) and n^k for each k above 5,
-    which falls back to the depth-first enumeration.
+    ``cycle_series`` is charged min(kmax, 5) * n^3 for the closed-form
+    trace identities (a few n x n matrix products) and n^k for each k
+    above 5, which only the depth-first enumeration evaluates.
     """
     if kmax >= 2:
         _require_budget(
-            f"min(kmax, {VECTORIZED_KMAX})*n^3",
-            min(kmax, VECTORIZED_KMAX) * float(n) ** 3,
+            f"min(kmax, {CLOSED_FORM_KMAX})*n^3",
+            min(kmax, CLOSED_FORM_KMAX) * float(n) ** 3,
             budget,
         )
-    if kmax > VECTORIZED_KMAX:
+    if kmax > CLOSED_FORM_KMAX:
         _require_budget(f"n^{kmax}", float(n) ** kmax, budget)
 
 
 def _require_budget(what: str, cost: float, budget: float) -> None:
     if cost > budget:
         raise ValueError(f"{what} = {cost:.3g} exceeds the operation budget {budget:.3g}")
+
+
+def _cycle_sums(at: np.ndarray, kmax: int) -> list[float]:
+    """Unnormalized distinct-tuple cycle sums [S_2, ..., S_kmax] of the
+    hollow matrix ``at``: the closed forms of the module docstring for
+    k <= 5, the depth-first enumeration for k >= 6."""
+    # one BLAS thread and elementwise sums instead of BLAS dots: the value
+    # must not depend on how a multi-threaded BLAS splits the work
+    with one_blas_thread():
+        g = at @ at
+        ga = g @ at if kmax >= 5 else None
+    d = np.diag(g)
+    sq = at * at
+    sums = [d.sum(), np.sum(g * at)]
+    if kmax >= 4:
+        sums.append(np.sum(g * g) - 2.0 * np.sum(d * d) + np.sum(sq * sq))
+    if kmax >= 5:
+        sums.append(np.sum(ga * g) - 5.0 * np.sum(d * np.diag(ga)) + 5.0 * np.sum(sq * at * g))
+    sums += [_dfs_cycle_sum(at, k) for k in range(CLOSED_FORM_KMAX + 1, kmax + 1)]
+    return [float(v) for v in sums[: kmax - 1]]
 
 
 def _dfs_cycle_sum(at: np.ndarray, k: int) -> float:
@@ -144,69 +171,14 @@ def _dfs_cycle_sum(at: np.ndarray, k: int) -> float:
     return total
 
 
-def _masked_walk_sums(at: np.ndarray, kmax: int) -> dict[int, float]:
-    """Unnormalized distinct-tuple cycle sums S_k, k = 2..min(kmax, 5).
-
-    For each start vertex i0 the walk levels are matrix-vector products
-    against the matrix with row/column i0 masked out (realized by zeroing
-    the i0 component between steps); the hollow diagonal already kills
-    coincidences of adjacent walk positions, and the remaining non-adjacent
-    coincidence patterns (i1=i3 for k=4; i1=i3, i1=i4, i2=i4 and the
-    joint i1=i3,i2=i4 for k=5) are subtracted in closed masked form.
-    """
-    n = at.shape[0]
-    kcap = min(kmax, VECTORIZED_KMAX)
-    d = np.einsum("ts,ts->t", at, at)
-    sums: dict[int, float] = {2: float(d.sum())}
-    if kcap < 3:
-        return sums
-    if kcap >= 5:
-        g = at @ at
-        diag_cube = np.einsum("ij,ji->i", at, g)
-        entry_cube = at**3
-    s3 = s4 = s5 = 0.0
-    for i0 in range(n):
-        u = at[i0]
-        y1 = at @ u
-        y1[i0] = 0.0
-        s3 += u @ y1
-        if kcap >= 4:
-            y2 = at @ y1
-            y2[i0] = 0.0
-            diag2 = d - u * u
-            s4 += u @ y2 - np.sum(u * u * diag2)
-        if kcap >= 5:
-            y3 = at @ y2
-            c = g[i0]
-            diag3 = diag_cube - 2.0 * u * c
-            rejoin_13 = np.sum(u * diag2 * y1)
-            rejoin_14 = np.sum(u * u * diag3)
-            rejoin_24 = u @ (at @ (diag2 * u))
-            rejoin_13_24 = u @ (entry_cube @ u)
-            s5 += u @ y3 - rejoin_13 - rejoin_14 - rejoin_24 + rejoin_13_24
-    sums[3] = float(s3)
-    if kcap >= 4:
-        sums[4] = float(s4)
-    if kcap >= 5:
-        sums[5] = float(s5)
-    return sums
-
-
 @dataclass(frozen=True)
 class CycleSeries:
-    """C_{n,k} for k = 1..kmax with per-k centering bookkeeping.
-
-    ``values[k-1]`` holds C_{n,k}; ``centered[k-1]`` records whether the
-    stored value already has (n-1)*I(k=2) subtracted.
-    """
+    """C_{n,k} for k = 1..kmax; ``values[k-1]`` holds C_{n,k}."""
 
     n: int
     values: tuple[float, ...]
-    centered: tuple[bool, ...]
 
     def __post_init__(self):
-        if len(self.values) != len(self.centered):
-            raise ValueError("values and centering flags must align")
         if len(self.values) > self.n:
             raise ValueError("kmax cannot exceed n (indices must be distinct)")
 
@@ -218,15 +190,15 @@ class CycleSeries:
         return self.values[k - 1]
 
     def centered_value(self, k: int) -> float:
-        """C_{n,k} - (n-1)*I(k=2), regardless of the stored convention."""
+        """C_{n,k} - (n-1)*I(k=2)."""
         v = self.values[k - 1]
-        if k == 2 and not self.centered[k - 1]:
+        if k == 2:
             v -= self.n - 1
         return v
 
 
 def cycle_series(a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET) -> CycleSeries:
-    """C_{n,1..kmax} in one pass, sharing the walk recursion across k."""
+    """C_{n,1..kmax} in one pass, sharing the matrix products across k."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if not 1 <= kmax <= n:
@@ -234,30 +206,9 @@ def cycle_series(a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET)
     values = [signed_cycle_c1(a)]
     if kmax >= 2:
         check_cycle_budget(n, kmax, budget)
-        at = hollowed(a)
-        sums = _masked_walk_sums(at, kmax)
-        for k in range(2, min(kmax, VECTORIZED_KMAX) + 1):
-            values.append(float(sums[k] / n ** (k / 2.0)))
-        for k in range(VECTORIZED_KMAX + 1, kmax + 1):
-            values.append(signed_cycle_bruteforce(a, k, budget=budget, method="dfs"))
-    return CycleSeries(n=n, values=tuple(values), centered=(False,) * kmax)
-
-
-@dataclass(frozen=True)
-class LssEstimate:
-    """A centered linear spectral statistic for one cycle length."""
-
-    k: int
-    raw_trace: float
-    centering: float
-
-    def __post_init__(self):
-        if self.k % 2 == 1 and self.centering != 0.0:
-            raise ValueError("odd k has exact centering 0")
-
-    @property
-    def centered_value(self) -> float:
-        return self.raw_trace - self.centering
+        for k, s_k in enumerate(_cycle_sums(hollowed(a), kmax), start=2):
+            values.append(float(s_k / n ** (k / 2.0)))
+    return CycleSeries(n=n, values=tuple(values))
 
 
 def chebyshev_lss(

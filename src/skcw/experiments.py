@@ -56,6 +56,7 @@ from .randmat import (
     sample_gaussian_matrix,
     sample_tilted_matrix,
 )
+from .randmat import openblas_function as _openblas_function
 
 SCHEMA_VERSION = 1
 KINDS = ("clt", "cycles", "tilted", "approx", "decomposition", "identities")
@@ -412,33 +413,6 @@ def _trend_check_decreasing(name: str, values: list[float], sizes, what: str) ->
 
 # ---------------------------------------------------------------------------
 # the experiment driver
-
-
-def _openblas_function(action: str):
-    """The ``action`` entry point (``set_num_threads``, ``get_num_threads``)
-    of the OpenBLAS that numpy's core module links, or None without one.
-
-    Symbol lookup through the core module's handle also searches the
-    libraries it depends on; the names cover the scipy-openblas build of
-    the numpy wheels, ILP64 builds and a plain system OpenBLAS.
-    """
-    try:
-        from numpy._core import _multiarray_umath as core
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as core
-    try:
-        lib = ctypes.CDLL(core.__file__)
-    except OSError:
-        return None
-    for name in (
-        f"scipy_openblas_{action}64_",
-        f"openblas_{action}64_",
-        f"openblas_{action}",
-    ):
-        fn = getattr(lib, name, None)
-        if fn is not None:
-            return fn
-    return None
 
 
 def _one_blas_thread() -> None:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import DEFAULT_CYCLE_BUDGET, cycle_series, signed_cycle_c1
+from .cycles import DEFAULT_CYCLE_BUDGET, cycle_series
 
 ENUMERATION_MAX_N = 28
 _SPLIT_CHUNK = 1 << 22
@@ -316,18 +316,17 @@ def decomposition_residual(
     beta = params.beta
     if log_z is None:
         log_z = exact_log_partition(a, params, method=method)
+    series = cycle_series(a, m, budget=cycle_budget)
     residual = (
         log_z
         + 0.5 * math.log1p(-2.0 * beta * params.J)
         - (n - 1) * beta**2
         + beta * (params.J - params.Jprime)
-        - beta * signed_cycle_c1(a)
+        - beta * series.value(1)
     )
-    if m >= 2:
-        series = cycle_series(a, m, budget=cycle_budget)
-        for k in range(2, m + 1):
-            mu = (2.0 * beta) ** k
-            residual -= (2.0 * mu * series.centered_value(k) - mu**2) / (4.0 * k)
+    for k in range(2, m + 1):
+        mu = (2.0 * beta) ** k
+        residual -= (2.0 * mu * series.centered_value(k) - mu**2) / (4.0 * k)
     return residual
 
 

@@ -17,6 +17,9 @@ distinct stream_ids yield independent streams.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +27,58 @@ import numpy as np
 DEFAULT_TRACE_FLOP_BUDGET = 2e10
 
 _MASK64 = (1 << 64) - 1
+
+
+@functools.cache
+def openblas_function(action: str):
+    """The ``action`` entry point (``set_num_threads``, ``get_num_threads``)
+    of the OpenBLAS that numpy's core module links, or None without one.
+
+    Symbol lookup through the core module's handle also searches the
+    libraries it depends on; the names cover the scipy-openblas build of
+    the numpy wheels, ILP64 builds and a plain system OpenBLAS.
+    """
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for name in (
+        f"scipy_openblas_{action}64_",
+        f"openblas_{action}64_",
+        f"openblas_{action}",
+    ):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            return fn
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the count.
+
+    A multi-threaded OpenBLAS product splits its output across threads,
+    and at some sizes (n = 250 and 300 with 2 threads, not n = 200) the
+    split changes the last bits of the result; on one thread a product
+    has the same value in the main process and in a pool worker.
+    """
+    get_threads = openblas_function("get_num_threads")
+    set_threads = openblas_function("set_num_threads")
+    if get_threads is None or set_threads is None:
+        yield
+        return
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def _mix64(x: int, salt: int = 0) -> int:

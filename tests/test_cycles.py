@@ -1,5 +1,6 @@
-"""Signed cycles: the depth-first and vectorized evaluations against a naive
-nested-loop oracle, gauge invariance, and the spectral-statistic bridge."""
+"""Signed cycles: the depth-first enumeration and the closed-form trace
+identities against a naive nested-loop oracle, gauge invariance, and the
+spectral-statistic bridge."""
 
 import itertools
 import math
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from skcw.cycles import (
     CycleSeries,
-    LssEstimate,
     approx_residual,
     chebyshev_lss,
     chebyshev_trace,
@@ -63,7 +63,24 @@ def test_bruteforce_matches_oracle_exactly_on_integers(n, k):
     a = symmetric_int_matrix(n, 100 + n * 10 + k, hollow=False)
     expect = oracle_cycle(a, k)
     assert signed_cycle_bruteforce(a, k, method="dfs") == expect
-    assert signed_cycle_bruteforce(a, k, method="walks") == expect
+    assert signed_cycle_bruteforce(a, k) == expect
+
+
+def test_cycle_series_matches_oracle_exactly_through_the_dfs_tail():
+    """kmax = 6 runs the closed forms for k <= 5 and the DFS for k = 6 in
+    one series; on small integers every value is exact."""
+    a = symmetric_int_matrix(7, 176, hollow=False)
+    series = cycle_series(a, 6)
+    for k in range(2, 7):
+        assert series.value(k) == oracle_cycle(a, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=5, max_value=9), st.integers(min_value=0, max_value=10_000))
+def test_closed_forms_equal_dfs_exactly_on_integers(n, seed):
+    a = symmetric_int_matrix(n, seed, hollow=seed % 2 == 0)
+    for k in (2, 3, 4, 5):
+        assert signed_cycle_bruteforce(a, k) == signed_cycle_bruteforce(a, k, method="dfs")
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -77,7 +94,7 @@ def test_bruteforce_matches_oracle_on_gaussian(k):
 def test_walks_match_dfs_at_moderate_size():
     a = sample_gaussian_matrix(16, SeedSpec(6, 0))
     for k in (2, 3, 4, 5):
-        assert signed_cycle_bruteforce(a, k, method="walks") == pytest.approx(
+        assert signed_cycle_bruteforce(a, k) == pytest.approx(
             signed_cycle_bruteforce(a, k, method="dfs"), rel=1e-10
         )
 
@@ -109,11 +126,13 @@ def test_bruteforce_validation():
         signed_cycle_bruteforce(a, 6, budget=10, method="dfs")
     with pytest.raises(ValueError):
         signed_cycle_bruteforce(a, 4, method="bogus")
+    with pytest.raises(ValueError):
+        signed_cycle_bruteforce(a, 4, method="walks")
 
 
 def test_budget_gates_each_method_by_its_cost():
     a = sample_gaussian_matrix(30, SeedSpec(8, 1))
-    # walks cost ~ k n^3, dfs cost n^k; the budget applies to the method used
+    # closed forms cost ~ k n^3, dfs cost n^k; the budget applies to the method used
     with pytest.raises(ValueError):
         signed_cycle_bruteforce(a, 4, budget=1e3)
     with pytest.raises(ValueError):
@@ -165,7 +184,7 @@ def test_cycle_series_validation():
     with pytest.raises(ValueError):
         cycle_series(a, 5)
     with pytest.raises(ValueError):
-        CycleSeries(n=3, values=(0.0, 0.0), centered=(False,))
+        CycleSeries(n=3, values=(0.0, 0.0, 0.0, 0.0))
 
 
 # --- spectral statistics ------------------------------------------------------------
@@ -200,13 +219,6 @@ def test_chebyshev_trace_from_shared_traces_equals_lss_bit_for_bit():
 def test_lss_requires_hollow():
     with pytest.raises(ValueError):
         chebyshev_lss(np.eye(3), 2)
-
-
-def test_lss_estimate_type():
-    est = LssEstimate(k=4, raw_trace=2.5, centering=1.0)
-    assert est.centered_value == 1.5
-    with pytest.raises(ValueError):
-        LssEstimate(k=3, raw_trace=1.0, centering=0.5)
 
 
 def test_lss_centering_odd_is_exactly_zero():

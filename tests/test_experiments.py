@@ -237,6 +237,10 @@ def _one_and_two_workers(kind, **kwargs):
                 centering_replicates=10,
             ),
         ),
+        (
+            "cycles",
+            dict(params=ModelParams(beta=0.0, n=300), replicates=4, kmax=5, n_grid=(250,)),
+        ),
     ],
 )
 def test_worker_counts_agree_where_parent_blas_is_threaded(kind, kwargs):

@@ -16,6 +16,8 @@ from skcw.randmat import (
     gauge_conjugate,
     hollowed,
     load_matrix_text,
+    one_blas_thread,
+    openblas_function,
     power_traces,
     random_spins,
     sample_gaussian_matrix,
@@ -162,3 +164,17 @@ def test_seedspec_derived_changes_master():
     assert d.master_seed != SEED.master_seed
     assert d.stream_id == 0
     assert SEED.derived(3) == d
+
+
+def test_one_blas_thread_pins_and_restores_the_count():
+    get_threads = openblas_function("get_num_threads")
+    if get_threads is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    before = get_threads()
+    with one_blas_thread():
+        assert get_threads() == 1
+    assert get_threads() == before
+    with pytest.raises(RuntimeError):
+        with one_blas_thread():
+            raise RuntimeError
+    assert get_threads() == before
