@@ -95,16 +95,13 @@ def signed_cycle_bruteforce(
 def check_cycle_budget(n: int, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET) -> None:
     """Raise ValueError unless C_{n,2..kmax} fit the operation budget.
 
-    ``cycle_series`` is charged min(kmax, 5) * n^3 for the closed-form
-    trace identities (a few n x n matrix products) and n^k for each k
-    above 5, which only the depth-first enumeration evaluates.
+    ``cycle_series`` is charged 2 * n^3 for the closed-form trace
+    identities (at most two n x n matrix products, G = A A and G A,
+    whatever kmax <= 5 is) and n^k for each k above 5, which only the
+    depth-first enumeration evaluates.
     """
     if kmax >= 2:
-        _require_budget(
-            f"min(kmax, {CLOSED_FORM_KMAX})*n^3",
-            min(kmax, CLOSED_FORM_KMAX) * float(n) ** 3,
-            budget,
-        )
+        _require_budget("2*n^3", 2.0 * float(n) ** 3, budget)
     if kmax > CLOSED_FORM_KMAX:
         _require_budget(f"n^{kmax}", float(n) ** kmax, budget)
 

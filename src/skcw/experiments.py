@@ -24,7 +24,6 @@ means, decreasing point estimates for residual variances).
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -55,8 +54,8 @@ from .randmat import (
     power_traces,
     sample_gaussian_matrix,
     sample_tilted_matrix,
+    set_blas_threads,
 )
-from .randmat import openblas_function as _openblas_function
 
 SCHEMA_VERSION = 1
 KINDS = ("clt", "cycles", "tilted", "approx", "decomposition", "identities")
@@ -422,12 +421,7 @@ def _one_blas_thread() -> None:
     this the workers of a run oversubscribe the cores.  The library is
     looked up here, in the worker, so importing skcw costs nothing more.
     """
-    set_threads = _openblas_function("set_num_threads")
-    if set_threads is None:
-        return
-    set_threads.argtypes = [ctypes.c_int]
-    set_threads.restype = None
-    set_threads(1)
+    set_blas_threads(1)
 
 
 def _map_replicates(worker: Callable, tasks: list, pool, workers: int) -> list:

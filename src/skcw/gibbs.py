@@ -19,13 +19,18 @@ and log Z_n decomposes into signed cycles: the residual returned by
 Exact log partition functions are available for n up to the enumeration
 bound (default 28) via three interchangeable methods:
 
-* ``split`` (default) -- vectorized half/half enumeration over the two
-  half-cube spin tables, using the global flip symmetry to halve the work.
-  beta is folded into the half energies and the cross coupling block; each
-  chunk of first-half rows is one matrix product against the second-half
-  spins, shifted per row by its closed-form maximum, exponentiated in place
-  and reduced by one matrix-vector product with exp(e_b - max e_b).  A row
-  whose sum underflows is recomputed with its exact shift;
+* ``split`` (default) -- factored three-block enumeration.  Spin 0 is
+  pinned by the global flip symmetry and the other n-1 spins form blocks
+  a, u and w of about (n-1)/3 each.  The cross terms between a and the
+  other two blocks are linear in u and in w, so every row a of the sum
+  factors into exp-tables X[a, u] and Y[a, w] (each shifted to peak at 1
+  in closed form) around V[u, w] = exp(e_uw - max e_uw), and all rows are
+  one matrix product ((X @ V) * Y).sum(1) on one BLAS thread.  This is the
+  weighted-triangle reduction of R. Williams (TCS 2005): about
+  3 * 2^(2(n-1)/3) exponentials and one 2^(n-1) multiply-add GEMM instead
+  of 2^(n-1) exponentials.  The block spin tables are cached per size,
+  read-only.  A row whose sum underflows is recomputed with its exact
+  shift;
 * ``gray``  -- serial Gray-code traversal flipping one spin per step with
   O(n) local-field updates and an online running-max log-sum-exp;
 * ``naive`` -- literal re-evaluation of <sigma, M sigma> per state
@@ -37,17 +42,22 @@ traversal is too slow in Python for the replicated experiments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cycles import DEFAULT_CYCLE_BUDGET, cycle_series
+from .randmat import one_blas_thread
 
 ENUMERATION_MAX_N = 28
-_SPLIT_CHUNK = 1 << 22
-# A row sum of the split kernel above this floor has every term within
-# 1e-16 of its largest one in the normal float range (2^13 terms at most).
+# A row sum of the split kernel is a sum of products of factors in (0, 1];
+# each product and partial sum is correctly rounded unless it falls below
+# the normal range (2.2e-308), and a row has fewer than 2^19 terms at
+# n <= 28, so underflow moves a row sum by less than 1e-301.  Against a sum
+# at or above this floor that is far below rounding; a smaller row sum is
+# recomputed with its exact shift.
 _ROW_FLOOR = 1e-250
 
 
@@ -112,53 +122,77 @@ def _spin_table(nbits: int) -> np.ndarray:
     return 1.0 - 2.0 * ((states[:, None] >> np.arange(nbits)) & 1).astype(float)
 
 
-def _log_partition_split(m: np.ndarray, beta: float) -> float:
-    """Half/half vectorized enumeration; last spin pinned to +1 by symmetry.
+@functools.cache
+def _block_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only spin tables of the split kernel's three blocks at size n.
 
-    For half-cube spin rows sa[i] and sb[j], beta*H = e_a[i] + e_b[j] +
-    cross[i] . sb[j].  Row i of a chunk is shifted by its largest cross
-    term, exponentiated in place and reduced against v = exp(e_b - max e_b)
-    in one matrix-vector product; a log-sum-exp over the rows finishes.
+    Spin 0 is pinned to +1 by the global flip symmetry and the other n-1
+    are split into blocks a, u and w of floor((n-1)/3), then
+    floor((n-1-|a|)/2) and the remaining spins, in index order.  The a
+    table carries the pinned spin as a leading column of ones.  Every table
+    has at most 2^ceil((n-1)/3) rows (2^9 at n = 28), so caching all sizes
+    costs little.
+    """
+    na = (n - 1) // 3
+    p = (n - 1 - na) // 2
+    tables = (
+        np.hstack([np.ones((1 << na, 1)), _spin_table(na)]),
+        _spin_table(p),
+        _spin_table(n - 1 - na - p),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _log_partition_split(m: np.ndarray, beta: float) -> float:
+    """Three-block factored enumeration; spin 0 pinned to +1 by symmetry.
+
+    With s = (a, u, w) over the blocks of ``_block_tables``, beta*H is
+    e_a(a) + cu(a) . u + cw(a) . w + e_uw(u, w): the cross terms are linear
+    in u and in w, so for each row a the sum over (u, w) factors as
+
+        sum_uw X[a, u] V[u, w] Y[a, w],  X = exp(cu(a) . u - |cu(a)|_1),
+        Y = exp(cw(a) . w - |cw(a)|_1),  V = exp(e_uw - max e_uw),
+
+    each factor peaking at 1.  All rows are one matrix product
+    ((X @ V) * Y).sum(1), followed by a log-sum-exp over the rows.
     """
     n = m.shape[0]
-    na = n // 2
-    nb = n - na
-    sa = _spin_table(na)
-    # free spins of the second half, the pinned spin, and a column of ones
-    # that carries the row shift into the matrix product
-    sb_aug = np.hstack([_spin_table(nb - 1), np.ones((1 << (nb - 1), 2))])
-    sb = sb_aug[:, :-1]
-    e_a = beta * ((sa @ m[:na, :na]) * sa).sum(axis=1)
-    e_b = beta * ((sb @ m[na:, na:]) * sb).sum(axis=1)
-    cross = sa @ (2.0 * beta * m[:na, na:])
-    # max_j cross[i] . sb[j] in closed form: every free sign matches cross[i]
-    shift = np.abs(cross[:, :-1]).sum(axis=1) + cross[:, -1]
-    cross_aug = np.hstack([cross, -shift[:, None]])
-    top_b = float(e_b.max())
-    v = np.exp(e_b - top_b)
-    row_log = np.empty(sa.shape[0])
-    rows_per_chunk = min(sa.shape[0], max(1, _SPLIT_CHUNK // sb.shape[0]))
-    buffer = np.empty((rows_per_chunk, sb.shape[0]))
-    for lo in range(0, sa.shape[0], rows_per_chunk):
-        hi = min(lo + rows_per_chunk, sa.shape[0])
-        block = np.matmul(cross_aug[lo:hi], sb_aug.T, out=buffer[: hi - lo])
-        np.exp(block, out=block)
-        sums = block @ v
-        row_log[lo:hi] = np.log(np.maximum(sums, _ROW_FLOOR))
-        # The largest cross term and the largest e_b may sit in different
-        # columns; then the row sum underflows and loses its digits.  Such
-        # rows (never seen on paramagnetic inputs) take their own exact shift.
-        low = lo + np.flatnonzero(sums < _ROW_FLOOR)
-        if low.size:
-            exact = np.matmul(cross[low], sb.T, out=buffer[: low.size])
-            exact += e_b
-            exact_max = exact.max(axis=1, keepdims=True)
-            exact -= exact_max
-            np.exp(exact, out=exact)
-            row_log[low] = (
-                exact_max[:, 0] + np.log(exact.sum(axis=1)) - shift[low] - top_b
-            )
-    row_log += e_a + shift + top_b
+    ta, tu, tw = _block_tables(n)
+    # spins [0, ka) are a with the pinned spin 0, [ka, kw) u, [kw, n) w
+    ka = ta.shape[1]
+    kw = ka + tu.shape[1]
+    bm = beta * m
+    with one_blas_thread():
+        h = ta @ bm[:ka]
+        e_a = (h[:, :ka] * ta).sum(axis=1)
+        cu = 2.0 * h[:, ka:kw]
+        cw = 2.0 * h[:, kw:]
+        su = np.abs(cu).sum(axis=1)
+        sw = np.abs(cw).sum(axis=1)
+        g = tu @ bm[ka:kw, ka:]
+        e_uw = 2.0 * (g[:, kw - ka :] @ tw.T)
+        e_uw += (g[:, : kw - ka] * tu).sum(axis=1)[:, None]
+        e_uw += ((tw @ bm[kw:, kw:]) * tw).sum(axis=1)
+        top_uw = float(e_uw.max())
+        x = cu @ tu.T
+        x -= su[:, None]
+        np.exp(x, out=x)
+        y = cw @ tw.T
+        y -= sw[:, None]
+        np.exp(y, out=y)
+        xv = x @ np.exp(e_uw - top_uw)
+    xv *= y
+    sums = xv.sum(axis=1)
+    row_log = e_a + su + sw + top_uw + np.log(np.maximum(sums, _ROW_FLOOR))
+    # X, Y and V each peak at 1 but possibly in different cells, so a row's
+    # largest term, and with it the row sum, can underflow far outside the
+    # paramagnetic regime; such rows are summed again with their exact shift
+    for i in np.flatnonzero(sums < _ROW_FLOOR):
+        exact = e_uw + (cu[i] @ tu.T)[:, None] + cw[i] @ tw.T
+        top_i = float(exact.max())
+        row_log[i] = e_a[i] + top_i + math.log(float(np.exp(exact - top_i).sum()))
     top = float(row_log.max())
     # the pinned spin accounts for half the cube; sigma -> -sigma is exact
     return top + math.log(2.0 * float(np.exp(row_log - top).sum())) - n * math.log(2.0)

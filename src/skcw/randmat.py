@@ -53,8 +53,26 @@ def openblas_function(action: str):
     ):
         fn = getattr(lib, name, None)
         if fn is not None:
+            if action == "set_num_threads":
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = None
+            else:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
             return fn
     return None
+
+
+def set_blas_threads(count: int) -> int | None:
+    """Set the OpenBLAS thread count; return the previous count, or None
+    (and change nothing) when numpy does not link OpenBLAS."""
+    get_threads = openblas_function("get_num_threads")
+    set_threads = openblas_function("set_num_threads")
+    if get_threads is None or set_threads is None:
+        return None
+    before = get_threads()
+    set_threads(count)
+    return before
 
 
 @contextlib.contextmanager
@@ -66,19 +84,12 @@ def one_blas_thread():
     split changes the last bits of the result; on one thread a product
     has the same value in the main process and in a pool worker.
     """
-    get_threads = openblas_function("get_num_threads")
-    set_threads = openblas_function("set_num_threads")
-    if get_threads is None or set_threads is None:
-        yield
-        return
-    set_threads.argtypes = [ctypes.c_int]
-    set_threads.restype = None
-    before = get_threads()
-    set_threads(1)
+    before = set_blas_threads(1)
     try:
         yield
     finally:
-        set_threads(before)
+        if before is not None:
+            set_blas_threads(before)
 
 
 def _mix64(x: int, salt: int = 0) -> int:
@@ -154,19 +165,26 @@ def sample_tilted_matrix(
 def power_traces(
     m: np.ndarray, kmax: int, flop_budget: float = DEFAULT_TRACE_FLOP_BUDGET
 ) -> np.ndarray:
-    """(Tr M, Tr M^2, ..., Tr M^kmax) by successive dense multiplication."""
+    """(Tr M, Tr M^2, ..., Tr M^kmax) from the powers M^1..M^ceil(kmax/2).
+
+    Tr M^k = <M^(k//2), (M^(k - k//2))^T>, so kmax = 5 takes two matrix
+    products instead of four.  The products run on one BLAS thread, so the
+    traces are the same in every process.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if kmax < 1:
         raise ValueError(f"kmax must be positive, got {kmax}")
     check_trace_budget(m.shape[0], kmax, flop_budget)
+    powers = [m]
+    with one_blas_thread():
+        while 2 * len(powers) < kmax:
+            powers.append(powers[-1] @ m)
     traces = np.empty(kmax)
-    p = m
-    for j in range(kmax):
-        traces[j] = np.trace(p)
-        if j + 1 < kmax:
-            p = p @ m
+    traces[0] = np.trace(m)
+    for k in range(2, kmax + 1):
+        traces[k - 1] = np.sum(powers[k // 2 - 1] * powers[(k + 1) // 2 - 1].T)
     return traces
 
 

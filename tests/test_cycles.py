@@ -15,6 +15,7 @@ from skcw.cycles import (
     approx_residual,
     chebyshev_lss,
     chebyshev_trace,
+    check_cycle_budget,
     cycle_series,
     lss_centering,
     signed_cycle_bruteforce,
@@ -132,7 +133,7 @@ def test_bruteforce_validation():
 
 def test_budget_gates_each_method_by_its_cost():
     a = sample_gaussian_matrix(30, SeedSpec(8, 1))
-    # closed forms cost ~ k n^3, dfs cost n^k; the budget applies to the method used
+    # closed forms cost 2 n^3, dfs cost n^k; the budget applies to the method used
     with pytest.raises(ValueError):
         signed_cycle_bruteforce(a, 4, budget=1e3)
     with pytest.raises(ValueError):
@@ -140,6 +141,17 @@ def test_budget_gates_each_method_by_its_cost():
     assert signed_cycle_bruteforce(a, 4, budget=4 * 30**3 + 1) == pytest.approx(
         signed_cycle_bruteforce(a, 4), rel=1e-15
     )
+
+
+def test_closed_form_budget_charges_two_products():
+    """2 n^3 for k <= 5: n = 585 fits the default budget (min(kmax, 5) n^3
+    refused it), n = 800 does not, and k = 6 still pays n^6."""
+    a = sample_gaussian_matrix(585, SeedSpec(8, 2))
+    assert len(cycle_series(a, 5).values) == 5
+    with pytest.raises(ValueError, match="2\\*n\\^3"):
+        check_cycle_budget(800, 5)
+    with pytest.raises(ValueError, match="n\\^6"):
+        check_cycle_budget(40, 6)
 
 
 def test_c1_examples():

@@ -1,7 +1,6 @@
 """Monte Carlo harness: statistics, calibration, report structure and
 reproducibility across worker counts."""
 
-import ctypes
 import json
 import math
 
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skcw import experiments as ex
+from skcw import randmat
 from skcw.gibbs import ModelParams
 
 PARAMS = ModelParams(beta=0.25, J=1.0, Jprime=0.0, n=10)
@@ -241,6 +241,13 @@ def _one_and_two_workers(kind, **kwargs):
             "cycles",
             dict(params=ModelParams(beta=0.0, n=300), replicates=4, kmax=5, n_grid=(250,)),
         ),
+        (
+            "approx",
+            dict(
+                params=ModelParams(beta=0.0, n=250), replicates=4, kmax=5,
+                centering_replicates=10,
+            ),
+        ),
     ],
 )
 def test_worker_counts_agree_where_parent_blas_is_threaded(kind, kwargs):
@@ -278,14 +285,11 @@ def test_one_pool_per_run_never_wider_than_replicates(monkeypatch):
 
 
 def _blas_threads():
-    get_threads = ex._openblas_function("get_num_threads")
-    get_threads.argtypes = []
-    get_threads.restype = ctypes.c_int
-    return get_threads()
+    return randmat.openblas_function("get_num_threads")()
 
 
 def test_pool_workers_run_one_blas_thread(monkeypatch):
-    if ex._openblas_function("get_num_threads") is None:
+    if randmat.openblas_function("get_num_threads") is None:
         pytest.skip("numpy does not link OpenBLAS here")
     seen = []
     map_replicates = ex._map_replicates
@@ -303,9 +307,9 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
 
 
 def test_blas_initializer_without_openblas_is_a_no_op(monkeypatch):
-    linked = ex._openblas_function("get_num_threads") is not None
+    linked = randmat.openblas_function("get_num_threads") is not None
     before = _blas_threads() if linked else None
-    monkeypatch.setattr(ex, "_openblas_function", lambda action: None)
+    monkeypatch.setattr(randmat, "openblas_function", lambda action: None)
     ex._one_blas_thread()
     monkeypatch.undo()
     assert (_blas_threads() if linked else None) == before

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skcw import gibbs
 from skcw.gibbs import (
     ModelParams,
     clt_targets,
@@ -149,6 +150,25 @@ def test_split_matches_naive_at_chunked_sizes(n):
     assert exact_log_partition(a, p, method="split") == pytest.approx(
         exact_log_partition(a, p, method="naive"), rel=1e-11
     )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 19, 20])
+def test_split_matches_naive_at_every_block_shape(n):
+    """n = 2 has empty a and u blocks, n = 20 unequal u and w blocks."""
+    a = sample_gaussian_matrix(n, SeedSpec(39, n))
+    p = ModelParams(beta=0.3, J=0.5, Jprime=0.1, n=n)
+    assert exact_log_partition(a, p, method="split") == pytest.approx(
+        exact_log_partition(a, p, method="naive"), rel=1e-11
+    )
+
+
+def test_split_block_tables_are_cached_read_only():
+    tables = gibbs._block_tables(12)
+    assert gibbs._block_tables(12) is tables
+    assert sum(t.shape[1] for t in tables) == 12
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
 
 
 def test_log_partition_n1():

@@ -101,6 +101,18 @@ def test_power_traces_hand_values():
     assert power_traces(h, 1)[0] == 0.0
 
 
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_power_traces_match_explicit_powers(symmetric):
+    """Tr M^k from half powers equals the trace of M^k, also for a
+    non-symmetric M (the identity uses the transpose)."""
+    a = sample_gaussian_matrix(9, SEED)
+    if not symmetric:
+        a = a + np.triu(a, 1)
+    expected = [np.trace(np.linalg.matrix_power(a, k)) for k in range(1, 8)]
+    for kmax in range(1, 8):
+        assert power_traces(a, kmax) == pytest.approx(expected[:kmax], rel=1e-12, abs=1e-9)
+
+
 def test_power_traces_budget():
     with pytest.raises(ValueError):
         power_traces(np.eye(100), 5, flop_budget=1e3)
