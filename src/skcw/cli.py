@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
     p.add_argument("--kmax", type=int, default=5)
     p.add_argument("--centering-reps", type=int, default=None,
-                   help="replicates for the independent centering estimate")
+                   help="accepted (>= 1) and echoed in the report; the centering "
+                   "is exact, so no centering samples are drawn")
 
     p = sub.add_parser("decomposition", help="cycle decomposition of log Z")
     _add_model_flags(p)

@@ -16,6 +16,9 @@ quantities:
   matrix; its entries are odd-degree Chebyshev coefficients.
 * ``wick_moment(cov, index)`` -- Gaussian moments by explicit enumeration
   of pair partitions.
+* ``walk_moment_poly(j)`` / ``walk_moments(n, jmax)`` -- the exact finite-n
+  moments E Tr (A/sqrt n)^j of the hollow Gaussian ensemble, from the
+  closed-walk shapes whose edges are all traversed an even number of times.
 
 Supported bounds are enforced up front (``OverflowError``) so that callers
 never trigger runaway computations; Python integers themselves do not wrap.
@@ -23,6 +26,7 @@ never trigger runaway computations; Python integers themselves do not wrap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +39,9 @@ CANCELLATION_MAX_K = 30
 CATALAN_MAX_K = 2 * CANCELLATION_MAX_K
 INVERSE_BINOMIAL_MAX_K = 30
 WICK_MAX_ORDER = 12
+# the walk shapes grow like Bell numbers: on one core j = 10 takes about
+# 20 ms, j = 12 about 0.2 s and j = 14 about 3 s
+WALK_MOMENT_MAX_J = 10
 
 
 @dataclass(frozen=True)
@@ -308,3 +315,79 @@ def wick_moment(cov, index: Sequence[int], max_order: int = WICK_MAX_ORDER) -> f
         return total
 
     return pairings(idx)
+
+
+@functools.cache
+def walk_moment_poly(j: int) -> IntPoly:
+    """Integer polynomial N_j with E Tr (A/sqrt n)^j = N_j(n) / n^(j/2).
+
+    A is the hollow Gaussian ensemble: symmetric, zero diagonal, i.i.d.
+    standard normal strict upper triangle.  A closed walk
+    i_0 -> i_1 -> ... -> i_(j-1) -> i_0 contributes E prod A[i_t, i_(t+1)],
+    which is prod (m-1)!! over its unordered edges traversed m times when
+    every m is even, and 0 otherwise; odd j therefore gives the zero
+    polynomial.  The walks are grouped by shape, the restricted-growth
+    string that labels each vertex by the order of its first visit.  No
+    step stays at a vertex (the diagonal is zero), the wrap-around step
+    included, and a shape with v labels is realised by the
+    (n)_v = n (n-1) ... (n-v+1) walks on distinct vertices.  A shape with
+    even multiplicities has at most j/2 edges, so at most j/2 + 1 labels,
+    and a partial string is dropped once its odd-multiplicity edges
+    outnumber the steps left to pair them.  Each j is enumerated on first
+    use and cached.
+    """
+    if j < 1:
+        raise ValueError(f"j must be positive, got {j}")
+    if j % 2 == 1:
+        return IntPoly(())
+    if j > WALK_MOMENT_MAX_J:
+        raise OverflowError(f"j={j} exceeds the supported bound {WALK_MOMENT_MAX_J}")
+    max_label = j // 2
+    by_vertices = [0] * (max_label + 2)
+    labels = [0] * j
+    mult: dict[tuple[int, int], int] = {}
+
+    def extend(t: int, used: int, odd: int) -> None:
+        # labels[:t] are placed, ``used`` distinct labels among them, and
+        # ``odd`` of their t-1 edges have odd multiplicity; step t goes to
+        # labels[t], and step j wraps around to label 0
+        prev = labels[t - 1]
+        closing = t == j
+        for lab in (0,) if closing else range(min(used, max_label) + 1):
+            if lab == prev:
+                continue
+            edge = (min(prev, lab), max(prev, lab))
+            m = mult.get(edge, 0) + 1
+            mult[edge] = m
+            now_odd = odd + 1 if m % 2 else odd - 1
+            if closing:
+                if now_odd == 0:
+                    by_vertices[used] += math.prod(
+                        math.prod(range(c - 1, 0, -2)) for c in mult.values()
+                    )
+            elif now_odd <= j - t:  # j - t steps remain, the wrap-around included
+                labels[t] = lab
+                extend(t + 1, max(used, lab + 1), now_odd)
+            mult[edge] = m - 1
+
+    extend(1, 1, 0)
+    numerator = [0] * len(by_vertices)
+    falling = [1]  # coefficients of (n)_v
+    for v, weight in enumerate(by_vertices):
+        for d, c in enumerate(falling):
+            numerator[d] += weight * c
+        falling = [a - v * b for a, b in zip([0] + falling, falling + [0])]
+    return IntPoly.from_list(numerator)
+
+
+def walk_moments(n: int, jmax: int) -> list[Fraction]:
+    """[E Tr (A/sqrt n)^j for j = 1..jmax] of the n x n hollow Gaussian
+    ensemble, exactly; see ``walk_moment_poly``."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    out = []
+    for j in range(1, jmax + 1):
+        poly = walk_moment_poly(j)
+        value = sum(c * n**d for d, c in enumerate(poly.coeffs))
+        out.append(Fraction(value, n ** (j // 2)))
+    return out

@@ -32,9 +32,14 @@ independent nested-loop oracle.
 
 The spectral side: C_{n,k} for k >= 3 is approximated by the centered
 linear spectral statistic Tr P_k(A_hollow / sqrt(n)) built from the
-doubled Chebyshev polynomial P_k.  For k = 3 the two sides agree
-identically; for odd k the centering is exactly zero by sign symmetry,
-for even k it is estimated by independent Monte Carlo.
+doubled Chebyshev polynomial P_k.  Its power traces Tr A^j are the walk
+sums <A^(j//2), A^(j-j//2)> of the same matrix powers the closed forms
+use (Tr A^2 .. Tr A^5 are sum d, <G, A>, <G, G> and <G A, G>), so
+``cycle_series(..., traces=True)`` returns them with the cycles.  For
+k = 3 the two sides agree identically.  The centering E Tr P_k is exact:
+zero for odd k by sign symmetry, and for even k the Chebyshev combination
+of the exact moments from ``combinat.walk_moments``.  ``lss_centering``,
+its Monte Carlo estimate, is the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import chebyshev_coeffs
+from .combinat import chebyshev_coeffs, walk_moments
 from .randmat import (
     DEFAULT_TRACE_FLOP_BUDGET,
     SeedSpec,
@@ -85,7 +90,9 @@ def signed_cycle_bruteforce(
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if method == "auto":
         check_cycle_budget(n, k, budget)
-        return float(_cycle_sums(hollowed(a), k)[-1] / n ** (k / 2.0))
+        at = hollowed(a)
+        s_k = _walk_sums(at, k)[0][-1] if k <= CLOSED_FORM_KMAX else _dfs_cycle_sum(at, k)
+        return float(s_k / n ** (k / 2.0))
     if method == "dfs":
         _require_budget(f"n^{k}", float(n) ** k, budget)
         return float(_dfs_cycle_sum(hollowed(a), k) / n ** (k / 2.0))
@@ -111,24 +118,39 @@ def _require_budget(what: str, cost: float, budget: float) -> None:
         raise ValueError(f"{what} = {cost:.3g} exceeds the operation budget {budget:.3g}")
 
 
-def _cycle_sums(at: np.ndarray, kmax: int) -> list[float]:
-    """Unnormalized distinct-tuple cycle sums [S_2, ..., S_kmax] of the
-    hollow matrix ``at``: the closed forms of the module docstring for
-    k <= 5, the depth-first enumeration for k >= 6."""
+def _walk_sums(at: np.ndarray, kmax: int, traces: bool = False) -> tuple[list, list]:
+    """The walk-product core of the hollow matrix ``at``.
+
+    Returns the distinct-tuple cycle sums [S_2, ..., S_min(kmax, 5)] from
+    the closed forms of the module docstring and, with ``traces``, the walk
+    traces [Tr A, ..., Tr A^kmax], Tr A^j = <A^(j//2), A^(j-j//2)>.  The
+    closed forms need the powers A^2 and, for S_5, A^3; traces beyond
+    Tr A^5 add the powers up to A^ceil(kmax/2), so without ``traces`` no
+    product is spent on them.
+    """
+    depth = 2 if kmax < 5 else 3
+    if traces:
+        depth = max(depth, (kmax + 1) // 2)
+    powers = [at]
     # one BLAS thread and elementwise sums instead of BLAS dots: the value
     # must not depend on how a multi-threaded BLAS splits the work
     with one_blas_thread():
-        g = at @ at
-        ga = g @ at if kmax >= 5 else None
+        while len(powers) < depth:
+            powers.append(powers[-1] @ at)
+    g = powers[1]
     d = np.diag(g)
+    walks = [0.0, d.sum(), np.sum(g * at)]
+    for j in range(4, (kmax if traces else min(kmax, CLOSED_FORM_KMAX)) + 1):
+        walks.append(np.sum(powers[j // 2 - 1] * powers[(j + 1) // 2 - 1]))
     sq = at * at
-    sums = [d.sum(), np.sum(g * at)]
+    sums = walks[1:3]
     if kmax >= 4:
-        sums.append(np.sum(g * g) - 2.0 * np.sum(d * d) + np.sum(sq * sq))
+        sums.append(walks[3] - 2.0 * np.sum(d * d) + np.sum(sq * sq))
     if kmax >= 5:
-        sums.append(np.sum(ga * g) - 5.0 * np.sum(d * np.diag(ga)) + 5.0 * np.sum(sq * at * g))
-    sums += [_dfs_cycle_sum(at, k) for k in range(CLOSED_FORM_KMAX + 1, kmax + 1)]
-    return [float(v) for v in sums[: kmax - 1]]
+        ga = powers[2]
+        sums.append(walks[4] - 5.0 * np.sum(d * np.diag(ga)) + 5.0 * np.sum(sq * at * g))
+    sums = [float(v) for v in sums[: kmax - 1]]
+    return sums, [float(v) for v in walks[:kmax]] if traces else []
 
 
 def _dfs_cycle_sum(at: np.ndarray, k: int) -> float:
@@ -170,10 +192,15 @@ def _dfs_cycle_sum(at: np.ndarray, k: int) -> float:
 
 @dataclass(frozen=True)
 class CycleSeries:
-    """C_{n,k} for k = 1..kmax; ``values[k-1]`` holds C_{n,k}."""
+    """C_{n,k} for k = 1..kmax; ``values[k-1]`` holds C_{n,k}.
+
+    ``traces[j-1]`` holds Tr (A_hollow / sqrt n)^j when the series was
+    computed with traces, and ``traces`` is empty otherwise.
+    """
 
     n: int
     values: tuple[float, ...]
+    traces: tuple[float, ...] = ()
 
     def __post_init__(self):
         if len(self.values) > self.n:
@@ -194,18 +221,31 @@ class CycleSeries:
         return v
 
 
-def cycle_series(a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET) -> CycleSeries:
-    """C_{n,1..kmax} in one pass, sharing the matrix products across k."""
+def cycle_series(
+    a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET, traces: bool = False
+) -> CycleSeries:
+    """C_{n,1..kmax} in one pass, sharing the matrix products across k.
+
+    With ``traces`` the series also carries Tr (A_hollow / sqrt n)^j for
+    j = 1..kmax, read from the same matrix products.
+    """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if not 1 <= kmax <= n:
         raise ValueError(f"need 1 <= kmax <= n, got kmax={kmax}, n={n}")
     values = [signed_cycle_c1(a)]
-    if kmax >= 2:
+    walks: list[float] = []
+    if kmax >= 2 or traces:
         check_cycle_budget(n, kmax, budget)
-        for k, s_k in enumerate(_cycle_sums(hollowed(a), kmax), start=2):
-            values.append(float(s_k / n ** (k / 2.0)))
-    return CycleSeries(n=n, values=tuple(values))
+        at = hollowed(a)
+        sums, walks = _walk_sums(at, kmax, traces)
+        sums += [_dfs_cycle_sum(at, k) for k in range(CLOSED_FORM_KMAX + 1, kmax + 1)]
+        values += [float(s_k / n ** (k / 2.0)) for k, s_k in enumerate(sums, start=2)]
+    return CycleSeries(
+        n=n,
+        values=tuple(values),
+        traces=tuple(float(t / n ** (j / 2.0)) for j, t in enumerate(walks, start=1)),
+    )
 
 
 def chebyshev_lss(
@@ -228,7 +268,8 @@ def chebyshev_trace(traces: np.ndarray, n: int, k: int) -> float:
     """Tr P_k(M) of an n x n matrix M from its power traces (Tr M, ..., Tr M^k).
 
     One set of traces serves every k up to its length, so callers that
-    need several k pay for the matrix products once.
+    need several k pay for the matrix products once.  Exact (rational)
+    traces give the exact value, rounded once.
     """
     coeffs = chebyshev_coeffs(k)
     value = coeffs[0] * n
@@ -236,6 +277,21 @@ def chebyshev_trace(traces: np.ndarray, n: int, k: int) -> float:
         if coeffs[j]:
             value += coeffs[j] * traces[j - 1]
     return float(value)
+
+
+def exact_centering(n: int, k: int) -> float:
+    """E[Tr P_k(A_hollow / sqrt(n))] for the n x n hollow Gaussian ensemble.
+
+    The Chebyshev combination of the exact moments E Tr (A_hollow/sqrt n)^j
+    (``combinat.walk_moments``), evaluated in rationals and rounded once.
+    Zero for odd k (P_k is odd and the ensemble is sign symmetric); even k
+    up to ``combinat.WALK_MOMENT_MAX_J``.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if k % 2 == 1:
+        return 0.0
+    return chebyshev_trace(walk_moments(n, k), n, k)
 
 
 @dataclass(frozen=True)
@@ -248,13 +304,13 @@ class CenteringEstimate:
 
 
 def lss_centering(n: int, k: int, reps: int, seed: SeedSpec) -> CenteringEstimate:
-    """Centering for the length-k spectral statistic at size n.
+    """Monte Carlo estimate of the centering that ``exact_centering`` gives
+    exactly; the tests use it as the reference.
 
     Odd k: exactly zero (P_k is odd and the ensemble is sign symmetric);
     no sampling happens.  Even k: mean of the statistic over ``reps``
     freshly sampled hollow matrices, with its standard error.  The matrices
-    are drawn from the given seed's streams and must never be the matrices
-    under test.
+    are drawn from the given seed's streams.
     """
     if k % 2 == 1:
         return CenteringEstimate(0.0, 0.0, 0)

@@ -16,13 +16,13 @@ def run(argv):
 
 @pytest.fixture
 def no_compute(monkeypatch):
-    """Fail the test if any replicate or centering sample is computed."""
+    """Fail the test if any replicate or centering is computed."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("computed before the command line was rejected")
 
     monkeypatch.setattr(experiments, "_map_replicates", refuse)
-    monkeypatch.setattr(experiments, "lss_centering", refuse)
+    monkeypatch.setattr(experiments, "exact_centering", refuse)
 
 
 def test_identities_exits_zero(tmp_path):
@@ -175,6 +175,8 @@ def test_report_on_failing_verdicts_exits_two(tmp_path):
           "--budget", "1e11"], "flop budget"),
         (["clt", "--n", "10", "--beta", "0.2", "--threads", "0"], "at least 1 thread"),
         (["cycles", "--n", "10", "--kmax", "3", "--threads", "-1"], "at least 1 thread"),
+        (["approx", "--n", "12", "--kmax", "12", "--budget", "1e14"],
+         "exact-moment bound"),
     ],
 )
 def test_whole_grid_validated_before_any_compute(no_compute, capsys, argv, message):

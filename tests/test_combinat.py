@@ -2,6 +2,7 @@
 oracle (dynamic programming, naive series multiplication, rational
 arithmetic) or from hand evaluation frozen in place."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -263,3 +264,66 @@ def test_intpoly_horner_matches_powers(m, x):
     poly = combinat.chebyshev_coeffs(m)
     direct = sum(poly[i] * x**i for i in range(poly.degree + 1))
     assert poly(x) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+# --- exact walk moments of the hollow ensemble ------------------------------------------
+
+
+# E Tr (A/sqrt n)^j as (n-1) times a polynomial over n^(j/2-1), j = 2..10
+WALK_MOMENTS = {
+    2: lambda n: Fraction(n - 1),
+    4: lambda n: Fraction((n - 1) * (2 * n - 1), n),
+    6: lambda n: Fraction((n - 1) * (5 * n**2 - 3 * n + 1), n**2),
+    8: lambda n: Fraction((n - 1) * (14 * n**3 - 5 * n**2 + 17 * n - 21), n**3),
+    10: lambda n: Fraction(
+        (n - 1) * (42 * n**4 + 8 * n**3 + 178 * n**2 - 262 * n + 21), n**4
+    ),
+}
+
+
+def walk_moment_oracle(n: int, j: int) -> Fraction:
+    """Sum of E prod A over every closed walk of length j on n vertices,
+    one walk at a time: (m-1)!! per edge traversed m times, all m even."""
+    total = 0
+    for walk in itertools.product(range(n), repeat=j):
+        mult: dict[tuple[int, int], int] = {}
+        for x, y in zip(walk, walk[1:] + walk[:1]):
+            if x == y:
+                break
+            edge = (min(x, y), max(x, y))
+            mult[edge] = mult.get(edge, 0) + 1
+        else:
+            if all(m % 2 == 0 for m in mult.values()):
+                total += math.prod(math.prod(range(m - 1, 0, -2)) for m in mult.values())
+    return Fraction(total, n ** (j // 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 200, 10**6])
+def test_walk_moments_equal_the_closed_forms(n):
+    moments = combinat.walk_moments(n, combinat.WALK_MOMENT_MAX_J)
+    for j, value in enumerate(moments, start=1):
+        assert value == (WALK_MOMENTS[j](n) if j % 2 == 0 else 0), j
+
+
+@pytest.mark.parametrize("n, jmax", [(2, 8), (3, 8), (4, 6)])
+def test_walk_moments_match_walk_by_walk_oracle(n, jmax):
+    assert combinat.walk_moments(n, jmax) == [
+        walk_moment_oracle(n, j) for j in range(1, jmax + 1)
+    ]
+
+
+def test_walk_moment_leading_terms_are_catalan():
+    for j in range(2, combinat.WALK_MOMENT_MAX_J + 1, 2):
+        poly = combinat.walk_moment_poly(j)
+        assert poly.degree == j // 2 + 1
+        assert poly[poly.degree] == combinat.catalan_weight(j)
+
+
+def test_walk_moment_bounds():
+    assert combinat.walk_moment_poly(13) == combinat.IntPoly(())
+    with pytest.raises(OverflowError):
+        combinat.walk_moment_poly(combinat.WALK_MOMENT_MAX_J + 2)
+    with pytest.raises(ValueError):
+        combinat.walk_moment_poly(0)
+    with pytest.raises(ValueError):
+        combinat.walk_moments(0, 4)

@@ -4,19 +4,23 @@ spectral-statistic bridge."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skcw import cycles
 from skcw.cycles import (
     CycleSeries,
+    _walk_sums,
     approx_residual,
     chebyshev_lss,
     chebyshev_trace,
     check_cycle_budget,
     cycle_series,
+    exact_centering,
     lss_centering,
     signed_cycle_bruteforce,
     signed_cycle_c1,
@@ -228,6 +232,44 @@ def test_chebyshev_trace_from_shared_traces_equals_lss_bit_for_bit():
             assert chebyshev_trace(traces, n, k) == chebyshev_lss(a, k)
 
 
+@pytest.mark.parametrize("n", [9, 12, 250])
+def test_walk_core_traces_equal_power_traces(n):
+    """The traces read from the cycle products equal ``power_traces`` of
+    A/sqrt n, and the k = 3 residual vanishes."""
+    a = sample_gaussian_matrix(n, SeedSpec(32, n), hollow=True)
+    want = power_traces(a / math.sqrt(n), 7)
+    for kmax in range(3, 8):
+        _, walks = _walk_sums(a, kmax, traces=True)
+        got = [t / n ** (j / 2.0) for j, t in enumerate(walks, start=1)]
+        np.testing.assert_allclose(got, want[:kmax], rtol=1e-12, atol=1e-12)
+    series = cycle_series(a, 7 if n < 10 else 5, traces=True)
+    np.testing.assert_allclose(series.traces, want[: series.kmax], rtol=1e-12, atol=1e-12)
+    assert abs(series.value(3) - chebyshev_trace(series.traces, n, 3)) <= 1e-12
+
+
+def test_walk_core_spends_no_product_on_unrequested_traces(monkeypatch):
+    """Without traces, a series beyond k = 5 still takes only G = A A and
+    G A; the traces up to k = 7 add A^4 and nothing else."""
+    calls = []
+
+    class CountingArray(np.ndarray):
+        def __matmul__(self, other):
+            calls.append(1)
+            return np.asarray(self) @ np.asarray(other)
+
+        def __rmatmul__(self, other):
+            calls.append(1)
+            return np.asarray(other) @ np.asarray(self)
+
+    real = cycles.hollowed
+    monkeypatch.setattr(cycles, "hollowed", lambda a: real(a).view(CountingArray))
+    a = sample_gaussian_matrix(7, SeedSpec(33, 0), hollow=True)
+    assert cycle_series(a, 7).traces == ()
+    assert len(calls) == 2
+    assert len(cycle_series(a, 7, traces=True).traces) == 7
+    assert len(calls) == 2 + 3
+
+
 def test_lss_requires_hollow():
     with pytest.raises(ValueError):
         chebyshev_lss(np.eye(3), 2)
@@ -240,14 +282,29 @@ def test_lss_centering_odd_is_exactly_zero():
 
 
 def test_lss_centering_even_matches_exact_mean():
+    """The Monte Carlo centering agrees with the exact one at k = 4 and 6."""
+    n = 40
+    for k in (4, 6):
+        est = lss_centering(n, k, reps=600, seed=SeedSpec(18, 0))
+        assert est.replicates == 600
+        assert abs(est.value - exact_centering(n, k)) < 4 * est.stderr, k
+
+
+@pytest.mark.parametrize("n", [2, 5, 40, 200])
+def test_exact_centering_at_k4_is_one_plus_one_over_n(n):
     """E[Tr P_4(A/sqrt n)] = 1 + 1/n for the hollow Gaussian ensemble: the
     closed walks of length four collapse onto 2n(n-1)(n-2) + 3n(n-1) paired
     patterns, so E Tr(A/sqrt n)^4 = (n-1)(2n-1)/n, and the P_4 = x^4-4x^2+2
     combination leaves 1 + 1/n."""
-    n = 40
-    est = lss_centering(n, 4, reps=600, seed=SeedSpec(18, 0))
-    assert est.replicates == 600
-    assert abs(est.value - (1 + 1 / n)) < 4 * est.stderr
+    assert exact_centering(n, 4) == float(Fraction(n + 1, n))
+
+
+def test_exact_centering_odd_is_zero_and_even_is_bounded():
+    for k in (1, 3, 5, 13):
+        assert exact_centering(30, k) == 0.0
+    assert exact_centering(30, 2) == -31.0  # P_2 = x^2 - 2: (n - 1) - 2n
+    with pytest.raises(OverflowError):
+        exact_centering(30, 12)
 
 
 def test_lss_centering_self_consistency():
