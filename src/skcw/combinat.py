@@ -186,8 +186,12 @@ def gen_coeff(m: int, r: int) -> int:
     return value
 
 
+@functools.cache
 def chebyshev_coeffs(m: int) -> IntPoly:
-    """Doubled Chebyshev polynomial P_m via P_0=2, P_1=x, P_{m+1}=x P_m - P_{m-1}."""
+    """Doubled Chebyshev polynomial P_m via P_0=2, P_1=x, P_{m+1}=x P_m - P_{m-1}.
+
+    Cached per m; the result is immutable, so callers share it.
+    """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if m == 0:

@@ -8,7 +8,9 @@ over ordered tuples of k *distinct* indices; C_{n,1} = n^(-1/2) Tr A.
 Since the indices are distinct, the value only involves off-diagonal
 entries, so all cycle routines operate on the hollowed matrix.
 
-Two evaluations compute the same sum:
+``cycle_series`` is the one entry point: every cycle sum, including the
+default path of ``signed_cycle_bruteforce``, and every walk trace the
+experiments read come from it.  Two evaluations compute the same sum:
 
 * for k <= 5, closed-form trace identities on the hollowed A.  They come
   from the Moebius inversion of walk counts into distinct-index counts:
@@ -23,7 +25,8 @@ Two evaluations compute the same sum:
       S_5 = <G A, G> - 5 d.diag(G A) + 5 <A o A o A, G>
 
 * a depth-first enumeration with a visited mask and prefix products
-  (the reference and the only path for k >= 6; cost n^k, gated by an
+  (the only path for k >= 6, and the reference as
+  ``signed_cycle_bruteforce(..., method="dfs")``; cost n^k, gated by an
   operation budget).
 
 Both agree exactly on small-integer matrices and to float rounding
@@ -38,8 +41,9 @@ use (Tr A^2 .. Tr A^5 are sum d, <G, A>, <G, G> and <G A, G>), so
 ``cycle_series(..., traces=True)`` returns them with the cycles.  For
 k = 3 the two sides agree identically.  The centering E Tr P_k is exact:
 zero for odd k by sign symmetry, and for even k the Chebyshev combination
-of the exact moments from ``combinat.walk_moments``.  ``lss_centering``,
-its Monte Carlo estimate, is the reference the tests compare against.
+of the exact moments from ``combinat.walk_moments``.  ``chebyshev_lss``
+(from ``randmat.power_traces``) and ``lss_centering`` (its Monte Carlo
+mean) are the references the tests compare against.
 """
 
 from __future__ import annotations
@@ -50,10 +54,10 @@ import numpy as np
 
 from .combinat import chebyshev_coeffs, walk_moments
 from .randmat import (
-    DEFAULT_TRACE_FLOP_BUDGET,
     SeedSpec,
+    check_trace_budget,
     hollowed,
-    one_blas_thread,
+    matrix_powers,
     power_traces,
     sample_gaussian_matrix,
 )
@@ -77,23 +81,19 @@ def signed_cycle_bruteforce(
 ) -> float:
     """Exact C_{n,k} for k >= 2.
 
-    ``method`` is ``auto`` (the closed forms for k <= 5, the depth-first
-    enumeration above, under ``check_cycle_budget``) or ``dfs`` (force the
-    depth-first enumeration; the budget gates n^k, practical only for
-    small n).
+    ``method`` is ``auto`` (read from ``cycle_series``) or ``dfs`` (force
+    the depth-first enumeration, the reference; the budget gates n^k,
+    practical only for small n).
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if method == "auto":
-        check_cycle_budget(n, k, budget)
-        at = hollowed(a)
-        s_k = _walk_sums(at, k)[0][-1] if k <= CLOSED_FORM_KMAX else _dfs_cycle_sum(at, k)
-        return float(s_k / n ** (k / 2.0))
+        return cycle_series(a, k, budget=budget).value(k)
     if method == "dfs":
+        if a.shape != (n, n):
+            raise ValueError("matrix must be square")
         _require_budget(f"n^{k}", float(n) ** k, budget)
         return float(_dfs_cycle_sum(hollowed(a), k) / n ** (k / 2.0))
     raise ValueError(f"unknown method {method!r}")
@@ -131,12 +131,9 @@ def _walk_sums(at: np.ndarray, kmax: int, traces: bool = False) -> tuple[list, l
     depth = 2 if kmax < 5 else 3
     if traces:
         depth = max(depth, (kmax + 1) // 2)
-    powers = [at]
-    # one BLAS thread and elementwise sums instead of BLAS dots: the value
-    # must not depend on how a multi-threaded BLAS splits the work
-    with one_blas_thread():
-        while len(powers) < depth:
-            powers.append(powers[-1] @ at)
+    # elementwise sums instead of BLAS dots: the value must not depend on
+    # how a multi-threaded BLAS splits the work
+    powers = matrix_powers(at, depth)
     g = powers[1]
     d = np.diag(g)
     walks = [0.0, d.sum(), np.sum(g * at)]
@@ -227,14 +224,19 @@ def cycle_series(
     """C_{n,1..kmax} in one pass, sharing the matrix products across k.
 
     With ``traces`` the series also carries Tr (A_hollow / sqrt n)^j for
-    j = 1..kmax, read from the same matrix products.
+    j = 1..kmax, read from the same matrix products, and the trace flop
+    budget is enforced as well as the cycle budget.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("matrix must be square")
     if not 1 <= kmax <= n:
         raise ValueError(f"need 1 <= kmax <= n, got kmax={kmax}, n={n}")
     values = [signed_cycle_c1(a)]
     walks: list[float] = []
+    if traces:
+        check_trace_budget(n, kmax)
     if kmax >= 2 or traces:
         check_cycle_budget(n, kmax, budget)
         at = hollowed(a)
@@ -248,19 +250,16 @@ def cycle_series(
     )
 
 
-def chebyshev_lss(
-    a_hollow: np.ndarray,
-    k: int,
-    flop_budget: float = DEFAULT_TRACE_FLOP_BUDGET,
-) -> float:
-    """Tr P_k(A_hollow / sqrt(n)) via power traces of the rescaled matrix."""
+def chebyshev_lss(a_hollow: np.ndarray, k: int) -> float:
+    """Tr P_k(A_hollow / sqrt(n)) via power traces of the rescaled matrix;
+    the reference for the walk traces of ``cycle_series``."""
     a_hollow = np.asarray(a_hollow, dtype=float)
     n = a_hollow.shape[0]
     if np.any(np.diag(a_hollow) != 0.0):
         raise ValueError("matrix must have an exactly zero diagonal")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    traces = power_traces(a_hollow / np.sqrt(n), k, flop_budget=flop_budget)
+    traces = power_traces(a_hollow / np.sqrt(n), k)
     return chebyshev_trace(traces, n, k)
 
 
@@ -333,9 +332,13 @@ def approx_residual(
     """C_{n,k} minus the centered spectral statistic; small for large n.
 
     Identically zero for k = 3 because C_{n,3} = Tr P_3(A_hollow/sqrt(n))
-    holds exactly on hollow matrices.
+    holds exactly on hollow matrices.  Both sides come from one
+    ``cycle_series`` with traces, as in the ``approx`` experiment.
     """
     if k < 3:
         raise ValueError(f"the approximation is defined for k >= 3, got {k}")
-    cyc = signed_cycle_bruteforce(a_hollow, k, budget=budget)
-    return cyc - (chebyshev_lss(a_hollow, k) - centering)
+    a_hollow = np.asarray(a_hollow, dtype=float)
+    if np.any(np.diag(a_hollow) != 0.0):
+        raise ValueError("matrix must have an exactly zero diagonal")
+    series = cycle_series(a_hollow, k, budget=budget, traces=True)
+    return series.value(k) - (chebyshev_trace(series.traces, series.n, k) - centering)

@@ -57,7 +57,7 @@ from .randmat import (
 )
 
 SCHEMA_VERSION = 1
-KINDS = ("clt", "cycles", "tilted", "approx", "decomposition", "identities")
+KINDS = ("clt", "cycles", "tilted", "approx", "decomposition")
 
 _STREAM_BLOCK = 1 << 32
 
@@ -275,7 +275,6 @@ class ExperimentReport:
 
 def _config_echo(config: ExperimentConfig) -> dict:
     d = asdict(config)
-    d["params"] = asdict(config.params)
     d["n_grid"] = list(config.n_grid) if config.n_grid else None
     return d
 
@@ -910,65 +909,46 @@ def run_decomposition(config: ExperimentConfig) -> ExperimentReport:
 
 def run_identities(max_k: int = 30) -> ExperimentReport:
     """Exact integer identity suite; every check must hold with tolerance 0."""
-    checks: list[Check] = []
     bad = [k for k in range(2, max_k + 1) if combinat.cancellation_sum(k) != 0]
-    checks.append(
-        Check(
-            name="cancellation_sum_zero",
-            rule=f"sum_r P_2k[2r] r psi_2r = 0 for 2 <= k <= {max_k}",
-            observed=float(len(bad)),
-            target=0.0,
-            tolerance=0.0,
-            passed=not bad,
-        )
-    )
     bad_pairs = [
         (m, r)
         for m in range(1, 41)
         for r in range(1, m + 1)
         if (m - r) % 2 == 0 and not combinat.parity_identity_check(m, r)
     ]
-    checks.append(
-        Check(
-            name="parity_identity",
-            rule="f(m,r) m/r = binom(m,(m+r)/2) for all like-parity r <= m <= 40",
-            observed=float(len(bad_pairs)),
-            target=0.0,
-            tolerance=0.0,
-            passed=not bad_pairs,
-        )
-    )
     inverse_ok = True
     try:
         for k in range(1, 16):
             combinat.inverse_binomial_matrix(k)
     except AssertionError:
         inverse_ok = False
-    checks.append(
-        Check(
-            name="inverse_binomial_matrix",
-            rule="D B = I exactly and D[i][j] = P_{2i+1}[2j+1] for k <= 15",
-            observed=0.0 if inverse_ok else 1.0,
-            target=0.0,
-            tolerance=0.0,
-            passed=inverse_ok,
-        )
-    )
     worst = 0.0
     for m in range(0, 21):
         poly = combinat.chebyshev_coeffs(m)
         for theta in (math.pi / 7.0, math.pi / 3.0, 1.0):
             worst = max(worst, abs(poly(2.0 * math.cos(theta)) - 2.0 * math.cos(m * theta)))
-    checks.append(
-        Check(
-            name="chebyshev_evaluation",
-            rule="|P_m(2 cos t) - 2 cos(m t)| <= 1e-9 for m <= 20",
-            observed=worst,
-            target=0.0,
-            tolerance=1e-9,
-            passed=worst <= 1e-9,
-        )
-    )
+    checks = [
+        _check_abs(
+            "cancellation_sum_zero",
+            f"sum_r P_2k[2r] r psi_2r = 0 for 2 <= k <= {max_k}",
+            len(bad), 0.0, 0.0,
+        ),
+        _check_abs(
+            "parity_identity",
+            "f(m,r) m/r = binom(m,(m+r)/2) for all like-parity r <= m <= 40",
+            len(bad_pairs), 0.0, 0.0,
+        ),
+        _check_abs(
+            "inverse_binomial_matrix",
+            "D B = I exactly and D[i][j] = P_{2i+1}[2j+1] for k <= 15",
+            0.0 if inverse_ok else 1.0, 0.0, 0.0,
+        ),
+        _check_abs(
+            "chebyshev_evaluation",
+            "|P_m(2 cos t) - 2 cos(m t)| <= 1e-9 for m <= 20",
+            worst, 0.0, 1e-9,
+        ),
+    ]
     return ExperimentReport(
         kind="identities",
         config={"max_k": max_k},

@@ -16,8 +16,9 @@ rescaled free energy n*(F_n - beta^2) is asymptotically Gaussian with
 and log Z_n decomposes into signed cycles: the residual returned by
 ``decomposition_residual`` tends to zero in probability.
 
-Exact log partition functions are available for n up to the enumeration
-bound (default 28) via three interchangeable methods:
+Exact log partition functions are available for n up to the fixed
+enumeration bound ``ENUMERATION_MAX_N`` = 28 via three interchangeable
+methods:
 
 * ``split`` (default) -- factored three-block enumeration.  Spin 0 is
   pinned by the global flip symmetry and the other n-1 spins form blocks
@@ -230,21 +231,13 @@ def _log_partition_naive(m: np.ndarray, beta: float) -> float:
     return top + math.log(np.exp(energies - top).sum()) - n * math.log(2.0)
 
 
-def exact_log_partition(
-    a: np.ndarray,
-    params: ModelParams,
-    method: str = "split",
-    max_n: int = ENUMERATION_MAX_N,
-) -> float:
+def exact_log_partition(a: np.ndarray, params: ModelParams, method: str = "split") -> float:
     """log Z_n(beta) by exhaustive enumeration of the hypercube.
 
-    Refuses n beyond ``max_n`` (default 28) rather than subsampling.
+    Refuses n beyond ``ENUMERATION_MAX_N`` rather than subsampling.
     """
-    if params.n > max_n:
-        raise ValueError(
-            f"n={params.n} exceeds the enumeration bound {max_n}; "
-            "raise max_n explicitly to insist"
-        )
+    if params.n > ENUMERATION_MAX_N:
+        raise ValueError(f"n={params.n} exceeds the enumeration bound {ENUMERATION_MAX_N}")
     m = interaction_matrix(a, params)
     if not np.all(np.isfinite(m)):
         raise ValueError("non-finite interaction matrix")
@@ -261,13 +254,8 @@ def exact_log_partition(
     raise ValueError(f"unknown method {method!r}")
 
 
-def free_energy(
-    a: np.ndarray,
-    params: ModelParams,
-    method: str = "split",
-    max_n: int = ENUMERATION_MAX_N,
-) -> float:
-    return exact_log_partition(a, params, method=method, max_n=max_n) / params.n
+def free_energy(a: np.ndarray, params: ModelParams) -> float:
+    return exact_log_partition(a, params) / params.n
 
 
 def curie_weiss_tau(n: int, beta_j: float) -> float:
@@ -290,7 +278,7 @@ def curie_weiss_tau(n: int, beta_j: float) -> float:
     return float(math.exp(top) * np.exp(log_terms - top).sum())
 
 
-def rn_log_ratio(a: np.ndarray, params: ModelParams, method: str = "split") -> float:
+def rn_log_ratio(a: np.ndarray, params: ModelParams) -> float:
     """Log likelihood ratio of the planted mixture law against the null law.
 
     Closed form: an affine shift of log Z_n,
@@ -302,7 +290,7 @@ def rn_log_ratio(a: np.ndarray, params: ModelParams, method: str = "split") -> f
     """
     n = params.n
     beta = params.beta
-    log_z = exact_log_partition(a, params, method=method)
+    log_z = exact_log_partition(a, params)
     tau = curie_weiss_tau(n, beta * params.J)
     diag_sum = float(np.trace(a))
     return (
@@ -332,7 +320,6 @@ def decomposition_residual(
     a: np.ndarray,
     params: ModelParams,
     m: int,
-    method: str = "split",
     cycle_budget: float = DEFAULT_CYCLE_BUDGET,
     log_z: float | None = None,
 ) -> float:
@@ -349,7 +336,7 @@ def decomposition_residual(
     n = params.n
     beta = params.beta
     if log_z is None:
-        log_z = exact_log_partition(a, params, method=method)
+        log_z = exact_log_partition(a, params)
     series = cycle_series(a, m, budget=cycle_budget)
     residual = (
         log_z

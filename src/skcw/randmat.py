@@ -168,8 +168,9 @@ def power_traces(
     """(Tr M, Tr M^2, ..., Tr M^kmax) from the powers M^1..M^ceil(kmax/2).
 
     Tr M^k = <M^(k//2), (M^(k - k//2))^T>, so kmax = 5 takes two matrix
-    products instead of four.  The products run on one BLAS thread, so the
-    traces are the same in every process.
+    products instead of four; the transpose keeps this exact for a
+    non-symmetric M.  The powers come from ``matrix_powers``, so the traces
+    are the same in every process.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -177,10 +178,7 @@ def power_traces(
     if kmax < 1:
         raise ValueError(f"kmax must be positive, got {kmax}")
     check_trace_budget(m.shape[0], kmax, flop_budget)
-    powers = [m]
-    with one_blas_thread():
-        while 2 * len(powers) < kmax:
-            powers.append(powers[-1] @ m)
+    powers = matrix_powers(m, (kmax + 1) // 2)
     traces = np.empty(kmax)
     traces[0] = np.trace(m)
     for k in range(2, kmax + 1):
@@ -188,11 +186,28 @@ def power_traces(
     return traces
 
 
+def matrix_powers(m: np.ndarray, depth: int) -> list[np.ndarray]:
+    """[M, M^2, ..., M^depth], each power one product M^(j-1) @ M.
+
+    The products run on one BLAS thread, so every process gets the same
+    bits.
+    """
+    powers = [m]
+    with one_blas_thread():
+        while len(powers) < depth:
+            powers.append(powers[-1] @ m)
+    return powers
+
+
 def check_trace_budget(
     n: int, kmax: int, flop_budget: float = DEFAULT_TRACE_FLOP_BUDGET
 ) -> None:
-    """Raise ValueError unless ``power_traces`` of an n x n matrix up to kmax
-    fits the flop budget (about kmax * n^3)."""
+    """Raise ValueError unless the traces Tr M..Tr M^kmax of an n x n matrix
+    fit the flop budget (about kmax * n^3).
+
+    Both trace paths enforce it: ``power_traces`` and the traced
+    ``cycles.cycle_series``.
+    """
     if kmax * n**3 > flop_budget:
         raise ValueError(
             f"kmax*n^3 = {kmax * n**3:.3g} exceeds the flop budget {flop_budget:.3g}"

@@ -111,6 +111,11 @@ def test_chebyshev_small():
     assert combinat.chebyshev_coeffs(4).coeffs == (2, 0, -4, 0, 1)
 
 
+def test_chebyshev_coeffs_are_cached():
+    for m in (0, 5, 12):
+        assert combinat.chebyshev_coeffs(m) is combinat.chebyshev_coeffs(m)
+
+
 @given(st.integers(min_value=0, max_value=12))
 def test_chebyshev_defining_identity_exact(m):
     """P_m(z + 1/z) = z^m + z^-m checked in exact rational arithmetic."""

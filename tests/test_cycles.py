@@ -191,8 +191,11 @@ def test_cycle_series_matches_individual_calls():
         assert series.value(k) == pytest.approx(
             signed_cycle_bruteforce(a, k), rel=1e-12
         )
+        assert signed_cycle_bruteforce(a, k) == cycle_series(a, k).value(k)
     assert series.centered_value(2) == pytest.approx(series.value(2) - 19, rel=1e-12)
     assert series.centered_value(3) == series.value(3)
+    b = sample_gaussian_matrix(7, SeedSpec(13, 1))
+    assert signed_cycle_bruteforce(b, 6) == cycle_series(b, 6).value(6)
 
 
 def test_cycle_series_validation():
@@ -270,6 +273,21 @@ def test_walk_core_spends_no_product_on_unrequested_traces(monkeypatch):
     assert len(calls) == 2 + 3
 
 
+def test_traced_series_enforces_the_trace_budget(monkeypatch):
+    """5 * 1600^3 exceeds the default trace flop budget: the traced series
+    refuses before any matrix product, the untraced one only checks the
+    cycle budget."""
+
+    def no_products(m, depth):
+        raise AssertionError("matrix product taken")
+
+    monkeypatch.setattr(cycles, "matrix_powers", no_products)
+    with pytest.raises(ValueError, match="flop budget"):
+        cycle_series(np.zeros((1600, 1600)), 5, traces=True)
+    with pytest.raises(ValueError, match="operation budget"):
+        cycle_series(np.zeros((1600, 1600)), 5)
+
+
 def test_lss_requires_hollow():
     with pytest.raises(ValueError):
         chebyshev_lss(np.eye(3), 2)
@@ -338,3 +356,5 @@ def test_residual_validation():
     a = sample_gaussian_matrix(6, SeedSpec(23, 0), hollow=True)
     with pytest.raises(ValueError):
         approx_residual(a, 2, 0.0)
+    with pytest.raises(ValueError, match="zero diagonal"):
+        approx_residual(np.eye(6), 4, 0.0)

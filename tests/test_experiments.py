@@ -131,6 +131,9 @@ def test_wasserstein_triangle_inequality(a, b, c, p):
 def test_config_validation():
     with pytest.raises(ValueError):
         ex.ExperimentConfig(kind="bogus", params=PARAMS, replicates=10, master_seed=1)
+    with pytest.raises(ValueError, match="unknown experiment kind"):
+        # identity reports come from run_identities, never from a config
+        ex.ExperimentConfig(kind="identities", params=PARAMS, replicates=10, master_seed=1)
     with pytest.raises(ValueError):
         ex.ExperimentConfig(kind="clt", params=PARAMS, replicates=1, master_seed=1)
     with pytest.raises(ValueError):
