@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import contextlib
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -51,9 +53,9 @@ from .randmat import (
     all_ones_spins,
     check_spins,
     check_trace_budget,
+    one_blas_thread,
     sample_gaussian_matrix,
     sample_tilted_matrix,
-    set_blas_threads,
 )
 
 SCHEMA_VERSION = 1
@@ -420,14 +422,12 @@ def _trend_check_decreasing(name: str, values: list[float], sizes, what: str) ->
 # the experiment driver
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: one OpenBLAS thread per worker.
-
-    Forked workers inherit the parent's multi-threaded BLAS, so without
-    this the workers of a run oversubscribe the cores.  The library is
-    looked up here, in the worker, so importing skcw costs nothing more.
-    """
-    set_blas_threads(1)
+def _usable_cores() -> int:
+    """Cores this process may run on, the cap on pool workers."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _map_replicates(worker: Callable, tasks: list, pool, workers: int) -> list:
@@ -468,35 +468,47 @@ def _drive(
     module-level name at call time: the pool pickles it by that name, and a
     wrapper installed under the name (the perfbench tracer) is what runs.
 
-    Every size runs in one pool of at most ``threads`` workers (never more
-    than replicates), opened after every per-size input is checked and shut
-    down before this returns, so the run's resource usage covers its workers.
+    The tasks of every size, in grid order, go through one map of a pool of
+    at most ``threads`` workers, never more than replicates or usable cores.
+    The pool is opened after every per-size input is checked and shut down
+    before this returns, so the run's resource usage covers its workers.
+    The whole run holds this process at one OpenBLAS thread: forked workers
+    inherit that count, so ``set_blas_threads`` never has to call the
+    setter in them, and the setter would start a BLAS thread server there.
     """
     if config.kind != kind:
         raise ValueError(f"config kind is {config.kind!r}, expected {kind!r}")
     plan = plan_for(config)
     size_args = [plan.task_args(n) for n in config.sizes]
-    results = []
-    raw: dict = {}
-    workers = min(config.threads, config.replicates)
+    tasks = [
+        (n, *args, config.master_seed, s * _STREAM_BLOCK + r)
+        for s, (n, args) in enumerate(zip(config.sizes, size_args))
+        for r in range(config.replicates)
+    ]
+    workers = min(config.threads, config.replicates, _usable_cores())
     if workers > 1:
+        # fork, whatever the platform default: the workers must inherit the
+        # one-thread BLAS count and any wrapper installed under the worker's
+        # module-level name
         pool_context = ProcessPoolExecutor(
-            max_workers=workers, initializer=_one_blas_thread
+            max_workers=workers, mp_context=multiprocessing.get_context("fork")
         )
     else:
         pool_context = contextlib.nullcontext()  # one worker: this process
-    with pool_context as pool:
-        for s, (n, args) in enumerate(zip(config.sizes, size_args)):
-            tasks = [
-                (n, *args, config.master_seed, s * _STREAM_BLOCK + r)
-                for r in range(config.replicates)
-            ]
+    results = []
+    raw: dict = {}
+    with one_blas_thread():
+        with pool_context as pool:
             outputs = _map_replicates(worker, tasks, pool, workers)
-            summaries, checks, samples = plan.size_result(s, n, outputs)
+        reps = config.replicates
+        for s, n in enumerate(config.sizes):
+            summaries, checks, samples = plan.size_result(
+                s, n, outputs[s * reps:(s + 1) * reps]
+            )
             results.append(SizeResult(n=n, summaries=summaries, checks=tuple(checks)))
             if config.keep_raw:
                 raw[str(n)] = {name: xs.tolist() for name, xs in samples.items()}
-    cross = tuple(plan.cross_checks(results)) if len(results) > 1 else ()
+        cross = tuple(plan.cross_checks(results)) if len(results) > 1 else ()
     passed = all(c.passed for r in results for c in r.checks) and all(
         c.passed for c in cross
     )

@@ -65,13 +65,20 @@ def openblas_function(action: str):
 
 def set_blas_threads(count: int) -> int | None:
     """Set the OpenBLAS thread count; return the previous count, or None
-    (and change nothing) when numpy does not link OpenBLAS."""
+    (and change nothing) when numpy does not link OpenBLAS.
+
+    The setter is called only when the count changes.  In a forked child
+    it starts OpenBLAS's thread server again even when asked for the count
+    the child already has, so a pool worker that inherits one BLAS thread
+    would otherwise run a second OS thread beside its own.
+    """
     get_threads = openblas_function("get_num_threads")
     set_threads = openblas_function("set_num_threads")
     if get_threads is None or set_threads is None:
         return None
     before = get_threads()
-    set_threads(count)
+    if before != count:
+        set_threads(count)
     return before
 
 

@@ -3,6 +3,7 @@ reproducibility across worker counts."""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -261,13 +262,13 @@ def test_worker_counts_agree_where_parent_blas_is_threaded(kind, kwargs):
     assert serial.checks == parallel.checks
 
 
-def test_one_pool_per_run_never_wider_than_replicates(monkeypatch):
+def _record_pools(monkeypatch, cores):
+    """Replace the pool by one that records its worker count and maps in
+    this process, and report ``cores`` usable cores; return the record."""
     created = []
 
     class RecordingPool:
-        """Records the worker count and maps in this process."""
-
-        def __init__(self, max_workers, initializer=None):
+        def __init__(self, max_workers, mp_context=None):
             created.append(max_workers)
 
         def __enter__(self):
@@ -280,6 +281,12 @@ def test_one_pool_per_run_never_wider_than_replicates(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(ex, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(ex, "_usable_cores", lambda: cores)
+    return created
+
+
+def test_one_pool_per_run_never_wider_than_replicates(monkeypatch):
+    created = _record_pools(monkeypatch, cores=64)
     grid = dict(kind="clt", params=PARAMS, master_seed=2, n_grid=(6, 8))
     ex.run_clt(ex.ExperimentConfig(replicates=3, threads=64, **grid))
     ex.run_clt(ex.ExperimentConfig(replicates=5, threads=2, **grid))
@@ -287,8 +294,53 @@ def test_one_pool_per_run_never_wider_than_replicates(monkeypatch):
     assert created == [3, 2]
 
 
+def test_pool_never_wider_than_usable_cores(monkeypatch):
+    created = _record_pools(monkeypatch, cores=2)
+    grid = dict(kind="clt", params=PARAMS, master_seed=2, n_grid=(6, 8))
+    report = ex.run_clt(ex.ExperimentConfig(replicates=5, threads=8, **grid))
+    monkeypatch.setattr(ex, "_usable_cores", lambda: 1)
+    ex.run_clt(ex.ExperimentConfig(replicates=5, threads=8, **grid))
+    assert created == [2]  # one usable core computes in this process
+    assert report.config["threads"] == 8
+
+
+def test_usable_cores_falls_back_to_the_cpu_count(monkeypatch):
+    assert 1 <= ex._usable_cores() <= (os.cpu_count() or 1)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert ex._usable_cores() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert ex._usable_cores() == 1
+
+
+def test_one_map_per_run_in_grid_order(monkeypatch):
+    seen = []
+    map_replicates = ex._map_replicates
+
+    def spy(worker, tasks, pool, workers):
+        seen.append(list(tasks))
+        return map_replicates(worker, tasks, pool, workers)
+
+    monkeypatch.setattr(ex, "_map_replicates", spy)
+    cfg = ex.ExperimentConfig(
+        kind="clt", params=PARAMS, replicates=3, master_seed=5, n_grid=(6, 8)
+    )
+    report = ex.run_clt(cfg)
+    assert len(seen) == 1
+    assert [(t[0], t[-2], t[-1]) for t in seen[0]] == [
+        (n, 5, s * 2**32 + r) for s, n in enumerate((6, 8, 10)) for r in range(3)
+    ]
+    assert [r.n for r in report.results] == [6, 8, 10]
+    assert all(r.summaries["n_fluct"].count == 3 for r in report.results)
+
+
 def _blas_threads():
     return randmat.openblas_function("get_num_threads")()
+
+
+def _worker_threads():
+    """(OpenBLAS threads, OS threads or None without /proc) of this process."""
+    task_dir = "/proc/self/task"
+    return _blas_threads(), len(os.listdir(task_dir)) if os.path.isdir(task_dir) else None
 
 
 def test_pool_workers_run_one_blas_thread(monkeypatch):
@@ -298,24 +350,18 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     map_replicates = ex._map_replicates
 
     def spy(worker, tasks, pool, workers):
-        seen.extend(pool.submit(_blas_threads).result() for _ in range(4))
+        seen.extend(pool.submit(_worker_threads).result() for _ in range(4))
         return map_replicates(worker, tasks, pool, workers)
 
     monkeypatch.setattr(ex, "_map_replicates", spy)
+    monkeypatch.setattr(ex, "_usable_cores", lambda: 2)
     cfg = ex.ExperimentConfig(
         kind="clt", params=PARAMS, replicates=4, master_seed=3, threads=2, n_grid=(8,)
     )
     ex.run_clt(cfg)
-    assert seen == [1] * 8
-
-
-def test_blas_initializer_without_openblas_is_a_no_op(monkeypatch):
-    linked = randmat.openblas_function("get_num_threads") is not None
-    before = _blas_threads() if linked else None
-    monkeypatch.setattr(randmat, "openblas_function", lambda action: None)
-    ex._one_blas_thread()
-    monkeypatch.undo()
-    assert (_blas_threads() if linked else None) == before
+    assert [blas for blas, _ in seen] == [1] * 4
+    if seen[0][1] is not None:
+        assert [os_threads for _, os_threads in seen] == [1] * 4
 
 
 def test_tilted_spin_vector_checked_at_every_size_first(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skcw import randmat
 from skcw.randmat import (
     SeedSpec,
     all_ones_spins,
@@ -190,3 +191,44 @@ def test_one_blas_thread_pins_and_restores_the_count():
         with one_blas_thread():
             raise RuntimeError
     assert get_threads() == before
+
+
+def _fake_openblas(monkeypatch, count):
+    """Install get/set functions that start at ``count`` threads; return
+    the list of counts passed to the setter."""
+    state = {"count": count}
+    set_calls = []
+
+    def set_threads(c):
+        set_calls.append(c)
+        state["count"] = c
+
+    functions = {"get_num_threads": lambda: state["count"], "set_num_threads": set_threads}
+    monkeypatch.setattr(randmat, "openblas_function", functions.get)
+    return set_calls
+
+
+def test_set_blas_threads_calls_the_setter_only_on_a_change(monkeypatch):
+    set_calls = _fake_openblas(monkeypatch, 1)
+    assert randmat.set_blas_threads(1) == 1
+    with one_blas_thread():
+        pass
+    assert set_calls == []
+    set_calls = _fake_openblas(monkeypatch, 2)
+    assert randmat.set_blas_threads(1) == 2
+    assert set_calls == [1]
+    set_calls = _fake_openblas(monkeypatch, 2)
+    with one_blas_thread():
+        assert set_calls == [1]
+    assert set_calls == [1, 2]
+
+
+def test_blas_setters_without_openblas_do_nothing(monkeypatch):
+    linked = openblas_function("get_num_threads") is not None
+    before = openblas_function("get_num_threads")() if linked else None
+    monkeypatch.setattr(randmat, "openblas_function", lambda action: None)
+    assert randmat.set_blas_threads(1) is None
+    with one_blas_thread():
+        pass
+    monkeypatch.undo()
+    assert (openblas_function("get_num_threads")() if linked else None) == before
