@@ -65,8 +65,10 @@ def _add_run_flags(p):
     p.add_argument("--raw-samples", action="store_true",
                    help="keep per-replicate samples in the report")
     p.add_argument("--budget", type=float, default=None,
-                   help="override the cycle operation budget (default 1e9): "
-                        "cycle sums cost 2*n^3 up to k=5 and n^k for each k>=6")
+                   help="the operation budget (default 1e9), the only compute "
+                        "guard: cycle sums cost 2*n^3 up to k=5 (two matrix "
+                        "products) and 100 per depth-first term, 100*n^k, for "
+                        "each k>=6")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,9 +254,7 @@ def _cmd_free_energy(args) -> int:
 
 def _cmd_report(args) -> int:
     with open(args.path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    data.pop("generated_at", None)
-    report = ExperimentReport.from_dict(data)
+        report = ExperimentReport.from_dict(json.load(fh))
     lines = [f"kind: {report.kind}", f"passed: {report.passed}"]
     for res in report.results:
         for c in res.checks:

@@ -26,8 +26,11 @@ experiments read come from it.  Two evaluations compute the same sum:
 
 * a depth-first enumeration with a visited mask and prefix products
   (the only path for k >= 6, and the reference as
-  ``signed_cycle_bruteforce(..., method="dfs")``; cost n^k, gated by an
-  operation budget).
+  ``signed_cycle_bruteforce(..., method="dfs")``; n^k terms, each charged
+  ``DFS_TERM_COST`` operations).
+
+``check_cycle_budget`` is the one compute guard of every series, traced
+or not.
 
 Both agree exactly on small-integer matrices and to float rounding
 elsewhere, and are cross-checked in the test suite against an
@@ -55,7 +58,6 @@ import numpy as np
 from .combinat import chebyshev_coeffs, walk_moments
 from .randmat import (
     SeedSpec,
-    check_trace_budget,
     hollowed,
     matrix_powers,
     power_traces,
@@ -64,6 +66,10 @@ from .randmat import (
 
 DEFAULT_CYCLE_BUDGET = 1e9
 CLOSED_FORM_KMAX = 5
+# operations charged per depth-first term.  A pure-Python term takes as
+# long as about 600 to 3400 of the n^3 units of a one-thread BLAS product,
+# so this still undercharges, but it caps a default-budget DFS at 1e7 terms
+DFS_TERM_COST = 100
 
 
 def signed_cycle_c1(a: np.ndarray) -> float:
@@ -82,8 +88,8 @@ def signed_cycle_bruteforce(
     """Exact C_{n,k} for k >= 2.
 
     ``method`` is ``auto`` (read from ``cycle_series``) or ``dfs`` (force
-    the depth-first enumeration, the reference; the budget gates n^k,
-    practical only for small n).
+    the depth-first enumeration, the reference; the budget gates its
+    ``DFS_TERM_COST * n^k``, practical only for small n).
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -94,7 +100,7 @@ def signed_cycle_bruteforce(
     if method == "dfs":
         if a.shape != (n, n):
             raise ValueError("matrix must be square")
-        _require_budget(f"n^{k}", float(n) ** k, budget)
+        _require_budget(f"{DFS_TERM_COST}*n^{k}", DFS_TERM_COST * n**k, budget)
         return float(_dfs_cycle_sum(hollowed(a), k) / n ** (k / 2.0))
     raise ValueError(f"unknown method {method!r}")
 
@@ -102,15 +108,21 @@ def signed_cycle_bruteforce(
 def check_cycle_budget(n: int, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET) -> None:
     """Raise ValueError unless C_{n,2..kmax} fit the operation budget.
 
-    ``cycle_series`` is charged 2 * n^3 for the closed-form trace
-    identities (at most two n x n matrix products, G = A A and G A,
-    whatever kmax <= 5 is) and n^k for each k above 5, which only the
-    depth-first enumeration evaluates.
+    The one compute guard of ``cycle_series``.  The closed-form trace
+    identities are charged 2 * n^3 (at most two n x n matrix products,
+    G = A A and G A, whatever kmax <= 5 is), and the largest k above 5,
+    which only the depth-first enumeration evaluates, DFS_TERM_COST * n^k.
+
+    The walk traces need no price of their own.  They add the powers
+    A^4 .. A^ceil(kmax/2) to the closed forms' products: none up to
+    kmax = 6, at most two up to kmax = 10, about kmax / 2 beyond.  From
+    kmax = 7 on, the DFS charge of the same call exceeds the n^3 of all
+    those extra products for every n >= 2.
     """
     if kmax >= 2:
         _require_budget("2*n^3", 2.0 * float(n) ** 3, budget)
     if kmax > CLOSED_FORM_KMAX:
-        _require_budget(f"n^{kmax}", float(n) ** kmax, budget)
+        _require_budget(f"{DFS_TERM_COST}*n^{kmax}", DFS_TERM_COST * n**kmax, budget)
 
 
 def _require_budget(what: str, cost: float, budget: float) -> None:
@@ -224,8 +236,9 @@ def cycle_series(
     """C_{n,1..kmax} in one pass, sharing the matrix products across k.
 
     With ``traces`` the series also carries Tr (A_hollow / sqrt n)^j for
-    j = 1..kmax, read from the same matrix products, and the trace flop
-    budget is enforced as well as the cycle budget.
+    j = 1..kmax, read from the same matrix products.  ``check_cycle_budget``
+    guards both; a traced series at kmax = 1 still takes G = A A and is
+    charged as kmax = 2.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -235,10 +248,8 @@ def cycle_series(
         raise ValueError(f"need 1 <= kmax <= n, got kmax={kmax}, n={n}")
     values = [signed_cycle_c1(a)]
     walks: list[float] = []
-    if traces:
-        check_trace_budget(n, kmax)
     if kmax >= 2 or traces:
-        check_cycle_budget(n, kmax, budget)
+        check_cycle_budget(n, max(kmax, 2), budget)
         at = hollowed(a)
         sums, walks = _walk_sums(at, kmax, traces)
         sums += [_dfs_cycle_sum(at, k) for k in range(CLOSED_FORM_KMAX + 1, kmax + 1)]

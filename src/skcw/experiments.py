@@ -24,6 +24,7 @@ means, decreasing point estimates for residual variances).
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 import multiprocessing
 import os
@@ -52,7 +53,6 @@ from .randmat import (
     SeedSpec,
     all_ones_spins,
     check_spins,
-    check_trace_budget,
     one_blas_thread,
     sample_gaussian_matrix,
     sample_tilted_matrix,
@@ -99,8 +99,11 @@ class ExperimentConfig:
     def _check_sizes(self) -> None:
         """Reject a configuration that would fail partway through its run.
 
-        Every size of the grid is checked here, so the error comes before
-        any replicate is computed.
+        Every size of the grid is checked here, before any replicate is
+        computed.  The hard bounds come first (sizes, regime, enumeration
+        bound, kmax or m range, exact-moment bound, centering count), so
+        their messages win over that of ``check_cycle_budget``, the one
+        compute guard, which comes last.
         """
         smallest, largest = self.sizes[0], self.sizes[-1]
         if smallest < 1:
@@ -111,18 +114,17 @@ class ExperimentConfig:
                 raise ValueError(
                     f"n={largest} exceeds the enumeration bound {ENUMERATION_MAX_N}"
                 )
-        if self.kind in ("cycles", "tilted", "approx", "decomposition"):
-            name = "m" if self.kind == "decomposition" else "kmax"
-            depth = getattr(self, name)
-            low = 3 if self.kind == "approx" else 1
-            if not low <= depth <= smallest:
-                raise ValueError(
-                    f"{self.kind} needs {low} <= {name} <= n at every size, got "
-                    f"{name}={depth} with smallest n={smallest}"
-                )
-            check_cycle_budget(largest, depth, self.cycle_budget)
+        if self.kind == "clt":
+            return
+        name = "m" if self.kind == "decomposition" else "kmax"
+        depth = getattr(self, name)
+        low = 3 if self.kind == "approx" else 1
+        if not low <= depth <= smallest:
+            raise ValueError(
+                f"{self.kind} needs {low} <= {name} <= n at every size, got "
+                f"{name}={depth} with smallest n={smallest}"
+            )
         if self.kind == "approx":
-            check_trace_budget(largest, self.kmax)
             largest_even = self.kmax - self.kmax % 2
             if largest_even > combinat.WALK_MOMENT_MAX_J:
                 raise ValueError(
@@ -135,6 +137,7 @@ class ExperimentConfig:
                 raise ValueError(
                     f"need at least 1 centering replicate, got {self.centering_replicates}"
                 )
+        check_cycle_budget(largest, depth, self.cycle_budget)
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -253,26 +256,32 @@ class ExperimentReport:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentReport":
-        if d.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema version {d.get('schema_version')!r}")
-        return ExperimentReport(
-            kind=d["kind"],
-            config=d["config"],
-            targets=tuple(TargetValue(**t) for t in d["targets"]),
-            results=tuple(
-                SizeResult(
-                    n=r["n"],
-                    summaries={
-                        k: SampleSummary(**v) for k, v in r["summaries"].items()
-                    },
-                    checks=tuple(Check(**c) for c in r["checks"]),
-                )
-                for r in d["results"]
-            ),
-            checks=tuple(Check(**c) for c in d["checks"]),
-            passed=d["passed"],
-            raw_samples=d.get("raw_samples"),
-        )
+        """Inverse of ``to_dict``; a ValueError names what makes ``d`` no report."""
+        try:
+            if d.get("schema_version") != SCHEMA_VERSION:
+                raise ValueError(f"unsupported schema version {d.get('schema_version')!r}")
+            if d.get("kind") not in (*KINDS, "identities"):
+                raise ValueError(f"not an experiment report: kind {d.get('kind')!r}")
+            return ExperimentReport(
+                kind=d["kind"],
+                config=d["config"],
+                targets=tuple(TargetValue(**t) for t in d["targets"]),
+                results=tuple(
+                    SizeResult(
+                        n=r["n"],
+                        summaries={
+                            k: SampleSummary(**v) for k, v in r["summaries"].items()
+                        },
+                        checks=tuple(Check(**c) for c in r["checks"]),
+                    )
+                    for r in d["results"]
+                ),
+                checks=tuple(Check(**c) for c in d["checks"]),
+                passed=d["passed"],
+                raw_samples=d.get("raw_samples"),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"not an experiment report: {exc!r}") from None
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -348,14 +357,7 @@ def _check_abs(name, rule, observed, target, tolerance) -> Check:
 
 
 def _check_rel_band(name, rule, observed, target, rel) -> Check:
-    return Check(
-        name=name,
-        rule=rule,
-        observed=float(observed),
-        target=float(target),
-        tolerance=float(rel * abs(target)),
-        passed=bool(abs(observed - target) <= rel * abs(target)),
-    )
+    return _check_abs(name, rule, observed, target, rel * abs(target))
 
 
 def _check_pvalue(name, rule, p, floor, statistic) -> Check:
@@ -367,18 +369,6 @@ def _check_pvalue(name, rule, p, floor, statistic) -> Check:
         tolerance=float(floor),
         passed=bool(p > floor),
         statistic=float(statistic),
-    )
-
-
-def _check_max_abs(name, rule, xs, tolerance) -> Check:
-    worst = float(np.max(np.abs(xs)))
-    return Check(
-        name=name,
-        rule=rule,
-        observed=worst,
-        target=0.0,
-        tolerance=tolerance,
-        passed=bool(worst <= tolerance),
     )
 
 
@@ -430,6 +420,17 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _keep_freed_memory() -> None:
+    """Pool initializer: glibc keeps freed blocks in the heap (no-op without
+    ``mallopt``).  Otherwise each n x n array may be unmapped or trimmed and
+    fault its pages in again, as the inherited heap happens to decide: the
+    ``approx_grid`` workers took 6e3 or 3e4 faults for comment-only edits."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: no trimming below 1 GiB free
+        mallopt(-3, 1 << 25)  # M_MMAP_THRESHOLD: its largest value, 32 MiB
+
+
 def _map_replicates(worker: Callable, tasks: list, pool, workers: int) -> list:
     if pool is None:
         return [worker(t) for t in tasks]
@@ -444,13 +445,13 @@ class _Plan:
     ``task_args(n)`` gives the worker arguments that sit between n and
     (master_seed, stream_id) in each task tuple; the driver calls it for
     every size before any replicate runs, so per-size inputs are checked
-    there.  ``size_result(s, n, outputs)`` turns the worker outputs at grid
-    index s into (summaries, checks, raw samples), and
+    there.  ``size_result(n, outputs)`` turns the worker outputs at size n
+    into (summaries, checks, raw samples), and
     ``cross_checks(results)`` compares the sizes of a grid run.
     """
 
     task_args: Callable[[int], tuple]
-    size_result: Callable[[int, int, list], tuple[dict, list, dict]]
+    size_result: Callable[[int, list], tuple[dict, list, dict]]
     cross_checks: Callable[[list], list] = lambda results: []
     targets: tuple[TargetValue, ...] = ()
 
@@ -491,7 +492,8 @@ def _drive(
         # one-thread BLAS count and any wrapper installed under the worker's
         # module-level name
         pool_context = ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork")
+            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_keep_freed_memory,
         )
     else:
         pool_context = contextlib.nullcontext()  # one worker: this process
@@ -503,7 +505,7 @@ def _drive(
         reps = config.replicates
         for s, n in enumerate(config.sizes):
             summaries, checks, samples = plan.size_result(
-                s, n, outputs[s * reps:(s + 1) * reps]
+                n, outputs[s * reps:(s + 1) * reps]
             )
             results.append(SizeResult(n=n, summaries=summaries, checks=tuple(checks)))
             if config.keep_raw:
@@ -547,15 +549,15 @@ def _clt_plan(config: ExperimentConfig) -> _Plan:
             TargetValue("variance", t.variance, "-b^2 - log(1-4b^2)/2"),
         )
 
-    def size_result(s, n, outputs):
+    def size_result(n, outputs):
         xs = np.array(outputs)
         summ = SampleSummary.from_samples(xs)
         if t is None:
             checks = [
-                _check_max_abs(
+                _check_abs(
                     "degenerate_zero_beta",
                     "beta = 0 forces every sample to equal 0 exactly",
-                    xs, 0.0,
+                    float(np.max(np.abs(xs))), 0.0, 0.0,
                 )
             ]
         else:
@@ -707,7 +709,7 @@ def _cycle_plan(
     C_{n,1..kmax} per replicate."""
     kmax = config.kmax
 
-    def size_result(s, n, outputs):
+    def size_result(n, outputs):
         values = np.array(outputs)
         summaries, checks = _cycle_statistics_checks(
             values, n, kmax, mean_targets, mean_floor, var_rel
@@ -791,7 +793,7 @@ def _approx_worker(task) -> tuple[list[float], list[float]]:
 def _approx_plan(config: ExperimentConfig) -> _Plan:
     kmax = config.kmax
 
-    def size_result(s, n, outputs):
+    def size_result(n, outputs):
         cyc = np.array([o[0] for o in outputs])
         lss = np.array([o[1] for o in outputs])
         summaries = {}
@@ -804,10 +806,10 @@ def _approx_plan(config: ExperimentConfig) -> _Plan:
             rsum = summaries[f"residual_{k}"] = SampleSummary.from_samples(res)
             if k == 3:
                 checks.append(
-                    _check_max_abs(
+                    _check_abs(
                         "residual_3_exact",
                         "k=3 residuals vanish identically (within 1e-9)",
-                        res, 1e-9,
+                        float(np.max(np.abs(res))), 0.0, 1e-9,
                     )
                 )
             else:
@@ -872,16 +874,16 @@ def _decomposition_plan(config: ExperimentConfig) -> _Plan:
     params = config.params
     degenerate = params.beta == 0.0
 
-    def size_result(s, n, outputs):
+    def size_result(n, outputs):
         res = np.array([o[0] for o in outputs])
         fluct = np.array([o[1] for o in outputs])
         rsum = SampleSummary.from_samples(res)
         fsum = SampleSummary.from_samples(fluct)
         if degenerate:
-            check = _check_max_abs(
+            check = _check_abs(
                 "degenerate_zero_beta",
                 "beta = 0 forces every residual to equal 0 exactly",
-                res, 0.0,
+                float(np.max(np.abs(res))), 0.0, 0.0,
             )
         else:
             check = Check(

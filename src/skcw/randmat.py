@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TRACE_FLOP_BUDGET = 2e10
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -169,22 +167,25 @@ def sample_tilted_matrix(
     return a + shift
 
 
-def power_traces(
-    m: np.ndarray, kmax: int, flop_budget: float = DEFAULT_TRACE_FLOP_BUDGET
-) -> np.ndarray:
+def power_traces(m: np.ndarray, kmax: int, flop_budget: float = 2e10) -> np.ndarray:
     """(Tr M, Tr M^2, ..., Tr M^kmax) from the powers M^1..M^ceil(kmax/2).
 
     Tr M^k = <M^(k//2), (M^(k - k//2))^T>, so kmax = 5 takes two matrix
     products instead of four; the transpose keeps this exact for a
     non-symmetric M.  The powers come from ``matrix_powers``, so the traces
     are the same in every process.
+
+    The test reference for the walk traces of ``cycles.cycle_series``; it
+    keeps its own guard, a flop budget on about kmax * n^3.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if kmax < 1:
         raise ValueError(f"kmax must be positive, got {kmax}")
-    check_trace_budget(m.shape[0], kmax, flop_budget)
+    flops = kmax * m.shape[0] ** 3
+    if flops > flop_budget:
+        raise ValueError(f"kmax*n^3 = {flops:.3g} exceeds the flop budget {flop_budget:g}")
     powers = matrix_powers(m, (kmax + 1) // 2)
     traces = np.empty(kmax)
     traces[0] = np.trace(m)
@@ -204,21 +205,6 @@ def matrix_powers(m: np.ndarray, depth: int) -> list[np.ndarray]:
         while len(powers) < depth:
             powers.append(powers[-1] @ m)
     return powers
-
-
-def check_trace_budget(
-    n: int, kmax: int, flop_budget: float = DEFAULT_TRACE_FLOP_BUDGET
-) -> None:
-    """Raise ValueError unless the traces Tr M..Tr M^kmax of an n x n matrix
-    fit the flop budget (about kmax * n^3).
-
-    Both trace paths enforce it: ``power_traces`` and the traced
-    ``cycles.cycle_series``.
-    """
-    if kmax * n**3 > flop_budget:
-        raise ValueError(
-            f"kmax*n^3 = {kmax * n**3:.3g} exceeds the flop budget {flop_budget:.3g}"
-        )
 
 
 def hollowed(a: np.ndarray) -> np.ndarray:

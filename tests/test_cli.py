@@ -7,6 +7,7 @@ import pytest
 
 from skcw import experiments
 from skcw.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, main
+from skcw.gibbs import ModelParams
 from skcw.randmat import load_matrix_text
 
 
@@ -171,17 +172,47 @@ def test_report_on_failing_verdicts_exits_two(tmp_path):
          "operation budget"),
         (["approx", "--n", "20", "--kmax", "4", "--n-grid", "10,20",
           "--centering-reps", "-5"], "centering replicate"),
-        (["approx", "--n", "1600", "--kmax", "5", "--n-grid", "10,1600",
-          "--budget", "1e11"], "flop budget"),
+        (["approx", "--n", "1600", "--kmax", "5", "--n-grid", "10,1600"],
+         "operation budget"),
         (["clt", "--n", "10", "--beta", "0.2", "--threads", "0"], "at least 1 thread"),
         (["cycles", "--n", "10", "--kmax", "3", "--threads", "-1"], "at least 1 thread"),
         (["approx", "--n", "12", "--kmax", "12", "--budget", "1e14"],
          "exact-moment bound"),
+        # 100 per depth-first term: minutes and seconds per replicate
+        (["cycles", "--n", "30", "--kmax", "6"], "operation budget"),
+        (["approx", "--n", "12", "--kmax", "7"], "operation budget"),
     ],
 )
 def test_whole_grid_validated_before_any_compute(no_compute, capsys, argv, message):
     assert run(argv + ["--reps", "5"]) == EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+def test_raised_budget_admits_large_approx_grids():
+    """The operation budget is the only guard: raised, it admits a traced
+    approx grid that a hidden trace budget used to refuse."""
+    config = experiments.ExperimentConfig(
+        kind="approx", params=ModelParams(beta=0.0, n=1600),
+        replicates=5, master_seed=1, n_grid=(10, 1600), kmax=5, cycle_budget=1e11,
+    )
+    assert config.sizes == (10, 1600)
+
+
+def test_report_rejects_what_is_not_a_report(tmp_path, capsys):
+    """One error line and exit 1, not a traceback."""
+    fe = tmp_path / "fe.json"
+    assert run(["free-energy", "--n", "8", "--beta", "0.2", "--out", str(fe)]) == EXIT_OK
+    bare = tmp_path / "bare.json"
+    bare.write_text('{"schema_version": 1}')
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for path, message in ((fe, "kind 'free-energy'"), (bare, "kind None"),
+                          (listed, "AttributeError")):
+        capsys.readouterr()
+        assert run(["report", "--in", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 @pytest.mark.parametrize("sigma", ["ones", "alternating", "random"])

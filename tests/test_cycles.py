@@ -137,7 +137,7 @@ def test_bruteforce_validation():
 
 def test_budget_gates_each_method_by_its_cost():
     a = sample_gaussian_matrix(30, SeedSpec(8, 1))
-    # closed forms cost 2 n^3, dfs cost n^k; the budget applies to the method used
+    # closed forms cost 2 n^3, the dfs 100 n^k; the budget applies to the method used
     with pytest.raises(ValueError):
         signed_cycle_bruteforce(a, 4, budget=1e3)
     with pytest.raises(ValueError):
@@ -273,19 +273,41 @@ def test_walk_core_spends_no_product_on_unrequested_traces(monkeypatch):
     assert len(calls) == 2 + 3
 
 
-def test_traced_series_enforces_the_trace_budget(monkeypatch):
-    """5 * 1600^3 exceeds the default trace flop budget: the traced series
-    refuses before any matrix product, the untraced one only checks the
-    cycle budget."""
+def test_traced_series_is_priced_by_the_cycle_budget(monkeypatch):
+    """2 * 1600^3 exceeds the default operation budget: traced or not, the
+    series refuses before any matrix product.  A budget raised to 1e11
+    admits the traced series; no second, hidden budget refuses it."""
 
     def no_products(m, depth):
         raise AssertionError("matrix product taken")
 
     monkeypatch.setattr(cycles, "matrix_powers", no_products)
-    with pytest.raises(ValueError, match="flop budget"):
+    with pytest.raises(ValueError, match="operation budget"):
         cycle_series(np.zeros((1600, 1600)), 5, traces=True)
     with pytest.raises(ValueError, match="operation budget"):
         cycle_series(np.zeros((1600, 1600)), 5)
+    # traces at kmax = 1 still take G = A A, and are charged for it
+    with pytest.raises(ValueError, match="operation budget"):
+        cycle_series(np.zeros((1600, 1600)), 1, traces=True)
+    with pytest.raises(AssertionError, match="matrix product taken"):
+        cycle_series(np.zeros((1600, 1600)), 5, budget=1e11, traces=True)
+
+
+def test_depth_first_terms_are_charged_their_cost(monkeypatch):
+    """Each DFS term costs ``DFS_TERM_COST``: n = 30 at k = 6 (minutes of
+    pure-Python enumeration) and the n = 15, k = 6 reference are refused at
+    the default budget before any term is enumerated."""
+    assert cycles.DFS_TERM_COST == 100
+    with pytest.raises(ValueError, match="operation budget"):
+        check_cycle_budget(30, 6)
+
+    def no_enumeration(at, k):
+        raise AssertionError("depth-first enumeration started")
+
+    monkeypatch.setattr(cycles, "_dfs_cycle_sum", no_enumeration)
+    a = sample_gaussian_matrix(15, SeedSpec(8, 3))
+    with pytest.raises(ValueError, match="operation budget"):
+        signed_cycle_bruteforce(a, 6, method="dfs")
 
 
 def test_lss_requires_hollow():

@@ -268,7 +268,8 @@ def _record_pools(monkeypatch, cores):
     created = []
 
     class RecordingPool:
-        def __init__(self, max_workers, mp_context=None):
+        def __init__(self, max_workers, mp_context=None, initializer=None):
+            assert initializer is ex._keep_freed_memory
             created.append(max_workers)
 
         def __enter__(self):
@@ -310,6 +311,24 @@ def test_usable_cores_falls_back_to_the_cpu_count(monkeypatch):
     assert ex._usable_cores() == (os.cpu_count() or 1)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert ex._usable_cores() == 1
+
+
+def test_pool_workers_keep_freed_memory(monkeypatch):
+    """The pool initializer asks glibc to keep freed arrays in the heap (no
+    trim, no per-array mmap), and does nothing where there is no mallopt."""
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(ex.ctypes, "CDLL", lambda name: Libc())
+    ex._keep_freed_memory()
+    assert calls == [(-1, 1 << 30), (-3, 1 << 25)]
+    monkeypatch.setattr(ex.ctypes, "CDLL", lambda name: object())
+    ex._keep_freed_memory()
+    assert len(calls) == 2
 
 
 def test_one_map_per_run_in_grid_order(monkeypatch):
