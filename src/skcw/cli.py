@@ -66,9 +66,8 @@ def _add_run_flags(p):
                    help="keep per-replicate samples in the report")
     p.add_argument("--budget", type=float, default=None,
                    help="the operation budget (default 1e9), the only compute "
-                        "guard: cycle sums cost 2*n^3 up to k=5 (two matrix "
-                        "products) and 100 per depth-first term, 100*n^k, for "
-                        "each k>=6")
+                        "guard: cycle sums, which stop at k=5, cost n^2 up to "
+                        "k=2 and 2*n^3 (two matrix products) up to k=5")
 
 
 def build_parser() -> argparse.ArgumentParser:

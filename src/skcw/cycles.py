@@ -8,45 +8,42 @@ over ordered tuples of k *distinct* indices; C_{n,1} = n^(-1/2) Tr A.
 Since the indices are distinct, the value only involves off-diagonal
 entries, so all cycle routines operate on the hollowed matrix.
 
-``cycle_series`` is the one entry point: every cycle sum, including the
-default path of ``signed_cycle_bruteforce``, and every walk trace the
-experiments read come from it.  Two evaluations compute the same sum:
+``cycle_series`` is the one entry point of the run path: every cycle sum,
+including the default path of ``signed_cycle_bruteforce``, and every walk
+trace the experiments read come from it.  It evaluates closed-form trace
+identities on the hollowed A, for 1 <= k <= ``CLOSED_FORM_KMAX`` = 5 and
+no further.  They come from the Moebius inversion of walk counts into
+distinct-index counts: S_k is the sum over set partitions of the k cycle
+positions of mu(0, pi) times the closed-walk count of the quotient cycle,
+and only partitions that never merge adjacent positions survive on a
+hollow matrix.  With G = A A and d = diag G:
 
-* for k <= 5, closed-form trace identities on the hollowed A.  They come
-  from the Moebius inversion of walk counts into distinct-index counts:
-  S_k is the sum over set partitions of the k cycle positions of
-  mu(0, pi) times the closed-walk count of the quotient cycle, and only
-  partitions that never merge adjacent positions survive on a hollow
-  matrix.  With G = A A and d = diag G:
+    S_2 = sum a_ij^2
+    S_3 = <G, A>
+    S_4 = <G, G> - 2 d.d + sum a_ij^4
+    S_5 = <G A, G> - 5 d.diag(G A) + 5 <A o A o A, G>
 
-      S_2 = sum d
-      S_3 = <G, A>
-      S_4 = <G, G> - 2 d.d + sum a_ij^4
-      S_5 = <G A, G> - 5 d.diag(G A) + 5 <A o A o A, G>
+so k <= 2 takes no matrix product, k <= 4 one and k = 5 two.
+``check_cycle_budget`` is the one compute guard of every series.
 
-* a depth-first enumeration with a visited mask and prefix products
-  (the only path for k >= 6, and the reference as
-  ``signed_cycle_bruteforce(..., method="dfs")``; n^k terms, each charged
-  ``DFS_TERM_COST`` operations).
-
-``check_cycle_budget`` is the one compute guard of every series, traced
-or not.
-
-Both agree exactly on small-integer matrices and to float rounding
-elsewhere, and are cross-checked in the test suite against an
-independent nested-loop oracle.
+A depth-first enumeration with a visited mask and prefix products is the
+reference, reached only as ``signed_cycle_bruteforce(..., method="dfs")``
+at any k (n^k terms, each charged ``DFS_TERM_COST`` operations).  The two
+agree exactly on small-integer matrices and to float rounding elsewhere,
+and are cross-checked in the test suite against an independent
+nested-loop oracle.
 
 The spectral side: C_{n,k} for k >= 3 is approximated by the centered
 linear spectral statistic Tr P_k(A_hollow / sqrt(n)) built from the
 doubled Chebyshev polynomial P_k.  Its power traces Tr A^j are the walk
 sums <A^(j//2), A^(j-j//2)> of the same matrix powers the closed forms
-use (Tr A^2 .. Tr A^5 are sum d, <G, A>, <G, G> and <G A, G>), so
-``cycle_series(..., traces=True)`` returns them with the cycles.  For
-k = 3 the two sides agree identically.  The centering E Tr P_k is exact:
-zero for odd k by sign symmetry, and for even k the Chebyshev combination
-of the exact moments from ``combinat.walk_moments``.  ``chebyshev_lss``
-(from ``randmat.power_traces``) and ``lss_centering`` (its Monte Carlo
-mean) are the references the tests compare against.
+use (Tr A^2 .. Tr A^5 are S_2, S_3, <G, G> and <G A, G>), so every
+series returns them with the cycles.  For k = 3 the two sides agree
+identically.  The centering E Tr P_k is exact: zero for odd k by sign
+symmetry, and for even k the Chebyshev combination of the exact moments
+from ``combinat.walk_moments``.  ``chebyshev_lss`` (from
+``randmat.power_traces``) and ``lss_centering`` (its Monte Carlo mean) are
+the references the tests compare against.
 """
 
 from __future__ import annotations
@@ -87,9 +84,9 @@ def signed_cycle_bruteforce(
 ) -> float:
     """Exact C_{n,k} for k >= 2.
 
-    ``method`` is ``auto`` (read from ``cycle_series``) or ``dfs`` (force
-    the depth-first enumeration, the reference; the budget gates its
-    ``DFS_TERM_COST * n^k``, practical only for small n).
+    ``method`` is ``auto`` (read from ``cycle_series``, so k <= 5) or
+    ``dfs`` (the depth-first enumeration, the reference at any k; the
+    budget gates its ``DFS_TERM_COST * n^k``, practical only for small n).
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -106,60 +103,56 @@ def signed_cycle_bruteforce(
 
 
 def check_cycle_budget(n: int, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET) -> None:
-    """Raise ValueError unless C_{n,2..kmax} fit the operation budget.
+    """Raise ValueError unless ``cycle_series`` can give C_{n,1..kmax} and
+    the walk traces up to kmax within the operation budget.
 
-    The one compute guard of ``cycle_series``.  The closed-form trace
-    identities are charged 2 * n^3 (at most two n x n matrix products,
-    G = A A and G A, whatever kmax <= 5 is), and the largest k above 5,
-    which only the depth-first enumeration evaluates, DFS_TERM_COST * n^k.
-
-    The walk traces need no price of their own.  They add the powers
-    A^4 .. A^ceil(kmax/2) to the closed forms' products: none up to
-    kmax = 6, at most two up to kmax = 10, about kmax / 2 beyond.  From
-    kmax = 7 on, the DFS charge of the same call exceeds the n^3 of all
-    those extra products for every n >= 2.
+    The one compute guard of ``cycle_series``.  A kmax beyond
+    ``CLOSED_FORM_KMAX`` is refused first, whatever the budget: no engine
+    of the run path goes past the closed forms.  Up to kmax = 2 the series
+    is elementwise and charged n^2; from kmax = 3 on it takes at most two
+    n x n matrix products, G = A A and G A, and is charged 2 * n^3.  A
+    budget that is not a number admits nothing, and ``inf`` everything.
     """
-    if kmax >= 2:
-        _require_budget("2*n^3", 2.0 * float(n) ** 3, budget)
     if kmax > CLOSED_FORM_KMAX:
-        _require_budget(f"{DFS_TERM_COST}*n^{kmax}", DFS_TERM_COST * n**kmax, budget)
+        raise ValueError(f"k={kmax} exceeds the closed-form bound {CLOSED_FORM_KMAX}")
+    if kmax <= 2:
+        _require_budget("n^2", float(n) ** 2, budget)
+    else:
+        _require_budget("2*n^3", 2.0 * float(n) ** 3, budget)
 
 
 def _require_budget(what: str, cost: float, budget: float) -> None:
-    if cost > budget:
-        raise ValueError(f"{what} = {cost:.3g} exceeds the operation budget {budget:.3g}")
+    # written so that a NaN budget refuses instead of admitting everything
+    if not cost <= budget:
+        raise ValueError(
+            f"{what} = {cost:.3g} is not within the operation budget {budget:.3g}"
+        )
 
 
-def _walk_sums(at: np.ndarray, kmax: int, traces: bool = False) -> tuple[list, list]:
-    """The walk-product core of the hollow matrix ``at``.
+def _walk_sums(at: np.ndarray, kmax: int) -> tuple[list, list]:
+    """The walk-product core of the hollow matrix ``at``, 1 <= kmax <= 5.
 
-    Returns the distinct-tuple cycle sums [S_2, ..., S_min(kmax, 5)] from
-    the closed forms of the module docstring and, with ``traces``, the walk
-    traces [Tr A, ..., Tr A^kmax], Tr A^j = <A^(j//2), A^(j-j//2)>.  The
-    closed forms need the powers A^2 and, for S_5, A^3; traces beyond
-    Tr A^5 add the powers up to A^ceil(kmax/2), so without ``traces`` no
-    product is spent on them.
+    Returns the distinct-tuple cycle sums [S_2, ..., S_kmax] from the
+    closed forms of the module docstring and the walk traces
+    [Tr A, ..., Tr A^kmax], Tr A^j = <A^(j//2), A^(j-j//2)>, from the
+    powers A .. A^ceil(kmax/2).
     """
-    depth = 2 if kmax < 5 else 3
-    if traces:
-        depth = max(depth, (kmax + 1) // 2)
+    powers = matrix_powers(at, (kmax + 1) // 2)
     # elementwise sums instead of BLAS dots: the value must not depend on
     # how a multi-threaded BLAS splits the work
-    powers = matrix_powers(at, depth)
-    g = powers[1]
-    d = np.diag(g)
-    walks = [0.0, d.sum(), np.sum(g * at)]
-    for j in range(4, (kmax if traces else min(kmax, CLOSED_FORM_KMAX)) + 1):
-        walks.append(np.sum(powers[j // 2 - 1] * powers[(j + 1) // 2 - 1]))
     sq = at * at
-    sums = walks[1:3]
+    walks = [0.0, np.sum(sq)]
+    for j in range(3, kmax + 1):
+        walks.append(np.sum(powers[j // 2 - 1] * powers[(j + 1) // 2 - 1]))
+    sums = walks[1:min(kmax, 3)]
     if kmax >= 4:
+        g = powers[1]
+        d = np.diag(g)
         sums.append(walks[3] - 2.0 * np.sum(d * d) + np.sum(sq * sq))
     if kmax >= 5:
         ga = powers[2]
         sums.append(walks[4] - 5.0 * np.sum(d * np.diag(ga)) + 5.0 * np.sum(sq * at * g))
-    sums = [float(v) for v in sums[: kmax - 1]]
-    return sums, [float(v) for v in walks[:kmax]] if traces else []
+    return [float(v) for v in sums], [float(v) for v in walks[:kmax]]
 
 
 def _dfs_cycle_sum(at: np.ndarray, k: int) -> float:
@@ -201,11 +194,8 @@ def _dfs_cycle_sum(at: np.ndarray, k: int) -> float:
 
 @dataclass(frozen=True)
 class CycleSeries:
-    """C_{n,k} for k = 1..kmax; ``values[k-1]`` holds C_{n,k}.
-
-    ``traces[j-1]`` holds Tr (A_hollow / sqrt n)^j when the series was
-    computed with traces, and ``traces`` is empty otherwise.
-    """
+    """C_{n,k} for k = 1..kmax; ``values[k-1]`` holds C_{n,k} and
+    ``traces[j-1]`` holds Tr (A_hollow / sqrt n)^j."""
 
     n: int
     values: tuple[float, ...]
@@ -231,14 +221,12 @@ class CycleSeries:
 
 
 def cycle_series(
-    a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET, traces: bool = False
+    a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET
 ) -> CycleSeries:
-    """C_{n,1..kmax} in one pass, sharing the matrix products across k.
-
-    With ``traces`` the series also carries Tr (A_hollow / sqrt n)^j for
-    j = 1..kmax, read from the same matrix products.  ``check_cycle_budget``
-    guards both; a traced series at kmax = 1 still takes G = A A and is
-    charged as kmax = 2.
+    """C_{n,1..kmax} and Tr (A_hollow / sqrt n)^1..kmax in one pass, for
+    1 <= kmax <= min(n, ``CLOSED_FORM_KMAX``), sharing the matrix products
+    across k.  ``check_cycle_budget`` refuses a larger kmax or a series
+    beyond the budget before any product is taken.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -246,18 +234,14 @@ def cycle_series(
         raise ValueError("matrix must be square")
     if not 1 <= kmax <= n:
         raise ValueError(f"need 1 <= kmax <= n, got kmax={kmax}, n={n}")
+    check_cycle_budget(n, kmax, budget)
+    sums, walks = _walk_sums(hollowed(a), kmax)
     values = [signed_cycle_c1(a)]
-    walks: list[float] = []
-    if kmax >= 2 or traces:
-        check_cycle_budget(n, max(kmax, 2), budget)
-        at = hollowed(a)
-        sums, walks = _walk_sums(at, kmax, traces)
-        sums += [_dfs_cycle_sum(at, k) for k in range(CLOSED_FORM_KMAX + 1, kmax + 1)]
-        values += [float(s_k / n ** (k / 2.0)) for k, s_k in enumerate(sums, start=2)]
+    values += [s_k / n ** (k / 2.0) for k, s_k in enumerate(sums, start=2)]
     return CycleSeries(
         n=n,
         values=tuple(values),
-        traces=tuple(float(t / n ** (j / 2.0)) for j, t in enumerate(walks, start=1)),
+        traces=tuple(t / n ** (j / 2.0) for j, t in enumerate(walks, start=1)),
     )
 
 
@@ -344,12 +328,12 @@ def approx_residual(
 
     Identically zero for k = 3 because C_{n,3} = Tr P_3(A_hollow/sqrt(n))
     holds exactly on hollow matrices.  Both sides come from one
-    ``cycle_series`` with traces, as in the ``approx`` experiment.
+    ``cycle_series``, as in the ``approx`` experiment, so 3 <= k <= 5.
     """
     if k < 3:
         raise ValueError(f"the approximation is defined for k >= 3, got {k}")
     a_hollow = np.asarray(a_hollow, dtype=float)
     if np.any(np.diag(a_hollow) != 0.0):
         raise ValueError("matrix must have an exactly zero diagonal")
-    series = cycle_series(a_hollow, k, budget=budget, traces=True)
+    series = cycle_series(a_hollow, k, budget=budget)
     return series.value(k) - (chebyshev_trace(series.traces, series.n, k) - centering)

@@ -101,9 +101,9 @@ class ExperimentConfig:
 
         Every size of the grid is checked here, before any replicate is
         computed.  The hard bounds come first (sizes, regime, enumeration
-        bound, kmax or m range, exact-moment bound, centering count), so
-        their messages win over that of ``check_cycle_budget``, the one
-        compute guard, which comes last.
+        bound, kmax or m range, centering count), then
+        ``check_cycle_budget``, the one compute guard: its closed-form bound
+        on kmax or m, then the operation budget at the largest size.
         """
         smallest, largest = self.sizes[0], self.sizes[-1]
         if smallest < 1:
@@ -125,12 +125,6 @@ class ExperimentConfig:
                 f"{name}={depth} with smallest n={smallest}"
             )
         if self.kind == "approx":
-            largest_even = self.kmax - self.kmax % 2
-            if largest_even > combinat.WALK_MOMENT_MAX_J:
-                raise ValueError(
-                    f"approx needs the exact centering of k={largest_even}, beyond the "
-                    f"exact-moment bound {combinat.WALK_MOMENT_MAX_J}"
-                )
             # accepted and echoed for existing command lines; the centering
             # is exact, so no sample is drawn from it
             if self.centering_replicates is not None and self.centering_replicates < 1:
@@ -785,7 +779,7 @@ def _approx_worker(task) -> tuple[list[float], list[float]]:
     both from one set of matrix products."""
     n, kmax, budget, master, stream = task
     a = sample_gaussian_matrix(n, SeedSpec(master, stream), hollow=True)
-    series = cycle_series(a, kmax, budget=budget, traces=True)
+    series = cycle_series(a, kmax, budget=budget)
     ks = range(3, kmax + 1)
     return [series.value(k) for k in ks], [chebyshev_trace(series.traces, n, k) for k in ks]
 

@@ -72,6 +72,10 @@ class ModelParams:
     n: int = 1
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.beta, self.J, self.Jprime)):
+            raise ValueError(
+                f"beta, J and J' must be finite, got {self.beta}, {self.J}, {self.Jprime}"
+            )
         if self.beta < 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
         if self.n < 1:
@@ -329,7 +333,8 @@ def decomposition_residual(
         - beta C_{n,1}
         - sum_{k=2..m} [2 (2 beta)^k (C_{n,k} - (n-1) I(k=2)) - (2 beta)^(2k)] / (4k).
 
-    ``log_z`` may be supplied when the caller already evaluated it.
+    ``log_z`` may be supplied when the caller already evaluated it.  The
+    cycles come from ``cycle_series``, so 1 <= m <= 5.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")

@@ -136,12 +136,25 @@ def sample_gaussian_matrix(n: int, seed: SeedSpec, hollow: bool = False) -> np.n
         raise ValueError(f"n must be positive, got {n}")
     rng = seed.generator()
     a = np.zeros((n, n))
-    iu = np.triu_indices(n, 1)
+    iu = _upper_indices(n)
     a[iu] = rng.standard_normal(iu[0].size)
     a += a.T
     if not hollow:
-        a[np.diag_indices(n)] = rng.standard_normal(n)
+        np.fill_diagonal(a, rng.standard_normal(n))
     return a
+
+
+# a run samples at the few sizes of its grid; the bound keeps a long-lived
+# process from holding the index of every size it ever drew
+@functools.lru_cache(maxsize=8)
+def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the strict upper triangle,
+    row-major, cached per size: building them cost as much as the rest of
+    a draw at n = 12."""
+    iu = np.triu_indices(n, 1)
+    for index in iu:
+        index.flags.writeable = False
+    return iu
 
 
 def sample_tilted_matrix(

@@ -166,7 +166,8 @@ def test_report_on_failing_verdicts_exits_two(tmp_path):
         (["approx", "--n", "10", "--kmax", "2"], "kmax"),
         (["decomposition", "--n", "10", "--beta", "0.2", "--m", "4",
           "--n-grid", "3,10"], "m=4"),
-        (["cycles", "--n", "40", "--kmax", "6", "--n-grid", "8,40"],
+        # the grid is priced at its largest size
+        (["cycles", "--n", "8", "--kmax", "5", "--n-grid", "8,1600"],
          "operation budget"),
         (["cycles", "--n", "30", "--kmax", "4", "--n-grid", "10,30", "--budget", "1e4"],
          "operation budget"),
@@ -176,11 +177,22 @@ def test_report_on_failing_verdicts_exits_two(tmp_path):
          "operation budget"),
         (["clt", "--n", "10", "--beta", "0.2", "--threads", "0"], "at least 1 thread"),
         (["cycles", "--n", "10", "--kmax", "3", "--threads", "-1"], "at least 1 thread"),
+        # beyond the closed forms, whatever the budget: no engine on the run path
         (["approx", "--n", "12", "--kmax", "12", "--budget", "1e14"],
-         "exact-moment bound"),
-        # 100 per depth-first term: minutes and seconds per replicate
-        (["cycles", "--n", "30", "--kmax", "6"], "operation budget"),
-        (["approx", "--n", "12", "--kmax", "7"], "operation budget"),
+         "closed-form bound"),
+        # n^2 up to k = 2, 2 n^3 from k = 3 on
+        (["cycles", "--n", "40000", "--kmax", "2"], "operation budget"),
+        (["tilted", "--n", "800", "--beta", "0.2", "--kmax", "3"], "operation budget"),
+        # a depth-first enumeration took seconds to minutes per replicate here
+        (["cycles", "--n", "30", "--kmax", "6"], "closed-form bound"),
+        (["approx", "--n", "12", "--kmax", "7"], "closed-form bound"),
+        # a NaN budget refuses instead of switching the guard off
+        (["cycles", "--n", "30", "--kmax", "4", "--budget", "nan"], "operation budget nan"),
+        (["clt", "--n", "8", "--beta", "0.2", "--Jprime", "nan"], "must be finite"),
+        (["tilted", "--n", "20", "--beta", "nan", "--kmax", "3"], "must be finite"),
+        (["clt", "--n", "8", "--beta", "inf"], "must be finite"),
+        (["decomposition", "--n", "8", "--beta", "0.2", "--J", "inf"], "must be finite"),
+        (["cycles", "--n", "8", "--Jprime", "inf", "--kmax", "3"], "must be finite"),
     ],
 )
 def test_whole_grid_validated_before_any_compute(no_compute, capsys, argv, message):

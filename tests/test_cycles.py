@@ -71,13 +71,35 @@ def test_bruteforce_matches_oracle_exactly_on_integers(n, k):
     assert signed_cycle_bruteforce(a, k) == expect
 
 
-def test_cycle_series_matches_oracle_exactly_through_the_dfs_tail():
-    """kmax = 6 runs the closed forms for k <= 5 and the DFS for k = 6 in
-    one series; on small integers every value is exact."""
+def test_dfs_oracle_is_exact_beyond_the_closed_forms():
+    """The series stops at the closed forms' k = 5; the DFS reference still
+    gives k = 6, and on small integers every value is exact."""
     a = symmetric_int_matrix(7, 176, hollow=False)
-    series = cycle_series(a, 6)
-    for k in range(2, 7):
+    series = cycle_series(a, 5)
+    for k in range(2, 6):
         assert series.value(k) == oracle_cycle(a, k)
+    assert signed_cycle_bruteforce(a, 6, method="dfs") == oracle_cycle(a, 6)
+
+
+def test_depth_six_is_refused_before_any_work(monkeypatch):
+    """k = 6 is beyond the closed-form bound on the run path: the series,
+    the default bruteforce and the guard refuse it with one message,
+    before any matrix product or depth-first term, whatever the budget."""
+
+    def no_work(*args):
+        raise AssertionError("cycle work started")
+
+    monkeypatch.setattr(cycles, "matrix_powers", no_work)
+    monkeypatch.setattr(cycles, "_dfs_cycle_sum", no_work)
+    a = symmetric_int_matrix(7, 176)
+    for refused in (
+        lambda: cycle_series(a, 6),
+        lambda: cycle_series(a, 6, budget=math.inf),
+        lambda: signed_cycle_bruteforce(a, 6),
+        lambda: check_cycle_budget(7, 6),
+    ):
+        with pytest.raises(ValueError, match="k=6 exceeds the closed-form bound 5"):
+            refused()
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,14 +170,30 @@ def test_budget_gates_each_method_by_its_cost():
 
 
 def test_closed_form_budget_charges_two_products():
-    """2 n^3 for k <= 5: n = 585 fits the default budget (min(kmax, 5) n^3
-    refused it), n = 800 does not, and k = 6 still pays n^6."""
+    """2 n^3 for 3 <= k <= 5: n = 585 fits the default budget (min(kmax, 5)
+    n^3 refused it), n = 800 does not.  Up to k = 2 no product is taken and
+    n^2 is charged; k = 6 has no price, it is beyond the closed forms."""
     a = sample_gaussian_matrix(585, SeedSpec(8, 2))
     assert len(cycle_series(a, 5).values) == 5
     with pytest.raises(ValueError, match="2\\*n\\^3"):
-        check_cycle_budget(800, 5)
-    with pytest.raises(ValueError, match="n\\^6"):
+        check_cycle_budget(800, 3)
+    check_cycle_budget(31_622, 2)
+    with pytest.raises(ValueError, match="n\\^2"):
+        check_cycle_budget(31_623, 1)
+    with pytest.raises(ValueError, match="closed-form bound"):
         check_cycle_budget(40, 6)
+
+
+def test_nan_budget_admits_nothing_and_inf_everything():
+    for kmax in (1, 2, 5):
+        with pytest.raises(ValueError, match="operation budget nan"):
+            check_cycle_budget(10, kmax, math.nan)
+        check_cycle_budget(10**6, kmax, math.inf)
+    a = symmetric_int_matrix(7, 3)
+    with pytest.raises(ValueError, match="operation budget nan"):
+        signed_cycle_bruteforce(a, 3, budget=math.nan, method="dfs")
+    with pytest.raises(ValueError, match="operation budget nan"):
+        cycle_series(a, 1, budget=math.nan)
 
 
 def test_c1_examples():
@@ -194,8 +232,6 @@ def test_cycle_series_matches_individual_calls():
         assert signed_cycle_bruteforce(a, k) == cycle_series(a, k).value(k)
     assert series.centered_value(2) == pytest.approx(series.value(2) - 19, rel=1e-12)
     assert series.centered_value(3) == series.value(3)
-    b = sample_gaussian_matrix(7, SeedSpec(13, 1))
-    assert signed_cycle_bruteforce(b, 6) == cycle_series(b, 6).value(6)
 
 
 def test_cycle_series_validation():
@@ -240,19 +276,21 @@ def test_walk_core_traces_equal_power_traces(n):
     """The traces read from the cycle products equal ``power_traces`` of
     A/sqrt n, and the k = 3 residual vanishes."""
     a = sample_gaussian_matrix(n, SeedSpec(32, n), hollow=True)
-    want = power_traces(a / math.sqrt(n), 7)
-    for kmax in range(3, 8):
-        _, walks = _walk_sums(a, kmax, traces=True)
+    want = power_traces(a / math.sqrt(n), 5)
+    for kmax in range(1, 6):
+        _, walks = _walk_sums(a, kmax)
         got = [t / n ** (j / 2.0) for j, t in enumerate(walks, start=1)]
         np.testing.assert_allclose(got, want[:kmax], rtol=1e-12, atol=1e-12)
-    series = cycle_series(a, 7 if n < 10 else 5, traces=True)
-    np.testing.assert_allclose(series.traces, want[: series.kmax], rtol=1e-12, atol=1e-12)
+        assert len(cycle_series(a, kmax).traces) == kmax
+    series = cycle_series(a, 5)
+    np.testing.assert_allclose(series.traces, want, rtol=1e-12, atol=1e-12)
     assert abs(series.value(3) - chebyshev_trace(series.traces, n, 3)) <= 1e-12
 
 
-def test_walk_core_spends_no_product_on_unrequested_traces(monkeypatch):
-    """Without traces, a series beyond k = 5 still takes only G = A A and
-    G A; the traces up to k = 7 add A^4 and nothing else."""
+@pytest.mark.parametrize("kmax, products", [(1, 0), (2, 0), (3, 1), (4, 1), (5, 2)])
+def test_walk_core_products_per_kmax(monkeypatch, kmax, products):
+    """S_2 = sum a_ij^2 is elementwise; k = 3, 4 take G = A A and k = 5
+    also G A.  The traces up to kmax come from the same products."""
     calls = []
 
     class CountingArray(np.ndarray):
@@ -267,39 +305,37 @@ def test_walk_core_spends_no_product_on_unrequested_traces(monkeypatch):
     real = cycles.hollowed
     monkeypatch.setattr(cycles, "hollowed", lambda a: real(a).view(CountingArray))
     a = sample_gaussian_matrix(7, SeedSpec(33, 0), hollow=True)
-    assert cycle_series(a, 7).traces == ()
-    assert len(calls) == 2
-    assert len(cycle_series(a, 7, traces=True).traces) == 7
-    assert len(calls) == 2 + 3
+    series = cycle_series(a, kmax)
+    assert len(series.values) == len(series.traces) == kmax
+    assert len(calls) == products
 
 
 def test_traced_series_is_priced_by_the_cycle_budget(monkeypatch):
-    """2 * 1600^3 exceeds the default operation budget: traced or not, the
-    series refuses before any matrix product.  A budget raised to 1e11
-    admits the traced series; no second, hidden budget refuses it."""
+    """Every series carries its traces.  2 * 1600^3 exceeds the default
+    operation budget, so a series with products refuses before taking one;
+    a budget raised to 1e11 admits it, and no second, hidden budget
+    refuses it.  Up to kmax = 2 the traces take no product and fit."""
 
     def no_products(m, depth):
-        raise AssertionError("matrix product taken")
+        if depth > 1:
+            raise AssertionError("matrix product taken")
+        return [m]
 
     monkeypatch.setattr(cycles, "matrix_powers", no_products)
-    with pytest.raises(ValueError, match="operation budget"):
-        cycle_series(np.zeros((1600, 1600)), 5, traces=True)
-    with pytest.raises(ValueError, match="operation budget"):
-        cycle_series(np.zeros((1600, 1600)), 5)
-    # traces at kmax = 1 still take G = A A, and are charged for it
-    with pytest.raises(ValueError, match="operation budget"):
-        cycle_series(np.zeros((1600, 1600)), 1, traces=True)
+    for kmax in (3, 5):
+        with pytest.raises(ValueError, match="operation budget"):
+            cycle_series(np.zeros((1600, 1600)), kmax)
+    for kmax in (1, 2):
+        assert cycle_series(np.zeros((1600, 1600)), kmax).traces == (0.0,) * kmax
     with pytest.raises(AssertionError, match="matrix product taken"):
-        cycle_series(np.zeros((1600, 1600)), 5, budget=1e11, traces=True)
+        cycle_series(np.zeros((1600, 1600)), 5, budget=1e11)
 
 
 def test_depth_first_terms_are_charged_their_cost(monkeypatch):
-    """Each DFS term costs ``DFS_TERM_COST``: n = 30 at k = 6 (minutes of
-    pure-Python enumeration) and the n = 15, k = 6 reference are refused at
-    the default budget before any term is enumerated."""
+    """Each term of the DFS reference costs ``DFS_TERM_COST``: the n = 15,
+    k = 6 reference is refused at the default budget before any term is
+    enumerated."""
     assert cycles.DFS_TERM_COST == 100
-    with pytest.raises(ValueError, match="operation budget"):
-        check_cycle_budget(30, 6)
 
     def no_enumeration(at, k):
         raise AssertionError("depth-first enumeration started")

@@ -156,6 +156,18 @@ def test_config_validation():
             )
 
 
+@pytest.mark.parametrize("kind", ["cycles", "tilted", "approx", "decomposition"])
+def test_depth_beyond_the_closed_forms_refused_for_every_kind(kind):
+    """Depth 6 is a hard bound, whatever the budget: no engine on the run
+    path goes past the closed forms of k <= 5."""
+    depth = {"m": 6} if kind == "decomposition" else {"kmax": 6}
+    with pytest.raises(ValueError, match="k=6 exceeds the closed-form bound 5"):
+        ex.ExperimentConfig(
+            kind=kind, params=ModelParams(beta=0.2, n=12), replicates=5,
+            master_seed=1, cycle_budget=math.inf, **depth,
+        )
+
+
 def test_report_round_trip_and_named_verdicts():
     cfg = ex.ExperimentConfig(kind="clt", params=PARAMS, replicates=50, master_seed=7)
     report = ex.run_clt(cfg)

@@ -378,6 +378,10 @@ def test_model_params_validation():
         ModelParams(beta=-0.1, n=3)
     with pytest.raises(ValueError):
         ModelParams(beta=0.1, n=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("beta", "J", "Jprime"):
+            with pytest.raises(ValueError, match="must be finite"):
+                ModelParams(**{"beta": 0.1, "n": 3, field: bad})
     assert ModelParams(beta=0.49, J=1.0, n=4).paramagnetic
     assert not ModelParams(beta=0.1, J=6.0, n=4).paramagnetic
 

@@ -47,6 +47,23 @@ def test_symmetry_and_hollow():
     assert np.array_equal(hollowed(a), h)
 
 
+def test_upper_indices_are_cached_read_only():
+    """The strict upper-triangle index is built once per size and cannot be
+    written through; the draws it places are those of a fresh index."""
+    iu = randmat._upper_indices(9)
+    assert randmat._upper_indices(9) is iu
+    for index, fresh in zip(iu, np.triu_indices(9, 1)):
+        assert np.array_equal(index, fresh)
+        with pytest.raises(ValueError):
+            index[0] = 1
+    want = np.zeros((9, 9))
+    rng = SEED.generator()
+    want[np.triu_indices(9, 1)] = rng.standard_normal(36)
+    want += want.T
+    want[np.diag_indices(9)] = rng.standard_normal(9)
+    assert sample_gaussian_matrix(9, SEED).tobytes() == want.tobytes()
+
+
 def test_pooled_moments_large_matrix():
     n = 2000
     a = sample_gaussian_matrix(n, SEED)
