@@ -1,9 +1,10 @@
 """Command line front end.
 
 Subcommands: identities, sample, free-energy, cycles, clt, tilted, approx,
-decomposition, report.  Reports are emitted as JSON (stable key order,
-schema_version 1) to --out or standard output; --format csv, which needs
---out, also writes the raw samples to <out>.csv, one row per replicate.
+decomposition, report.  Reports are emitted as strict JSON (stable key
+order, schema_version 1, no NaN or Infinity) to --out or standard output;
+--format csv, which needs --out, also writes the raw samples to
+<out>.csv, one row per replicate.
 The five experiment subcommands share one path: their flags become an
 ``ExperimentConfig``, which validates the whole --n-grid before any
 replicate runs, and ``experiments.run_<subcommand>`` produces the report.
@@ -65,9 +66,9 @@ def _add_run_flags(p):
     p.add_argument("--raw-samples", action="store_true",
                    help="keep per-replicate samples in the report")
     p.add_argument("--budget", type=float, default=None,
-                   help="the operation budget (default 1e9), the only compute "
-                        "guard: cycle sums, which stop at k=5, cost n^2 up to "
-                        "k=2 and 2*n^3 (two matrix products) up to k=5")
+                   help="the operation budget (default 1e9, inf for none; NaN "
+                        "or negative is refused), the only compute guard: cycle "
+                        "sums, which stop at k=5, cost 2*n^3 at every k")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,7 +139,8 @@ def _parse_grid(text):
 def _emit(payload: dict, out: str | None) -> None:
     payload = dict(payload)
     payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # strict JSON (RFC 8259): a NaN or infinity raises instead of being written
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -288,7 +288,7 @@ def _check_covariance(cov: np.ndarray) -> np.ndarray:
     return cov
 
 
-def wick_moment(cov, index: Sequence[int], max_order: int = WICK_MAX_ORDER) -> float:
+def wick_moment(cov, index: Sequence[int]) -> float:
     """Gaussian moment E[X_{index[0]} ... X_{index[m-1]}] by pair enumeration.
 
     Zero for odd m.  For even m, sums the product of covariances over all
@@ -300,8 +300,8 @@ def wick_moment(cov, index: Sequence[int], max_order: int = WICK_MAX_ORDER) -> f
     if any(i < 0 or i >= cov.shape[0] for i in idx):
         raise ValueError("index refers to a variable outside the covariance")
     m = len(idx)
-    if m > max_order:
-        raise ValueError(f"moment order {m} exceeds the enumeration budget {max_order}")
+    if m > WICK_MAX_ORDER:
+        raise ValueError(f"moment order {m} exceeds the enumeration budget {WICK_MAX_ORDER}")
     if m % 2 == 1:
         return 0.0
     if m == 0:

@@ -108,17 +108,15 @@ def check_cycle_budget(n: int, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET) 
 
     The one compute guard of ``cycle_series``.  A kmax beyond
     ``CLOSED_FORM_KMAX`` is refused first, whatever the budget: no engine
-    of the run path goes past the closed forms.  Up to kmax = 2 the series
-    is elementwise and charged n^2; from kmax = 3 on it takes at most two
-    n x n matrix products, G = A A and G A, and is charged 2 * n^3.  A
-    budget that is not a number admits nothing, and ``inf`` everything.
+    of the run path goes past the closed forms.  Every series is charged
+    2 * n^3, the two n x n matrix products G = A A and G A of kmax 5.  Up
+    to kmax = 2 no product is taken, but the series still holds several
+    n x n arrays, and the one price keeps those within memory.  A budget
+    that is not a number admits nothing, and ``inf`` everything.
     """
     if kmax > CLOSED_FORM_KMAX:
         raise ValueError(f"k={kmax} exceeds the closed-form bound {CLOSED_FORM_KMAX}")
-    if kmax <= 2:
-        _require_budget("n^2", float(n) ** 2, budget)
-    else:
-        _require_budget("2*n^3", 2.0 * float(n) ** 3, budget)
+    _require_budget("2*n^3", 2.0 * float(n) ** 3, budget)
 
 
 def _require_budget(what: str, cost: float, budget: float) -> None:
@@ -204,10 +202,6 @@ class CycleSeries:
     def __post_init__(self):
         if len(self.values) > self.n:
             raise ValueError("kmax cannot exceed n (indices must be distinct)")
-
-    @property
-    def kmax(self) -> int:
-        return len(self.values)
 
     def value(self, k: int) -> float:
         return self.values[k - 1]

@@ -29,7 +29,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise ValueError(f"need at least 2 replicates, got {self.replicates}")
         if self.threads < 1:
             raise ValueError(f"need at least 1 thread, got {self.threads}")
+        if not self.cycle_budget >= 0:  # NaN fails too
+            raise ValueError(f"the operation budget {self.cycle_budget:.3g} is not >= 0")
         if self.n_grid is not None:
             grid = tuple(self.n_grid)
             if list(grid) != sorted(set(grid)):
@@ -230,23 +232,14 @@ class ExperimentReport:
         raise KeyError(f"no results for n={n}")
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "config": self.config,
-            "targets": [asdict(t) for t in self.targets],
-            "results": [
-                {
-                    "n": r.n,
-                    "summaries": {k: asdict(v) for k, v in r.summaries.items()},
-                    "checks": [asdict(c) for c in r.checks],
-                }
-                for r in self.results
-            ],
-            "checks": [asdict(c) for c in self.checks],
-            "passed": self.passed,
-            "raw_samples": self.raw_samples,
-        }
+        """``schema_version`` and ``asdict`` of the report: the dataclasses
+        are the one definition of the format.  ``raw_samples``, already
+        plain lists, is passed by reference, because ``asdict`` would take
+        longer to deep-copy the samples than ``json.dumps`` takes to write
+        them."""
+        d = asdict(replace(self, raw_samples=None))
+        d.update(schema_version=SCHEMA_VERSION, raw_samples=self.raw_samples)
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentReport":
@@ -279,8 +272,12 @@ class ExperimentReport:
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
+    """The config as a report echoes it, in strict JSON: the grid as a list
+    and an infinite budget as the string ``"inf"``."""
     d = asdict(config)
     d["n_grid"] = list(config.n_grid) if config.n_grid else None
+    if config.cycle_budget == math.inf:
+        d["cycle_budget"] = "inf"
     return d
 
 

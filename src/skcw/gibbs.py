@@ -356,11 +356,11 @@ def decomposition_residual(
     return residual
 
 
-def second_moment_target(beta: float, tol: float = 1e-12) -> float:
+def second_moment_target(beta: float) -> float:
     """exp(-2 beta^2) / sqrt(1 - 4 beta^2) for beta < 1/2.
 
     Internally re-derived as exp(sum_{k>=2} (4 beta^2)^k / (2k)) and the two
-    routes are required to agree to ``tol``.
+    routes are required to agree to a relative 1e-12.
     """
     if not 0 <= beta < 0.5:
         raise ValueError(f"need 0 <= beta < 1/2, got {beta}")
@@ -377,7 +377,7 @@ def second_moment_target(beta: float, tol: float = 1e-12) -> float:
         if incr < 1e-18 * max(series, 1.0):
             break
     via_series = math.exp(series)
-    if abs(closed - via_series) > tol * closed:
+    if abs(closed - via_series) > 1e-12 * closed:
         raise AssertionError(
             f"closed form {closed!r} and series {via_series!r} disagree"
         )

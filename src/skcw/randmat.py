@@ -97,7 +97,7 @@ def one_blas_thread():
             set_blas_threads(before)
 
 
-def _mix64(x: int, salt: int = 0) -> int:
+def _mix64(x: int, salt: int) -> int:
     """splitmix64 finalizer; derives well-separated 64-bit keys."""
     z = (x + salt * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64

@@ -15,6 +15,10 @@ def run(argv):
     return main(argv)
 
 
+def refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
 @pytest.fixture
 def no_compute(monkeypatch):
     """Fail the test if any replicate or centering is computed."""
@@ -29,7 +33,7 @@ def no_compute(monkeypatch):
 def test_identities_exits_zero(tmp_path):
     out = tmp_path / "ident.json"
     assert run(["identities", "--max-k", "30", "--out", str(out)]) == EXIT_OK
-    data = json.loads(out.read_text())
+    data = json.loads(out.read_text(), parse_constant=refuse_constant)
     assert data["passed"] is True
     assert data["schema_version"] == 1
 
@@ -180,7 +184,7 @@ def test_report_on_failing_verdicts_exits_two(tmp_path):
         # beyond the closed forms, whatever the budget: no engine on the run path
         (["approx", "--n", "12", "--kmax", "12", "--budget", "1e14"],
          "closed-form bound"),
-        # n^2 up to k = 2, 2 n^3 from k = 3 on
+        # 2 n^3 at every k, with or without a matrix product
         (["cycles", "--n", "40000", "--kmax", "2"], "operation budget"),
         (["tilted", "--n", "800", "--beta", "0.2", "--kmax", "3"], "operation budget"),
         # a depth-first enumeration took seconds to minutes per replicate here
@@ -193,11 +197,29 @@ def test_report_on_failing_verdicts_exits_two(tmp_path):
         (["clt", "--n", "8", "--beta", "inf"], "must be finite"),
         (["decomposition", "--n", "8", "--beta", "0.2", "--J", "inf"], "must be finite"),
         (["cycles", "--n", "8", "--Jprime", "inf", "--kmax", "3"], "must be finite"),
+        # refused for every kind, also where no cycle sum is taken
+        (["clt", "--n", "8", "--beta", "0.2", "--budget", "nan"], "operation budget nan"),
+        (["clt", "--n", "8", "--beta", "0.2", "--budget", "-1"], "operation budget -1"),
+        (["cycles", "--n", "794", "--kmax", "2"], "operation budget"),
     ],
 )
 def test_whole_grid_validated_before_any_compute(no_compute, capsys, argv, message):
     assert run(argv + ["--reps", "5"]) == EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+def test_infinite_budget_written_as_a_string_and_read_back(tmp_path, capsys):
+    """Strict JSON has no Infinity: ``--budget inf`` is echoed as "inf"."""
+    out = tmp_path / "inf.json"
+    argv = ["cycles", "--n", "12", "--kmax", "3", "--reps", "30", "--budget", "inf",
+            "--out", str(out)]
+    assert run(argv) == EXIT_VERDICT  # the finite-n variances miss at n = 12
+    text = out.read_text()
+    assert '"cycle_budget": "inf"' in text
+    json.loads(text, parse_constant=refuse_constant)
+    capsys.readouterr()
+    assert run(["report", "--in", str(out)]) == EXIT_VERDICT
+    assert capsys.readouterr().out.startswith("kind: cycles\n")
 
 
 def test_raised_budget_admits_large_approx_grids():

@@ -170,16 +170,17 @@ def test_budget_gates_each_method_by_its_cost():
 
 
 def test_closed_form_budget_charges_two_products():
-    """2 n^3 for 3 <= k <= 5: n = 585 fits the default budget (min(kmax, 5)
-    n^3 refused it), n = 800 does not.  Up to k = 2 no product is taken and
-    n^2 is charged; k = 6 has no price, it is beyond the closed forms."""
+    """2 n^3 at every k <= 5: n = 585 fits the default budget at k = 5
+    (min(kmax, 5) n^3 refused it), and at every k n = 793 fits and n = 794
+    does not.  Up to k = 2 no product is taken, but the one price keeps the
+    series' n x n arrays within memory; k = 6 has no price, it is beyond
+    the closed forms."""
     a = sample_gaussian_matrix(585, SeedSpec(8, 2))
     assert len(cycle_series(a, 5).values) == 5
-    with pytest.raises(ValueError, match="2\\*n\\^3"):
-        check_cycle_budget(800, 3)
-    check_cycle_budget(31_622, 2)
-    with pytest.raises(ValueError, match="n\\^2"):
-        check_cycle_budget(31_623, 1)
+    for kmax in range(1, 6):
+        check_cycle_budget(793, kmax)
+        with pytest.raises(ValueError, match="2\\*n\\^3"):
+            check_cycle_budget(794, kmax)
     with pytest.raises(ValueError, match="closed-form bound"):
         check_cycle_budget(40, 6)
 
@@ -312,9 +313,10 @@ def test_walk_core_products_per_kmax(monkeypatch, kmax, products):
 
 def test_traced_series_is_priced_by_the_cycle_budget(monkeypatch):
     """Every series carries its traces.  2 * 1600^3 exceeds the default
-    operation budget, so a series with products refuses before taking one;
-    a budget raised to 1e11 admits it, and no second, hidden budget
-    refuses it.  Up to kmax = 2 the traces take no product and fit."""
+    operation budget, so a series refuses before taking a product; a budget
+    raised to 1e11 admits it, and no second, hidden budget refuses it.  Up
+    to kmax = 2 the traces take no product, and the same 2 n^3 price admits
+    n = 793 and refuses n = 794."""
 
     def no_products(m, depth):
         if depth > 1:
@@ -326,7 +328,11 @@ def test_traced_series_is_priced_by_the_cycle_budget(monkeypatch):
         with pytest.raises(ValueError, match="operation budget"):
             cycle_series(np.zeros((1600, 1600)), kmax)
     for kmax in (1, 2):
-        assert cycle_series(np.zeros((1600, 1600)), kmax).traces == (0.0,) * kmax
+        assert cycle_series(np.zeros((793, 793)), kmax).traces == (0.0,) * kmax
+        with pytest.raises(ValueError, match="operation budget"):
+            cycle_series(np.zeros((794, 794)), kmax)
+        traces = cycle_series(np.zeros((1600, 1600)), kmax, budget=1e11).traces
+        assert traces == (0.0,) * kmax
     with pytest.raises(AssertionError, match="matrix product taken"):
         cycle_series(np.zeros((1600, 1600)), 5, budget=1e11)
 

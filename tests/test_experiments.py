@@ -179,6 +179,25 @@ def test_report_round_trip_and_named_verdicts():
     assert json.dumps(back.to_dict(), sort_keys=True) == blob
 
 
+def refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("kind", ex.KINDS)
+def test_every_kind_round_trips_through_strict_json(kind):
+    """No NaN or Infinity in any report, an infinite budget included: the
+    strict text loads and ``from_dict`` gives the report back."""
+    params = ModelParams(beta=0.0 if kind in ("cycles", "approx") else 0.2, n=8)
+    cfg = ex.ExperimentConfig(
+        kind=kind, params=params, replicates=5, master_seed=3, n_grid=(6, 8),
+        kmax=3, m=3, keep_raw=True, cycle_budget=math.inf,
+    )
+    report = getattr(ex, f"run_{kind}")(cfg)
+    text = json.dumps(report.to_dict(), allow_nan=False)
+    back = ex.ExperimentReport.from_dict(json.loads(text, parse_constant=refuse_constant))
+    assert back == report
+
+
 def test_report_lookup_helpers():
     cfg = ex.ExperimentConfig(kind="clt", params=PARAMS, replicates=40, master_seed=7)
     report = ex.run_clt(cfg)
