@@ -7,7 +7,8 @@ order, schema_version 1, no NaN or Infinity) to --out or standard output;
 <out>.csv, one row per replicate.
 The five experiment subcommands share one path: their flags become an
 ``ExperimentConfig``, which validates the whole --n-grid before any
-replicate runs, and ``experiments.run_<subcommand>`` produces the report.
+replicate runs, and ``experiments.run_<subcommand>`` produces the report
+from that config alone.  The report's ``config`` block echoes every input.
 
 Exit codes: 0 success with all verdicts passing, 2 verdict failure,
 1 usage, regime or budget errors.
@@ -106,8 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_run_flags(p)
     p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--sigma", choices=("ones", "alternating", "random"),
-                   default="ones", help="spin vector defining the tilt")
+    p.add_argument("--sigma", choices=experiments.SIGMAS, default="ones",
+                   help="spin vector defining the tilt, built at every size; "
+                        "random draws from a seed derived from --seed; echoed "
+                        "as config.sigma")
 
     p = sub.add_parser("approx", help="cycle vs spectral-statistic residuals")
     _add_model_flags(p, need_beta=False)
@@ -175,6 +178,7 @@ _OPTIONAL_FIELDS = (
     ("m", "m"),
     ("centering_replicates", "centering_reps"),
     ("cycle_budget", "budget"),
+    ("sigma", "sigma"),
 )
 
 
@@ -196,23 +200,10 @@ def _make_config(args) -> ExperimentConfig:
     )
 
 
-def _spins(args):
-    """The --sigma choice as a function of n, so every grid size gets its own
-    vector; random spins use one derived seed at every size."""
-    if args.sigma == "random":
-        seed = randmat.SeedSpec(args.seed).derived(0x5160)
-        return lambda n: randmat.random_spins(n, seed)
-    return {"ones": randmat.all_ones_spins, "alternating": randmat.alternating_spins}[
-        args.sigma
-    ]
-
-
 def _cmd_experiment(args) -> int:
     if args.format == "csv" and not args.out:
         raise ValueError("--format csv needs --out; the samples go to <out>.csv")
-    config = _make_config(args)
-    extra = (_spins(args),) if args.command == "tilted" else ()
-    report = getattr(experiments, f"run_{args.command}")(config, *extra)
+    report = getattr(experiments, f"run_{args.command}")(_make_config(args))
     return _report_exit(report, args)
 
 

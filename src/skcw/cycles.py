@@ -310,24 +310,3 @@ def lss_centering(n: int, k: int, reps: int, seed: SeedSpec) -> CenteringEstimat
         vals[r] = chebyshev_lss(a, k)
     stderr = float(vals.std(ddof=1) / np.sqrt(reps)) if reps > 1 else float("inf")
     return CenteringEstimate(float(vals.mean()), stderr, reps)
-
-
-def approx_residual(
-    a_hollow: np.ndarray,
-    k: int,
-    centering: float,
-    budget: float = DEFAULT_CYCLE_BUDGET,
-) -> float:
-    """C_{n,k} minus the centered spectral statistic; small for large n.
-
-    Identically zero for k = 3 because C_{n,3} = Tr P_3(A_hollow/sqrt(n))
-    holds exactly on hollow matrices.  Both sides come from one
-    ``cycle_series``, as in the ``approx`` experiment, so 3 <= k <= 5.
-    """
-    if k < 3:
-        raise ValueError(f"the approximation is defined for k >= 3, got {k}")
-    a_hollow = np.asarray(a_hollow, dtype=float)
-    if np.any(np.diag(a_hollow) != 0.0):
-        raise ValueError("matrix must have an exactly zero diagonal")
-    series = cycle_series(a_hollow, k, budget=budget)
-    return series.value(k) - (chebyshev_trace(series.traces, series.n, k) - centering)

@@ -1,11 +1,13 @@
 """Replicated Monte Carlo experiments, statistics and machine-readable reports.
 
 The five experiments (clt, cycles, tilted, approx, decomposition) share
-one driver, ``_drive``.  Each ``run_*`` names its module-level
-``*_worker`` and a ``_Plan`` with what differs: the task arguments, a
-per-size builder of summaries, checks and raw samples, the cross-size
-checks and the targets.  ``ExperimentConfig`` checks every size of the
-grid, and the driver every per-size input, before any sample is drawn.
+one driver, ``_drive``.  An ``ExperimentConfig`` is the one input of every
+run, and the report echoes it whole, so a report re-runs from its
+``config`` block.  Each ``run_*`` names its module-level ``*_worker`` and a
+``_Plan`` with what differs: the task arguments, a per-size builder of
+summaries, checks and raw samples, the cross-size checks and the targets.
+``ExperimentConfig`` checks every size of the grid, and the driver every
+per-size input, before any sample is drawn.
 Replicate r at size index s uses stream_id = s * 2^32 + r under the
 configured master seed; the stream id ends every task tuple.
 
@@ -52,14 +54,17 @@ from .gibbs import (
 from .randmat import (
     SeedSpec,
     all_ones_spins,
-    check_spins,
+    alternating_spins,
     one_blas_thread,
+    random_spins,
     sample_gaussian_matrix,
     sample_tilted_matrix,
 )
 
 SCHEMA_VERSION = 1
 KINDS = ("clt", "cycles", "tilted", "approx", "decomposition")
+# spin vectors of the tilted law, by name
+SIGMAS = ("ones", "alternating", "random")
 
 _STREAM_BLOCK = 1 << 32
 
@@ -81,10 +86,13 @@ class ExperimentConfig:
     keep_raw: bool = False
     centering_replicates: int | None = None
     cycle_budget: float = DEFAULT_CYCLE_BUDGET
+    sigma: str = "ones"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if self.sigma not in SIGMAS:
+            raise ValueError(f"unknown spin vector {self.sigma!r}, not in {SIGMAS}")
         if self.replicates < 2:
             raise ValueError(f"need at least 2 replicates, got {self.replicates}")
         if self.threads < 1:
@@ -435,9 +443,10 @@ class _Plan:
 
     ``task_args(n)`` gives the worker arguments that sit between n and
     (master_seed, stream_id) in each task tuple; the driver calls it for
-    every size before any replicate runs, so per-size inputs are checked
-    there.  ``size_result(n, outputs)`` turns the worker outputs at size n
-    into (summaries, checks, raw samples), and
+    every size before any replicate runs, so the per-size inputs (the
+    ``ModelParams`` at n, the spin vector of length n) are built and checked
+    there, once per size.  ``size_result(n, outputs)`` turns the worker
+    outputs at size n into (summaries, checks, raw samples), and
     ``cross_checks(results)`` compares the sizes of a grid run.
     """
 
@@ -521,10 +530,9 @@ def _drive(
 
 
 def _clt_worker(task) -> float:
-    n, beta, j, jp, master, stream = task
+    n, params, master, stream = task
     a = sample_gaussian_matrix(n, SeedSpec(master, stream))
-    params = ModelParams(beta=beta, J=j, Jprime=jp, n=n)
-    return exact_log_partition(a, params) - n * beta**2
+    return exact_log_partition(a, params) - n * params.beta**2
 
 
 def _clt_plan(config: ExperimentConfig) -> _Plan:
@@ -588,10 +596,7 @@ def _clt_plan(config: ExperimentConfig) -> _Plan:
             )
         ]
 
-    return _Plan(
-        lambda n: (params.beta, params.J, params.Jprime),
-        size_result, cross_checks, targets,
-    )
+    return _Plan(lambda n: (replace(params, n=n),), size_result, cross_checks, targets)
 
 
 def run_clt(config: ExperimentConfig) -> ExperimentReport:
@@ -615,6 +620,11 @@ def _tilted_worker(task) -> list[float]:
     return list(cycle_series(a, kmax, budget=budget).values)
 
 
+def _cycle_variance(k: int) -> float:
+    """Limit variance of C_{n,k}: 1 at k = 1, 2k from k = 2."""
+    return 1.0 if k == 1 else 2.0 * k
+
+
 def _cycle_statistics_checks(
     values: np.ndarray, n: int, kmax: int, mean_targets: dict[int, float],
     mean_floor: float, var_rel: float,
@@ -634,7 +644,7 @@ def _cycle_statistics_checks(
         name = f"cycle_{k}" + ("_centered" if k == 2 else "")
         summ = SampleSummary.from_samples(centered[:, k - 1])
         summaries[name] = summ
-        var_target = 1.0 if k == 1 else 2.0 * k
+        var_target = _cycle_variance(k)
         checks.append(
             _check_rel_band(
                 f"cycle_{k}_variance",
@@ -717,7 +727,7 @@ def _cycles_plan(config: ExperimentConfig) -> _Plan:
         config,
         lambda n: (config.kmax, config.cycle_budget),
         targets=tuple(
-            TargetValue(f"variance_{k}", 1.0 if k == 1 else 2.0 * k, "2k (k>=2), 1 (k=1)")
+            TargetValue(f"variance_{k}", _cycle_variance(k), "2k (k>=2), 1 (k=1)")
             for k in range(1, config.kmax + 1)
         ),
         mean_targets={}, mean_floor=0.0, var_rel=0.10,
@@ -730,17 +740,19 @@ def run_cycles(config: ExperimentConfig) -> ExperimentReport:
     return _drive(config, "cycles", _cycles_worker, _cycles_plan)
 
 
-def _tilted_plan(config: ExperimentConfig, sigma) -> _Plan:
+def _tilted_plan(config: ExperimentConfig) -> _Plan:
     beta = config.params.beta
+    # random spins use one seed, derived from the master seed, at every size
+    seed = SeedSpec(config.master_seed).derived(0x5160)
 
     def task_args(n):
-        if sigma is None:
-            sig = all_ones_spins(n)
+        if config.sigma == "random":
+            sigma = random_spins(n, seed)
+        elif config.sigma == "alternating":
+            sigma = alternating_spins(n)
         else:
-            sig = check_spins(sigma(n) if callable(sigma) else sigma)
-        if sig.size != n:
-            raise ValueError(f"sigma has length {sig.size}, expected {n}")
-        return (config.kmax, beta, sig, config.cycle_budget)
+            sigma = all_ones_spins(n)
+        return (config.kmax, beta, sigma, config.cycle_budget)
 
     mean_targets = {k: (2.0 * beta) ** k for k in range(2, config.kmax + 1)}
     return _cycle_plan(
@@ -754,17 +766,11 @@ def _tilted_plan(config: ExperimentConfig, sigma) -> _Plan:
     )
 
 
-def run_tilted(
-    config: ExperimentConfig,
-    sigma: np.ndarray | Callable[[int], np.ndarray] | None = None,
-) -> ExperimentReport:
+def run_tilted(config: ExperimentConfig) -> ExperimentReport:
     """Cycle law under the tilted ensemble: centered C_{n,k} shift to
-    (2 beta)^k with unchanged variance 2k, for any fixed spin vector.
-
-    ``sigma`` is one spin vector, which must then match every size, or a
-    function of n giving the vector at each size; the default is all ones.
-    """
-    return _drive(config, "tilted", _tilted_worker, lambda c: _tilted_plan(c, sigma))
+    (2 beta)^k with unchanged variance 2k, for any fixed spin vector;
+    ``config.sigma`` names the vector built at each size."""
+    return _drive(config, "tilted", _tilted_worker, _tilted_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -853,12 +859,11 @@ def run_approx(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _decomposition_worker(task) -> tuple[float, float]:
-    n, beta, j, jp, m, budget, master, stream = task
+    n, params, m, budget, master, stream = task
     a = sample_gaussian_matrix(n, SeedSpec(master, stream))
-    params = ModelParams(beta=beta, J=j, Jprime=jp, n=n)
     log_z = exact_log_partition(a, params)
     resid = decomposition_residual(a, params, m, log_z=log_z, cycle_budget=budget)
-    return resid, log_z - n * beta**2
+    return resid, log_z - n * params.beta**2
 
 
 def _decomposition_plan(config: ExperimentConfig) -> _Plan:
@@ -901,7 +906,7 @@ def _decomposition_plan(config: ExperimentConfig) -> _Plan:
         ]
 
     return _Plan(
-        lambda n: (params.beta, params.J, params.Jprime, config.m, config.cycle_budget),
+        lambda n: (replace(params, n=n), config.m, config.cycle_budget),
         size_result, cross_checks,
     )
 

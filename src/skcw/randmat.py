@@ -180,7 +180,11 @@ def sample_tilted_matrix(
     return a + shift
 
 
-def power_traces(m: np.ndarray, kmax: int, flop_budget: float = 2e10) -> np.ndarray:
+# the guard of ``power_traces``: at most this many (kmax * n^3) operations
+TRACE_FLOP_BUDGET = 2e10
+
+
+def power_traces(m: np.ndarray, kmax: int) -> np.ndarray:
     """(Tr M, Tr M^2, ..., Tr M^kmax) from the powers M^1..M^ceil(kmax/2).
 
     Tr M^k = <M^(k//2), (M^(k - k//2))^T>, so kmax = 5 takes two matrix
@@ -189,7 +193,7 @@ def power_traces(m: np.ndarray, kmax: int, flop_budget: float = 2e10) -> np.ndar
     are the same in every process.
 
     The test reference for the walk traces of ``cycles.cycle_series``; it
-    keeps its own guard, a flop budget on about kmax * n^3.
+    keeps its own guard, ``TRACE_FLOP_BUDGET`` on about kmax * n^3.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -197,8 +201,10 @@ def power_traces(m: np.ndarray, kmax: int, flop_budget: float = 2e10) -> np.ndar
     if kmax < 1:
         raise ValueError(f"kmax must be positive, got {kmax}")
     flops = kmax * m.shape[0] ** 3
-    if flops > flop_budget:
-        raise ValueError(f"kmax*n^3 = {flops:.3g} exceeds the flop budget {flop_budget:g}")
+    if flops > TRACE_FLOP_BUDGET:
+        raise ValueError(
+            f"kmax*n^3 = {flops:.3g} exceeds the flop budget {TRACE_FLOP_BUDGET:g}"
+        )
     powers = matrix_powers(m, (kmax + 1) // 2)
     traces = np.empty(kmax)
     traces[0] = np.trace(m)

@@ -1,6 +1,7 @@
 """Front end: dispatch, exit codes, report round trips, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -264,3 +265,31 @@ def test_csv_without_out_is_usage_error(no_compute, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--out" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["clt", "--beta", "0.2", "--J", "0.5"],
+    ["cycles", "--kmax", "3", "--budget", "inf"],
+    ["tilted", "--beta", "0.3", "--kmax", "3", "--sigma", "ones"],
+    ["tilted", "--beta", "0.3", "--kmax", "3", "--sigma", "alternating"],
+    ["tilted", "--beta", "0.3", "--kmax", "3", "--sigma", "random"],
+    ["approx", "--kmax", "4", "--centering-reps", "3"],
+    ["decomposition", "--beta", "0.2", "--J", "0.5", "--m", "3"],
+], ids=["clt", "cycles", "tilted-ones", "tilted-alternating", "tilted-random",
+        "approx", "decomposition"])
+def test_every_report_reruns_from_its_config_echo(tmp_path, argv):
+    """The config block names every input: the config rebuilt from it gives
+    the same report."""
+    out = tmp_path / "r.json"
+    argv = argv + ["--n", "8", "--n-grid", "6,8", "--reps", "5", "--seed", "4",
+                   "--raw-samples", "--out", str(out)]
+    assert run(argv) in (EXIT_OK, EXIT_VERDICT)
+    written = json.loads(out.read_text())
+    written.pop("generated_at")
+    echo = dict(written["config"])
+    echo["params"] = ModelParams(**echo["params"])
+    echo["n_grid"] = tuple(echo["n_grid"])
+    if echo["cycle_budget"] == "inf":
+        echo["cycle_budget"] = math.inf
+    report = getattr(experiments, f"run_{argv[0]}")(experiments.ExperimentConfig(**echo))
+    assert json.loads(json.dumps(report.to_dict(), allow_nan=False)) == written

@@ -15,7 +15,6 @@ from skcw import cycles
 from skcw.cycles import (
     CycleSeries,
     _walk_sums,
-    approx_residual,
     chebyshev_lss,
     chebyshev_trace,
     check_cycle_budget,
@@ -399,26 +398,3 @@ def test_lss_centering_self_consistency():
 def test_lss_centering_validation():
     with pytest.raises(ValueError):
         lss_centering(20, 4, reps=0, seed=SeedSpec(20, 0))
-
-
-# --- approximation residual ----------------------------------------------------------
-
-
-def test_residual_zero_at_k3():
-    for seed in range(10):
-        a = sample_gaussian_matrix(6, SeedSpec(21, seed), hollow=True)
-        assert abs(approx_residual(a, 3, 0.0)) < 1e-9
-
-
-def test_residual_small_at_k5():
-    a = sample_gaussian_matrix(60, SeedSpec(22, 0), hollow=True)
-    res = approx_residual(a, 5, 0.0)
-    assert abs(res) < math.sqrt(2 * 5)
-
-
-def test_residual_validation():
-    a = sample_gaussian_matrix(6, SeedSpec(23, 0), hollow=True)
-    with pytest.raises(ValueError):
-        approx_residual(a, 2, 0.0)
-    with pytest.raises(ValueError, match="zero diagonal"):
-        approx_residual(np.eye(6), 4, 0.0)

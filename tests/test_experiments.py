@@ -414,17 +414,12 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
         assert [os_threads for _, os_threads in seen] == [1] * 4
 
 
-def test_tilted_spin_vector_checked_at_every_size_first(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("replicates ran before the spin vector was checked")
-
-    monkeypatch.setattr(ex, "_map_replicates", refuse)
-    cfg = ex.ExperimentConfig(
-        kind="tilted", params=ModelParams(beta=0.2, n=12), replicates=5,
-        master_seed=1, kmax=3, n_grid=(8, 12),
-    )
-    with pytest.raises(ValueError, match="sigma has length 8, expected 12"):
-        ex.run_tilted(cfg, np.ones(8))
+def test_unknown_spin_vector_refused_when_the_config_is_built():
+    with pytest.raises(ValueError, match="unknown spin vector 'diagonal'"):
+        ex.ExperimentConfig(
+            kind="tilted", params=ModelParams(beta=0.2, n=12), replicates=5,
+            master_seed=1, kmax=3, sigma="diagonal",
+        )
 
 
 def test_degenerate_zero_beta_flagged():
@@ -471,10 +466,8 @@ def test_tilted_sigma_gauge_statistical_equivalence():
         params=ModelParams(beta=0.4, n=n), replicates=300, master_seed=13, kmax=3
     )
     ones = ex.run_tilted(ex.ExperimentConfig(kind="tilted", **base))
-    rng = np.random.default_rng(5)
-    sigma = 1.0 - 2.0 * rng.integers(0, 2, size=n)
     mixed = ex.run_tilted(
-        ex.ExperimentConfig(kind="tilted", **{**base, "master_seed": 14}), sigma
+        ex.ExperimentConfig(kind="tilted", **{**base, "master_seed": 14, "sigma": "random"})
     )
     s1 = ones.summary(n, "cycle_3")
     s2 = mixed.summary(n, "cycle_3")

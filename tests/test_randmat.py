@@ -132,8 +132,9 @@ def test_power_traces_match_explicit_powers(symmetric):
 
 
 def test_power_traces_budget():
-    with pytest.raises(ValueError):
-        power_traces(np.eye(100), 5, flop_budget=1e3)
+    # kmax * n^3 = 20001 * 100^3 = 2.0001e10, just over TRACE_FLOP_BUDGET
+    with pytest.raises(ValueError, match="flop budget"):
+        power_traces(np.eye(100), 20_001)
     with pytest.raises(ValueError):
         power_traces(np.eye(3), 0)
 
