@@ -8,7 +8,9 @@ order, schema_version 1, no NaN or Infinity) to --out or standard output;
 The five experiment subcommands share one path: their flags become an
 ``ExperimentConfig``, which validates the whole --n-grid before any
 replicate runs, and ``experiments.run_<subcommand>`` produces the report
-from that config alone.  The report's ``config`` block echoes every input.
+from that config alone.  ``experiments.KIND_FIELDS`` names the inputs each
+kind reads: besides the inputs of every run, a subcommand takes flags for
+those alone, and its report's ``config`` block echoes those alone.
 
 Exit codes: 0 success with all verdicts passing, 2 verdict failure,
 1 usage, regime or budget errors.
@@ -44,32 +46,39 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_model_flags(p, need_beta=True):
-    p.add_argument("--n", type=int, required=True, help="system size")
-    p.add_argument("--beta", type=float, required=need_beta, default=0.0,
-                   help="inverse temperature")
-    p.add_argument("--J", type=float, default=0.0, help="uniform coupling")
-    p.add_argument("--Jprime", type=float, default=0.0, help="diagonal coupling")
+# the flag of each config field an experiment kind may read
+# (experiments.KIND_FIELDS), stored under the field's name
+_FIELD_FLAGS = {
+    "beta": ("--beta", dict(type=float, required=True, help="inverse temperature")),
+    "J": ("--J", dict(type=float, default=0.0, help="uniform coupling")),
+    "Jprime": ("--Jprime", dict(type=float, default=0.0, help="diagonal coupling")),
+    "kmax": ("--kmax", dict(type=int, help="largest cycle length")),
+    "m": ("--m", dict(type=int, default=4, help="cycle truncation depth")),
+    "cycle_budget": ("--budget", dict(type=float, metavar="BUDGET", help=(
+        "the operation budget (default 1e9, inf for none; NaN or negative is refused), "
+        "the only compute guard: cycle sums, which stop at k=5, cost 2*n^3 at every k"))),
+    "sigma": ("--sigma", dict(choices=experiments.SIGMAS, default="ones", help=(
+        "spin vector defining the tilt, built at every size; random draws from a "
+        "seed derived from --seed; echoed as config.sigma"))),
+    "centering_replicates": ("--centering-reps", dict(type=int, metavar="N", help=(
+        "accepted (>= 1) and echoed in the report; the centering is exact, so no "
+        "centering samples are drawn"))),
+}
+
+# help and flag defaults of each experiment subcommand
+_SUBCOMMANDS = {
+    "clt": ("free-energy fluctuation experiment", {}),
+    "cycles": ("signed-cycle statistics under the null law", {"kmax": 4}),
+    "tilted": ("signed-cycle statistics under the tilt", {"kmax": 3}),
+    "approx": ("cycle vs spectral-statistic residuals", {"kmax": 5}),
+    "decomposition": ("cycle decomposition of log Z", {}),
+}
 
 
-def _add_run_flags(p):
-    p.add_argument("--reps", type=int, default=1000, help="Monte Carlo replicates")
-    p.add_argument("--seed", type=int, default=1, help="master seed")
-    p.add_argument("--n-grid", type=str, default=None,
-                   help="comma-separated sizes for trend checks, e.g. 12,16,20")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes, at most one per replicate and per "
-                        "usable core, each with one BLAS thread; 1 computes in "
-                        "this process")
-    p.add_argument("--out", type=str, default=None, help="report path (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="csv also writes raw samples to <out>.csv (needs --out)")
-    p.add_argument("--raw-samples", action="store_true",
-                   help="keep per-replicate samples in the report")
-    p.add_argument("--budget", type=float, default=None,
-                   help="the operation budget (default 1e9, inf for none; NaN "
-                        "or negative is refused), the only compute guard: cycle "
-                        "sums, which stop at k=5, cost 2*n^3 at every k")
+def _add_field_flags(p, fields):
+    for field in fields:
+        flag, kwargs = _FIELD_FLAGS[field]
+        p.add_argument(flag, dest=field, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,41 +98,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("free-energy", help="one exact evaluation of log Z and F_n")
-    _add_model_flags(p)
+    p.add_argument("--n", type=int, required=True, help="system size")
+    _add_field_flags(p, ("beta", "J", "Jprime"))
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--stream", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
 
-    p = sub.add_parser("clt", help="free-energy fluctuation experiment")
-    _add_model_flags(p)
-    _add_run_flags(p)
-
-    p = sub.add_parser("cycles", help="signed-cycle statistics under the null law")
-    _add_model_flags(p, need_beta=False)
-    _add_run_flags(p)
-    p.add_argument("--kmax", type=int, default=4, help="largest cycle length")
-
-    p = sub.add_parser("tilted", help="signed-cycle statistics under the tilt")
-    _add_model_flags(p)
-    _add_run_flags(p)
-    p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--sigma", choices=experiments.SIGMAS, default="ones",
-                   help="spin vector defining the tilt, built at every size; "
-                        "random draws from a seed derived from --seed; echoed "
-                        "as config.sigma")
-
-    p = sub.add_parser("approx", help="cycle vs spectral-statistic residuals")
-    _add_model_flags(p, need_beta=False)
-    _add_run_flags(p)
-    p.add_argument("--kmax", type=int, default=5)
-    p.add_argument("--centering-reps", type=int, default=None,
-                   help="accepted (>= 1) and echoed in the report; the centering "
-                   "is exact, so no centering samples are drawn")
-
-    p = sub.add_parser("decomposition", help="cycle decomposition of log Z")
-    _add_model_flags(p)
-    _add_run_flags(p)
-    p.add_argument("--m", type=int, default=4, help="cycle truncation depth")
+    for kind in experiments.KINDS:
+        help_text, defaults = _SUBCOMMANDS[kind]
+        p = sub.add_parser(kind, help=help_text)
+        p.add_argument("--n", type=int, required=True, help="system size")
+        p.add_argument("--reps", type=int, default=1000, help="Monte Carlo replicates")
+        p.add_argument("--seed", type=int, default=1, help="master seed")
+        p.add_argument("--n-grid", type=str, default=None,
+                       help="comma-separated sizes for trend checks, e.g. 12,16,20")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes, at most one per replicate and per "
+                            "usable core, each with one BLAS thread; 1 computes in "
+                            "this process")
+        p.add_argument("--out", type=str, default=None, help="report path (default stdout)")
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="csv also writes raw samples to <out>.csv (needs --out)")
+        p.add_argument("--raw-samples", action="store_true",
+                       help="keep per-replicate samples in the report")
+        _add_field_flags(p, experiments.KIND_FIELDS[kind])
+        p.set_defaults(**defaults)
 
     p = sub.add_parser("report", help="re-parse, validate and summarize a report")
     p.add_argument("--in", dest="path", type=str, required=True)
@@ -171,32 +170,20 @@ def _report_exit(report: ExperimentReport, args) -> int:
     return EXIT_OK if report.passed else EXIT_VERDICT
 
 
-# config field <- flag, for the flags only some experiment subcommands have;
-# an absent or unset flag leaves the config default
-_OPTIONAL_FIELDS = (
-    ("kmax", "kmax"),
-    ("m", "m"),
-    ("centering_replicates", "centering_reps"),
-    ("cycle_budget", "budget"),
-    ("sigma", "sigma"),
-)
-
-
 def _make_config(args) -> ExperimentConfig:
-    optional = {
-        field: getattr(args, flag)
-        for field, flag in _OPTIONAL_FIELDS
-        if getattr(args, flag, None) is not None
-    }
+    # the fields the kind reads; an unset flag (None) leaves the config default
+    read = {f: getattr(args, f) for f in experiments.KIND_FIELDS[args.command]
+            if getattr(args, f) is not None}
+    params = {f: read.pop(f) for f in ("beta", "J", "Jprime") if f in read}
     return ExperimentConfig(
         kind=args.command,
-        params=ModelParams(beta=args.beta, J=args.J, Jprime=args.Jprime, n=args.n),
+        params=ModelParams(n=args.n, **params),
         replicates=args.reps,
         master_seed=args.seed,
         n_grid=_parse_grid(args.n_grid),
         threads=args.threads,
         keep_raw=args.raw_samples or args.format == "csv",
-        **optional,
+        **read,
     )
 
 

@@ -2,14 +2,14 @@
 
 The five experiments (clt, cycles, tilted, approx, decomposition) share
 one driver, ``_drive``.  An ``ExperimentConfig`` is the one input of every
-run, and the report echoes it whole, so a report re-runs from its
-``config`` block.  Each ``run_*`` names its module-level ``*_worker`` and a
-``_Plan`` with what differs: the task arguments, a per-size builder of
-summaries, checks and raw samples, the cross-size checks and the targets.
-``ExperimentConfig`` checks every size of the grid, and the driver every
-per-size input, before any sample is drawn.
-Replicate r at size index s uses stream_id = s * 2^32 + r under the
-configured master seed; the stream id ends every task tuple.
+run; the report echoes what its kind reads of it (``KIND_FIELDS``), so a
+report re-runs from its ``config`` block.  Each ``run_*`` names its
+module-level ``*_worker`` and a ``_Plan`` with what differs: the task
+arguments, a per-size builder of summaries, checks and raw samples, the
+cross-size checks and the targets.  ``ExperimentConfig`` checks every size
+of the grid, and the driver every per-size input, before any sample is
+drawn.  Replicate r at size index s uses stream_id = s * 2^32 + r under
+the configured master seed; the stream id ends every task tuple.
 
 Every comparison is recorded as a named check carrying the rule, the
 observed value, the target and the tolerance; a report is never a bare
@@ -62,9 +62,24 @@ from .randmat import (
 )
 
 SCHEMA_VERSION = 1
-KINDS = ("clt", "cycles", "tilted", "approx", "decomposition")
-# spin vectors of the tilted law, by name
-SIGMAS = ("ones", "alternating", "random")
+# the inputs each kind's run reads besides params.n and the fields no kind
+# lists (replicates, master_seed, n_grid, threads, keep_raw): the CLI offers,
+# and the report echoes, only these
+KIND_FIELDS = {
+    "clt": ("beta", "J", "Jprime"),
+    "cycles": ("kmax", "cycle_budget"),
+    "tilted": ("beta", "kmax", "cycle_budget", "sigma"),
+    "approx": ("kmax", "cycle_budget", "centering_replicates"),
+    "decomposition": ("beta", "J", "Jprime", "m", "cycle_budget"),
+}
+KINDS = tuple(KIND_FIELDS)
+# spin vectors of the tilted law: name -> builder(n, seed)
+_SPIN_VECTORS = {
+    "ones": lambda n, seed: all_ones_spins(n),
+    "alternating": lambda n, seed: alternating_spins(n),
+    "random": random_spins,
+}
+SIGMAS = tuple(_SPIN_VECTORS)
 
 _STREAM_BLOCK = 1 << 32
 
@@ -280,11 +295,15 @@ class ExperimentReport:
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    """The config as a report echoes it, in strict JSON: the grid as a list
-    and an infinite budget as the string ``"inf"``."""
-    d = asdict(config)
+    """The config as a report echoes it, in strict JSON: only the inputs its
+    kind reads (``KIND_FIELDS``), the grid as a list and an infinite budget
+    as the string ``"inf"``."""
+    read = KIND_FIELDS[config.kind]
+    unread = {f for row in KIND_FIELDS.values() for f in row if f not in read}
+    d = {k: v for k, v in asdict(config).items() if k not in unread}
+    d["params"] = {k: v for k, v in d["params"].items() if k not in unread}
     d["n_grid"] = list(config.n_grid) if config.n_grid else None
-    if config.cycle_budget == math.inf:
+    if d.get("cycle_budget") == math.inf:
         d["cycle_budget"] = "inf"
     return d
 
@@ -745,19 +764,11 @@ def _tilted_plan(config: ExperimentConfig) -> _Plan:
     # random spins use one seed, derived from the master seed, at every size
     seed = SeedSpec(config.master_seed).derived(0x5160)
 
-    def task_args(n):
-        if config.sigma == "random":
-            sigma = random_spins(n, seed)
-        elif config.sigma == "alternating":
-            sigma = alternating_spins(n)
-        else:
-            sigma = all_ones_spins(n)
-        return (config.kmax, beta, sigma, config.cycle_budget)
-
     mean_targets = {k: (2.0 * beta) ** k for k in range(2, config.kmax + 1)}
     return _cycle_plan(
         config,
-        task_args,
+        lambda n: (config.kmax, beta, _SPIN_VECTORS[config.sigma](n, seed),
+                   config.cycle_budget),
         targets=tuple(
             TargetValue(f"mean_{k}", mean_targets[k], "(2 beta)^k")
             for k in range(2, config.kmax + 1)

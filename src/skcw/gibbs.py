@@ -66,7 +66,7 @@ _ROW_FLOOR = 1e-250
 class ModelParams:
     """Inverse temperature, couplings and system size (beta, J, J', n)."""
 
-    beta: float
+    beta: float = 0.0
     J: float = 0.0
     Jprime: float = 0.0
     n: int = 1

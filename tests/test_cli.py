@@ -2,12 +2,14 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from skcw import experiments
-from skcw.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, main
+from skcw.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, build_parser, main
 from skcw.gibbs import ModelParams
 from skcw.randmat import load_matrix_text
 
@@ -197,10 +199,13 @@ def test_report_on_failing_verdicts_exits_two(tmp_path):
         (["tilted", "--n", "20", "--beta", "nan", "--kmax", "3"], "must be finite"),
         (["clt", "--n", "8", "--beta", "inf"], "must be finite"),
         (["decomposition", "--n", "8", "--beta", "0.2", "--J", "inf"], "must be finite"),
-        (["cycles", "--n", "8", "--Jprime", "inf", "--kmax", "3"], "must be finite"),
-        # refused for every kind, also where no cycle sum is taken
-        (["clt", "--n", "8", "--beta", "0.2", "--budget", "nan"], "operation budget nan"),
-        (["clt", "--n", "8", "--beta", "0.2", "--budget", "-1"], "operation budget -1"),
+        # a kind has no flag for what it does not read
+        pytest.param(["cycles", "--n", "8", "--Jprime", "inf", "--kmax", "3"],
+                     "unrecognized arguments", id="argv24-must be finite"),
+        pytest.param(["clt", "--n", "8", "--beta", "0.2", "--budget", "nan"],
+                     "unrecognized arguments", id="argv25-operation budget nan"),
+        pytest.param(["clt", "--n", "8", "--beta", "0.2", "--budget", "-1"],
+                     "unrecognized arguments", id="argv26-operation budget -1"),
         (["cycles", "--n", "794", "--kmax", "2"], "operation budget"),
     ],
 )
@@ -278,8 +283,8 @@ def test_csv_without_out_is_usage_error(no_compute, capsys):
 ], ids=["clt", "cycles", "tilted-ones", "tilted-alternating", "tilted-random",
         "approx", "decomposition"])
 def test_every_report_reruns_from_its_config_echo(tmp_path, argv):
-    """The config block names every input: the config rebuilt from it gives
-    the same report."""
+    """The config block names every input the kind reads: the config rebuilt
+    from it gives the same report."""
     out = tmp_path / "r.json"
     argv = argv + ["--n", "8", "--n-grid", "6,8", "--reps", "5", "--seed", "4",
                    "--raw-samples", "--out", str(out)]
@@ -289,7 +294,57 @@ def test_every_report_reruns_from_its_config_echo(tmp_path, argv):
     echo = dict(written["config"])
     echo["params"] = ModelParams(**echo["params"])
     echo["n_grid"] = tuple(echo["n_grid"])
-    if echo["cycle_budget"] == "inf":
+    if echo.get("cycle_budget") == "inf":
         echo["cycle_budget"] = math.inf
     report = getattr(experiments, f"run_{argv[0]}")(experiments.ExperimentConfig(**echo))
     assert json.loads(json.dumps(report.to_dict(), allow_nan=False)) == written
+
+
+@pytest.mark.parametrize("argv", [
+    ["cycles", "--n", "12", "--kmax", "3", "--beta", "0.3"],
+    ["approx", "--n", "12", "--kmax", "4", "--J", "1"],
+    ["tilted", "--n", "12", "--beta", "0.3", "--kmax", "3", "--Jprime", "0.5"],
+    ["clt", "--n", "8", "--beta", "0.2", "--budget", "1e9"],
+    ["clt", "--n", "8", "--beta", "0.2", "--kmax", "3"],
+    ["decomposition", "--n", "8", "--beta", "0.2", "--sigma", "ones"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:-1]))
+def test_flag_the_kind_does_not_read_is_refused(no_compute, capsys, argv):
+    """An input with no effect on the run is a usage error, not an echo."""
+    assert run(argv + ["--reps", "5"]) == EXIT_USAGE
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+COMMON_CONFIG_KEYS = {"kind", "params", "replicates", "master_seed", "n_grid", "threads",
+                      "keep_raw"}
+
+
+@pytest.mark.parametrize("argv, config_keys, params_keys", [
+    (["clt", "--beta", "0.2"], set(), {"beta", "J", "Jprime"}),
+    (["cycles", "--kmax", "3"], {"kmax", "cycle_budget"}, set()),
+    (["tilted", "--beta", "0.2", "--kmax", "3"], {"kmax", "cycle_budget", "sigma"},
+     {"beta"}),
+    (["approx", "--kmax", "4"], {"kmax", "cycle_budget", "centering_replicates"}, set()),
+    (["decomposition", "--beta", "0.2", "--m", "3"], {"m", "cycle_budget"},
+     {"beta", "J", "Jprime"}),
+], ids=["clt", "cycles", "tilted", "approx", "decomposition"])
+def test_report_config_names_only_what_the_kind_reads(tmp_path, argv, config_keys,
+                                                       params_keys):
+    out = tmp_path / "r.json"
+    argv = argv + ["--n", "8", "--reps", "5", "--seed", "4", "--out", str(out)]
+    assert run(argv) in (EXIT_OK, EXIT_VERDICT)
+    config = json.loads(out.read_text())["config"]
+    assert set(config) == COMMON_CONFIG_KEYS | config_keys
+    assert set(config["params"]) == {"n"} | params_keys
+
+
+def test_readme_command_lines_parse():
+    """Every ``skcw`` line of the README's command-line block is accepted by
+    the parser, so the README names no flag the CLI lacks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("    skcw ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
