@@ -4,7 +4,7 @@ Curie-Weiss coupling in the paramagnetic regime.
 Subpackages / modules:
 
 * ``combinat``    -- exact integer combinatorics (Catalan weights, doubled
-  Chebyshev polynomials, generating-function coefficients, Wick moments).
+  Chebyshev polynomials, generating-function coefficients, walk moments).
 * ``randmat``     -- reproducible Gaussian coupling matrices and trace
   utilities.
 * ``cycles``      -- signed cycle statistics and their Chebyshev

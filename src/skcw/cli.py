@@ -25,6 +25,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import experiments, gibbs, randmat
+from .cycles import DEFAULT_CYCLE_BUDGET
 from .experiments import ExperimentConfig, ExperimentReport
 from .gibbs import ModelParams
 
@@ -33,11 +34,20 @@ EXIT_USAGE = 1
 EXIT_VERDICT = 2
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends "(default: ...)" to a flag's help only where the default is set."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is exit 1."""
 
     def __init__(self, *args, **kwargs):
-        kwargs.setdefault("formatter_class", argparse.ArgumentDefaultsHelpFormatter)
+        kwargs.setdefault("formatter_class", _HelpFormatter)
         super().__init__(*args, **kwargs)
 
     def error(self, message):
@@ -54,9 +64,10 @@ _FIELD_FLAGS = {
     "Jprime": ("--Jprime", dict(type=float, default=0.0, help="diagonal coupling")),
     "kmax": ("--kmax", dict(type=int, help="largest cycle length")),
     "m": ("--m", dict(type=int, default=4, help="cycle truncation depth")),
-    "cycle_budget": ("--budget", dict(type=float, metavar="BUDGET", help=(
-        "the operation budget (default 1e9, inf for none; NaN or negative is refused), "
-        "the only compute guard: cycle sums, which stop at k=5, cost 2*n^3 at every k"))),
+    "cycle_budget": ("--budget", dict(
+        type=float, default=DEFAULT_CYCLE_BUDGET, metavar="BUDGET", help=(
+            "the operation budget (inf for none; NaN or negative is refused), the only "
+            "compute guard: cycle sums, which stop at k=5, cost 2*n^3 at every k"))),
     "sigma": ("--sigma", dict(choices=experiments.SIGMAS, default="ones", help=(
         "spin vector defining the tilt, built at every size; random draws from a "
         "seed derived from --seed; echoed as config.sigma"))),
@@ -171,9 +182,8 @@ def _report_exit(report: ExperimentReport, args) -> int:
 
 
 def _make_config(args) -> ExperimentConfig:
-    # the fields the kind reads; an unset flag (None) leaves the config default
-    read = {f: getattr(args, f) for f in experiments.KIND_FIELDS[args.command]
-            if getattr(args, f) is not None}
+    # the fields the kind reads, each flag defaulting to the config's default
+    read = {f: getattr(args, f) for f in experiments.KIND_FIELDS[args.command]}
     params = {f: read.pop(f) for f in ("beta", "J", "Jprime") if f in read}
     return ExperimentConfig(
         kind=args.command,

@@ -14,8 +14,6 @@ quantities:
   vanishes for every k >= 2 (the even-trace cancellation identity).
 * ``inverse_binomial_matrix(k)`` -- exact inverse of the odd-power binomial
   matrix; its entries are odd-degree Chebyshev coefficients.
-* ``wick_moment(cov, index)`` -- Gaussian moments by explicit enumeration
-  of pair partitions.
 * ``walk_moment_poly(j)`` / ``walk_moments(n, jmax)`` -- the exact finite-n
   moments E Tr (A/sqrt n)^j of the hollow Gaussian ensemble, from the
   closed-walk shapes whose edges are all traversed an even number of times.
@@ -32,13 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 GEN_COEFF_MAX_M = 60
 CANCELLATION_MAX_K = 30
 CATALAN_MAX_K = 2 * CANCELLATION_MAX_K
 INVERSE_BINOMIAL_MAX_K = 30
-WICK_MAX_ORDER = 12
 # the walk shapes grow like Bell numbers: on one core j = 10 takes about
 # 20 ms, j = 12 about 0.2 s and j = 14 about 3 s
 WALK_MOMENT_MAX_J = 10
@@ -144,20 +139,12 @@ def _series_g(max_deg: int) -> list[int]:
     return g
 
 
-def _gen_coeff_closed_form(m: int, r: int) -> int:
-    """f(r + 2h, r) = r / (2h + r) * binom(2h + r, h); internal cross-check."""
-    h = (m - r) // 2
-    num = r * math.comb(2 * h + r, h)
-    assert num % (2 * h + r) == 0
-    return num // (2 * h + r)
-
-
 def gen_coeff(m: int, r: int) -> int:
     """Coefficient of z^m in g(z)^r, for 1 <= r <= m <= 60.
 
     m and r of opposite parity give 0.  Computed by truncated power-series
-    multiplication; the closed form r/(2h+r) * binom(2h+r, h) with
-    m = r + 2h is evaluated alongside as a consistency check.
+    multiplication; ``parity_identity_check`` compares the result with its
+    closed form.
     """
     if not 1 <= r <= m:
         raise ValueError(f"need 1 <= r <= m, got m={m}, r={r}")
@@ -177,13 +164,7 @@ def gen_coeff(m: int, r: int) -> int:
                 if g[b]:
                     nxt[a + b] += ca * g[b]
         prod = nxt
-    value = prod[m]
-    check = _gen_coeff_closed_form(m, r)
-    if value != check:
-        raise AssertionError(
-            f"series/closed-form disagreement for f({m},{r}): {value} vs {check}"
-        )
-    return value
+    return prod[m]
 
 
 @functools.cache
@@ -275,50 +256,6 @@ def inverse_binomial_matrix(k: int) -> LowerTriangularIntMatrix:
                     f"entry ({i},{j}) does not match the Chebyshev coefficient"
                 )
     return d
-
-
-def _check_covariance(cov: np.ndarray) -> np.ndarray:
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError("covariance must be a square matrix")
-    if not np.array_equal(cov, cov.T):
-        raise ValueError("covariance must be stored exactly symmetric")
-    if np.any(np.diag(cov) < 0):
-        raise ValueError("covariance diagonal entries must be nonnegative")
-    return cov
-
-
-def wick_moment(cov, index: Sequence[int]) -> float:
-    """Gaussian moment E[X_{index[0]} ... X_{index[m-1]}] by pair enumeration.
-
-    Zero for odd m.  For even m, sums the product of covariances over all
-    (m-1)!! perfect pairings, pairing the first unpaired variable with each
-    later one recursively.
-    """
-    cov = _check_covariance(cov)
-    idx = [int(i) for i in index]
-    if any(i < 0 or i >= cov.shape[0] for i in idx):
-        raise ValueError("index refers to a variable outside the covariance")
-    m = len(idx)
-    if m > WICK_MAX_ORDER:
-        raise ValueError(f"moment order {m} exceeds the enumeration budget {WICK_MAX_ORDER}")
-    if m % 2 == 1:
-        return 0.0
-    if m == 0:
-        return 1.0
-
-    def pairings(rest: list[int]) -> float:
-        if not rest:
-            return 1.0
-        first, tail = rest[0], rest[1:]
-        total = 0.0
-        for pos in range(len(tail)):
-            c = cov[first, tail[pos]]
-            if c != 0.0:
-                total += c * pairings(tail[:pos] + tail[pos + 1 :])
-        return total
-
-    return pairings(idx)
 
 
 @functools.cache

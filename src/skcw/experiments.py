@@ -873,7 +873,7 @@ def _decomposition_worker(task) -> tuple[float, float]:
     n, params, m, budget, master, stream = task
     a = sample_gaussian_matrix(n, SeedSpec(master, stream))
     log_z = exact_log_partition(a, params)
-    resid = decomposition_residual(a, params, m, log_z=log_z, cycle_budget=budget)
+    resid = decomposition_residual(a, params, m, log_z, cycle_budget=budget)
     return resid, log_z - n * params.beta**2
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skcw import experiments
+from skcw import combinat, experiments
 from skcw.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, build_parser, main
 from skcw.gibbs import ModelParams
 from skcw.randmat import load_matrix_text
@@ -39,6 +39,35 @@ def test_identities_exits_zero(tmp_path):
     data = json.loads(out.read_text(), parse_constant=refuse_constant)
     assert data["passed"] is True
     assert data["schema_version"] == 1
+
+
+def test_a_false_identity_is_a_failed_check_not_a_crash(tmp_path, monkeypatch):
+    """The kernels do not check themselves: the suite reports the fault."""
+    series_g = combinat._series_g
+
+    def off_by_one(max_deg):
+        g = series_g(max_deg)
+        if max_deg >= 7:
+            g[7] += 1  # the z^7 coefficient of g is Catalan(3) = 5
+        return g
+
+    monkeypatch.setattr(combinat, "_series_g", off_by_one)
+    report = experiments.run_identities()
+    assert not report.passed
+    assert {c.name for c in report.checks if not c.passed} == {"parity_identity"}
+    out = tmp_path / "ident.json"
+    assert run(["identities", "--out", str(out)]) == EXIT_VERDICT
+    data = json.loads(out.read_text(), parse_constant=refuse_constant)
+    assert data["passed"] is False
+
+
+@pytest.mark.parametrize("kind", experiments.KINDS)
+def test_help_shows_each_flags_real_default(capsys, kind):
+    assert run([kind, "--help"]) == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default: None)" not in text
+    if "cycle_budget" in experiments.KIND_FIELDS[kind]:
+        assert "(default: 1000000000.0)" in text
 
 
 def test_clt_small_run_and_report_round_trip(tmp_path, capsys):

@@ -6,7 +6,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,41 +213,6 @@ def test_inverse_binomial_validation():
         combinat.inverse_binomial_matrix(0)
     with pytest.raises(OverflowError):
         combinat.inverse_binomial_matrix(combinat.INVERSE_BINOMIAL_MAX_K + 1)
-
-
-# --- Wick moments -------------------------------------------------------------------
-
-
-def test_wick_hand_values():
-    ident = np.eye(1)
-    assert combinat.wick_moment(ident, (0, 0, 0, 0)) == 3.0
-    assert combinat.wick_moment(ident, (0, 0, 0)) == 0.0
-    assert combinat.wick_moment(ident, ()) == 1.0
-    cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-    assert combinat.wick_moment(cov, (0, 0, 1, 1)) == pytest.approx(1.5, abs=1e-15)
-    # three variables, E[X1 X2 X3 X3] = (12)(33) + 2*(13)(23)
-    cov3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
-    assert combinat.wick_moment(cov3, (0, 1, 2, 2)) == pytest.approx(
-        0.5 * 1.0 + 2 * 0.2 * 0.3, abs=1e-15
-    )
-
-
-@given(st.integers(min_value=1, max_value=6))
-def test_wick_double_factorial(h):
-    value = combinat.wick_moment(np.eye(3), (1,) * (2 * h))
-    expect = math.prod(range(2 * h - 1, 0, -2))
-    assert value == float(expect)
-
-
-def test_wick_validation():
-    with pytest.raises(ValueError):
-        combinat.wick_moment(np.array([[1.0, 0.2], [0.3, 1.0]]), (0, 1))
-    with pytest.raises(ValueError):
-        combinat.wick_moment(np.array([[-1.0]]), (0, 0))
-    with pytest.raises(ValueError):
-        combinat.wick_moment(np.eye(2), (0, 2))
-    with pytest.raises(ValueError):
-        combinat.wick_moment(np.eye(1), (0,) * 14)
 
 
 # --- IntPoly type ----------------------------------------------------------------
