@@ -246,8 +246,6 @@ def chebyshev_lss(a_hollow: np.ndarray, k: int) -> float:
     n = a_hollow.shape[0]
     if np.any(np.diag(a_hollow) != 0.0):
         raise ValueError("matrix must have an exactly zero diagonal")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
     traces = power_traces(a_hollow / np.sqrt(n), k)
     return chebyshev_trace(traces, n, k)
 

@@ -16,11 +16,11 @@ observed value, the target and the tolerance; a report is never a bare
 pass/fail.
 
 The limit theorems hold as n -> infinity and come with no usable rate
-constants, so the finite-n tolerances are artifact decisions: mean checks
-use max(absolute floor, 3 standard errors), variance checks use relative
-bands, and grid runs additionally require the error trend across the
-sizes (non-increasing up to one standard error of the difference for
-means, decreasing point estimates for residual variances).
+constants, so the finite-n tolerances are artifact decisions: a sample with
+a normal limit law gets the mean, variance and KS checks of
+``_normal_law_checks``, and grid runs additionally require the error trend
+across the sizes (non-increasing up to one standard error of the
+difference for means, decreasing point estimates for residual variances).
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .cycles import (
     exact_centering,
 )
 from .gibbs import (
-    ENUMERATION_MAX_N,
     ModelParams,
+    check_enumeration,
     clt_targets,
     decomposition_residual,
     exact_log_partition,
@@ -125,8 +125,8 @@ class ExperimentConfig:
         """Reject a configuration that would fail partway through its run.
 
         Every size of the grid is checked here, before any replicate is
-        computed.  The hard bounds come first (sizes, regime, enumeration
-        bound, kmax or m range, centering count), then
+        computed.  The hard bounds come first (sizes, regime,
+        ``check_enumeration``, kmax or m range, centering count), then
         ``check_cycle_budget``, the one compute guard: its closed-form bound
         on kmax or m, then the operation budget at the largest size.
         """
@@ -135,10 +135,7 @@ class ExperimentConfig:
             raise ValueError(f"sizes must be positive, got n={smallest}")
         if self.kind in ("clt", "decomposition"):
             self.params.require_paramagnetic()
-            if largest > ENUMERATION_MAX_N:
-                raise ValueError(
-                    f"n={largest} exceeds the enumeration bound {ENUMERATION_MAX_N}"
-                )
+            check_enumeration(largest)
         if self.kind == "clt":
             return
         name = "m" if self.kind == "decomposition" else "kmax"
@@ -390,6 +387,37 @@ def _check_pvalue(name, rule, p, floor, statistic) -> Check:
     )
 
 
+def _normal_law_checks(
+    name: str, subject: str, xs: np.ndarray, summ: SampleSummary,
+    mean: float, variance: float, mean_floor: float, var_rel: float,
+) -> list[Check]:
+    """Sample ``xs`` (summarized by ``summ``) against its limit law N(mean,
+    variance): the mean within max(mean_floor, 3 SE), the variance within the
+    relative band var_rel and, from 20 samples on, the KS p-value above 0.001."""
+    checks = [
+        _check_abs(
+            f"{name}_mean",
+            f"mean of {subject} within max({mean_floor:g}, 3*SE) of {mean:g}",
+            summ.mean, mean, max(mean_floor, 3.0 * summ.stderr),
+        ),
+        _check_rel_band(
+            f"{name}_variance",
+            f"variance of {subject} within {100 * var_rel:g}% of {variance:g}",
+            summ.variance, variance, var_rel,
+        ),
+    ]
+    if xs.size >= 20:
+        stat, p = ks_test(xs, mean, variance)
+        checks.append(
+            _check_pvalue(
+                f"{name}_ks",
+                f"KS p-value of {subject} vs Normal({mean:g}, {variance:g}) above 0.001",
+                p, 0.001, stat,
+            )
+        )
+    return checks
+
+
 def _trend_check_mean_error(
     name: str, errs: list[float], ses: list[float], sizes: Sequence[int]
 ) -> Check:
@@ -579,27 +607,9 @@ def _clt_plan(config: ExperimentConfig) -> _Plan:
                 )
             ]
         else:
-            checks = [
-                _check_abs(
-                    "clt_mean",
-                    "sample mean of n(F_n - beta^2) within max(0.03, 3*SE) of f1",
-                    summ.mean, t.mean, max(0.03, 3.0 * summ.stderr),
-                ),
-                _check_rel_band(
-                    "clt_variance",
-                    "sample variance within 20% of alpha1",
-                    summ.variance, t.variance, 0.20,
-                ),
-            ]
-            if xs.size >= 20:
-                stat, p = ks_test(xs, t.mean, t.variance)
-                checks.append(
-                    _check_pvalue(
-                        "clt_ks",
-                        "KS p-value vs Normal(f1, alpha1) above 0.001",
-                        p, 0.001, stat,
-                    )
-                )
+            checks = _normal_law_checks(
+                "clt", "n(F_n - beta^2)", xs, summ, t.mean, t.variance, 0.03, 0.20
+            )
         return {"n_fluct": summ}, checks, {"n_fluct": xs}
 
     def cross_checks(results):
@@ -660,40 +670,12 @@ def _cycle_statistics_checks(
     summaries = {}
     checks: list[Check] = []
     for k in range(1, kmax + 1):
-        name = f"cycle_{k}" + ("_centered" if k == 2 else "")
         summ = SampleSummary.from_samples(centered[:, k - 1])
-        summaries[name] = summ
-        var_target = _cycle_variance(k)
-        checks.append(
-            _check_rel_band(
-                f"cycle_{k}_variance",
-                f"Var(C_{{n,{k}}}) within {100 * var_rel:g}% of {var_target:g}",
-                summ.variance, var_target, var_rel,
-            )
+        summaries[f"cycle_{k}" + ("_centered" if k == 2 else "")] = summ
+        checks += _normal_law_checks(
+            f"cycle_{k}", f"centered C_{{n,{k}}}", centered[:, k - 1], summ,
+            mean_targets.get(k, 0.0), _cycle_variance(k), mean_floor, var_rel,
         )
-        mean_target = mean_targets.get(k, 0.0)
-        tol = max(mean_floor, 3.0 * summ.stderr)
-        checks.append(
-            _check_abs(
-                f"cycle_{k}_mean",
-                f"mean of centered C_{{n,{k}}} within max({mean_floor:g}, 3*SE) "
-                f"of {mean_target:g}",
-                summ.mean, mean_target, tol,
-            )
-        )
-        if reps >= 20:
-            stat, p = ks_test(
-                (centered[:, k - 1] - mean_target) / math.sqrt(var_target),
-                0.0, 1.0,
-            )
-            checks.append(
-                _check_pvalue(
-                    f"cycle_{k}_ks",
-                    f"KS p-value of (C_{{n,{k}}} - target)/sqrt({var_target:g}) vs "
-                    "N(0,1) above 0.001",
-                    p, 0.001, stat,
-                )
-            )
     # pairwise covariance and correlation with the diagonal statistic
     corr_tol = 3.0 / math.sqrt(reps)
     for k1 in range(1, kmax + 1):
@@ -928,8 +910,11 @@ def run_decomposition(config: ExperimentConfig) -> ExperimentReport:
     return _drive(config, "decomposition", _decomposition_worker, _decomposition_plan)
 
 
-def run_identities(max_k: int = 30) -> ExperimentReport:
-    """Exact integer identity suite; every check must hold with tolerance 0."""
+def run_identities(max_k: int = combinat.CANCELLATION_MAX_K) -> ExperimentReport:
+    """Exact integer identity suite; every check must hold with tolerance 0.
+    A max_k outside 2..``CANCELLATION_MAX_K`` is refused before any check."""
+    if not 2 <= max_k <= combinat.CANCELLATION_MAX_K:
+        raise ValueError(f"need 2 <= max_k <= {combinat.CANCELLATION_MAX_K}, got {max_k}")
     bad = [k for k in range(2, max_k + 1) if combinat.cancellation_sum(k) != 0]
     bad_pairs = [
         (m, r)

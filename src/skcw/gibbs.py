@@ -17,8 +17,8 @@ and log Z_n decomposes into signed cycles: the residual returned by
 ``decomposition_residual`` tends to zero in probability.
 
 Exact log partition functions are available for n up to the fixed
-enumeration bound ``ENUMERATION_MAX_N`` = 28 via three interchangeable
-methods:
+enumeration bound ``ENUMERATION_MAX_N`` = 28, which ``check_enumeration``
+guards for every caller, via three interchangeable methods:
 
 * ``split`` (default) -- factored three-block enumeration.  Spin 0 is
   pinned by the global flip symmetry and the other n-1 spins form blocks
@@ -235,13 +235,19 @@ def _log_partition_naive(m: np.ndarray, beta: float) -> float:
     return top + math.log(np.exp(energies - top).sum()) - n * math.log(2.0)
 
 
+def check_enumeration(n: int) -> None:
+    """The one guard of exact log Z: refuse n beyond ``ENUMERATION_MAX_N``."""
+    if n > ENUMERATION_MAX_N:
+        raise ValueError(f"n={n} exceeds the enumeration bound {ENUMERATION_MAX_N}")
+
+
 def exact_log_partition(a: np.ndarray, params: ModelParams, method: str = "split") -> float:
     """log Z_n(beta) by exhaustive enumeration of the hypercube.
 
-    Refuses n beyond ``ENUMERATION_MAX_N`` rather than subsampling.
+    Refuses n beyond ``ENUMERATION_MAX_N`` (``check_enumeration``) rather
+    than subsampling.
     """
-    if params.n > ENUMERATION_MAX_N:
-        raise ValueError(f"n={params.n} exceeds the enumeration bound {ENUMERATION_MAX_N}")
+    check_enumeration(params.n)
     m = interaction_matrix(a, params)
     if not np.all(np.isfinite(m)):
         raise ValueError("non-finite interaction matrix")
@@ -256,10 +262,6 @@ def exact_log_partition(a: np.ndarray, params: ModelParams, method: str = "split
             raise ValueError("the naive method materializes 2^n states; n <= 22 only")
         return _log_partition_naive(m, params.beta)
     raise ValueError(f"unknown method {method!r}")
-
-
-def free_energy(a: np.ndarray, params: ModelParams) -> float:
-    return exact_log_partition(a, params) / params.n
 
 
 def curie_weiss_tau(n: int, beta_j: float) -> float:
@@ -337,8 +339,6 @@ def decomposition_residual(
     (``exact_log_partition``).  The cycles come from ``cycle_series``, so
     1 <= m <= 5.
     """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
     n = params.n
     beta = params.beta
     series = cycle_series(a, m, budget=cycle_budget)

@@ -167,8 +167,6 @@ def sample_tilted_matrix(
     strict upper triangle and mirrored.  The diagonal is standard normal,
     untouched by the tilt.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     sigma = check_spins(sigma)

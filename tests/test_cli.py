@@ -61,6 +61,19 @@ def test_a_false_identity_is_a_failed_check_not_a_crash(tmp_path, monkeypatch):
     assert data["passed"] is False
 
 
+@pytest.mark.parametrize("max_k", ["-5", "1", "31"])
+def test_identities_refuses_max_k_outside_the_cancellation_range(max_k, monkeypatch, capsys):
+    """A range with no k to check is a usage error, not a vacuous pass."""
+
+    def refuse(*args):
+        raise AssertionError("computed before max_k was refused")
+
+    monkeypatch.setattr(combinat, "cancellation_sum", refuse)
+    monkeypatch.setattr(combinat, "parity_identity_check", refuse)
+    assert run(["identities", "--max-k", max_k]) == EXIT_USAGE
+    assert "need 2 <= max_k <= 30" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", experiments.KINDS)
 def test_help_shows_each_flags_real_default(capsys, kind):
     assert run([kind, "--help"]) == EXIT_OK

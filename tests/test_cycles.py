@@ -354,6 +354,8 @@ def test_depth_first_terms_are_charged_their_cost(monkeypatch):
 def test_lss_requires_hollow():
     with pytest.raises(ValueError):
         chebyshev_lss(np.eye(3), 2)
+    with pytest.raises(ValueError, match="kmax must be positive"):
+        chebyshev_lss(sample_gaussian_matrix(5, SeedSpec(3, 0), hollow=True), 0)
 
 
 def test_lss_centering_odd_is_exactly_zero():

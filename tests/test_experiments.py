@@ -198,6 +198,70 @@ def test_every_kind_round_trips_through_strict_json(kind):
     assert back == report
 
 
+def _law(name):
+    return [f"{name}_mean", f"{name}_variance", f"{name}_ks"]
+
+
+_CYCLE_CHECKS = [
+    *_law("cycle_1"), *_law("cycle_2"), *_law("cycle_3"), *_law("cycle_4"),
+    "corr_1_2", "corr_1_3", "corr_1_4", "cov_2_3", "cov_2_4", "cov_3_4",
+]
+
+
+@pytest.mark.parametrize("kind, extra, per_size, cross", [
+    ("clt", {}, {6: _law("clt"), 8: _law("clt")}, ["clt_mean_trend"]),
+    ("cycles", {"kmax": 4}, {6: _CYCLE_CHECKS, 8: _CYCLE_CHECKS}, []),
+    ("tilted", {"kmax": 4}, {6: _CYCLE_CHECKS, 8: _CYCLE_CHECKS}, []),
+    ("approx", {"kmax": 5},
+     {6: ["residual_3_exact", "residual_4_mean", "residual_5_mean"],
+      8: ["residual_3_exact", "residual_4_mean", "residual_4_variance_ratio",
+          "residual_5_mean", "residual_5_variance_ratio"]},
+     ["residual_4_variance_trend", "residual_5_variance_trend"]),
+    ("decomposition", {"m": 3},
+     {6: ["residual_variance_below_fluctuation"],
+      8: ["residual_variance_below_fluctuation"]},
+     ["residual_variance_trend"]),
+])
+def test_check_names_of_every_kind(kind, extra, per_size, cross):
+    """The full set of check names, in report order, at each size and across
+    sizes: the acceptance suite reads several of them by name."""
+    cfg = ex.ExperimentConfig(
+        kind=kind, params=ModelParams(beta=0.2, n=8), replicates=20, master_seed=4,
+        n_grid=(6, 8), **extra,
+    )
+    report = getattr(ex, f"run_{kind}")(cfg)
+    assert {r.n: [c.name for c in r.checks] for r in report.results} == per_size
+    assert [c.name for c in report.checks] == cross
+
+
+@pytest.mark.parametrize("kind", ["clt", "cycles"])
+def test_ks_checks_recompute_from_raw_samples(kind):
+    """Each KS check of a report is ``ks_test`` of its raw samples against the
+    report's targets, to the bit."""
+    n = 8
+    cfg = ex.ExperimentConfig(
+        kind=kind, params=ModelParams(beta=0.2, n=n), replicates=25, master_seed=9,
+        kmax=3, keep_raw=True,
+    )
+    report = getattr(ex, f"run_{kind}")(cfg)
+    raw = report.raw_samples[str(n)]
+    targets = {t.name: t.value for t in report.targets}
+    if kind == "clt":
+        laws = {"clt": (raw["n_fluct"], targets["mean"], targets["variance"])}
+    else:
+        laws = {
+            f"cycle_{k}": (
+                np.array(raw[f"cycle_{k}"]) - (n - 1 if k == 2 else 0),
+                0.0, targets[f"variance_{k}"],
+            )
+            for k in (1, 2, 3)
+        }
+    for name, (xs, mean, variance) in laws.items():
+        stat, p = ex.ks_test(xs, mean, variance)
+        check = report.find_check(f"{name}_ks", n=n)
+        assert (check.observed, check.statistic) == (p, stat)
+
+
 def test_report_lookup_helpers():
     cfg = ex.ExperimentConfig(kind="clt", params=PARAMS, replicates=40, master_seed=7)
     report = ex.run_clt(cfg)

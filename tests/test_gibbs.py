@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from skcw import gibbs
 from skcw.gibbs import (
     ModelParams,
+    check_enumeration,
     clt_targets,
     curie_weiss_tau,
     decomposition_residual,
     exact_log_partition,
-    free_energy,
     hamiltonian,
     interaction_matrix,
     rn_log_ratio,
@@ -219,15 +219,10 @@ def test_log_partition_convexity_in_beta():
         assert mid <= (vals[i] + vals[i + 2]) / 2 + 1e-12
 
 
-def test_free_energy_scaling():
-    a = sample_gaussian_matrix(11, SeedSpec(40, 0))
-    p = ModelParams(beta=0.2, J=0.4, Jprime=0.0, n=11)
-    assert 11 * free_energy(a, p) == pytest.approx(
-        exact_log_partition(a, p), rel=1e-14
-    )
-
-
 def test_enumeration_bound():
+    check_enumeration(28)
+    with pytest.raises(ValueError, match="n=29 exceeds the enumeration bound 28"):
+        check_enumeration(29)
     a = np.zeros((29, 29))
     with pytest.raises(ValueError):
         exact_log_partition(a, ModelParams(beta=0.1, n=29))
@@ -395,6 +390,13 @@ def test_decomposition_residual_zero_beta():
     assert decomposition_residual(a, p, 4, exact_log_partition(a, p)) == pytest.approx(
         0.0, abs=1e-13
     )
+
+
+def test_decomposition_residual_refuses_m_below_one():
+    a = sample_gaussian_matrix(6, SeedSpec(45, 1))
+    p = ModelParams(beta=0.2, n=6)
+    with pytest.raises(ValueError, match="need 1 <= kmax <= n"):
+        decomposition_residual(a, p, 0, exact_log_partition(a, p))
 
 
 def test_decomposition_residual_is_small():

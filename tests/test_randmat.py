@@ -109,6 +109,8 @@ def test_tilted_validation():
         sample_tilted_matrix(4, np.ones(4), -0.5, SEED)
     with pytest.raises(ValueError):
         sample_tilted_matrix(4, np.array([1.0, 0.0, 1.0, -1.0]), 0.2, SEED)
+    with pytest.raises(ValueError, match="n must be positive"):
+        sample_tilted_matrix(0, np.ones(0), 0.2, SEED)
 
 
 def test_power_traces_hand_values():
