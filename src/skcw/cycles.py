@@ -24,7 +24,10 @@ hollow matrix.  With G = A A and d = diag G:
     S_5 = <G A, G> - 5 d.diag(G A) + 5 <A o A o A, G>
 
 so k <= 2 takes no matrix product, k <= 4 one and k = 5 two.
-``check_cycle_budget`` is the one compute guard of every series.
+``check_cycle_budget`` is the one compute guard of every series.  A stack
+of matrices (B, n, n) takes stacked products and per-matrix sums along the
+same axes as one matrix, so each of its series is bit for bit the series
+of its matrix alone.
 
 A depth-first enumeration with a visited mask and prefix products is the
 reference, reached only as ``signed_cycle_bruteforce(..., method="dfs")``
@@ -69,11 +72,11 @@ CLOSED_FORM_KMAX = 5
 DFS_TERM_COST = 100
 
 
-def signed_cycle_c1(a: np.ndarray) -> float:
-    """n^(-1/2) times the trace of A."""
+def signed_cycle_c1(a: np.ndarray):
+    """n^(-1/2) times the trace of A: a float, or an array for a stack."""
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    return float(np.trace(a) / np.sqrt(n))
+    c1 = np.trace(a, axis1=-2, axis2=-1) / np.sqrt(a.shape[-1])
+    return c1 if a.ndim == 3 else float(c1)
 
 
 def signed_cycle_bruteforce(
@@ -128,29 +131,41 @@ def _require_budget(what: str, cost: float, budget: float) -> None:
 
 
 def _walk_sums(at: np.ndarray, kmax: int) -> tuple[list, list]:
-    """The walk-product core of the hollow matrix ``at``, 1 <= kmax <= 5.
+    """The walk-product core of the hollow matrix ``at``, or of each matrix
+    of a stack (B, n, n), 1 <= kmax <= 5.
 
     Returns the distinct-tuple cycle sums [S_2, ..., S_kmax] from the
     closed forms of the module docstring and the walk traces
     [Tr A, ..., Tr A^kmax], Tr A^j = <A^(j//2), A^(j-j//2)>, from the
-    powers A .. A^ceil(kmax/2).
+    powers A .. A^ceil(kmax/2); each entry has the shape of ``at`` without
+    its last two axes.  Every sum runs over the last axes of one
+    contiguous array, in the order of one matrix's sum, so a stack's
+    values are bit for bit those of its matrices alone.
     """
     powers = matrix_powers(at, (kmax + 1) // 2)
     # elementwise sums instead of BLAS dots: the value must not depend on
     # how a multi-threaded BLAS splits the work
     sq = at * at
-    walks = [0.0, np.sum(sq)]
+    walks = [np.zeros(at.shape[:-2]), _entry_sum(sq)]
     for j in range(3, kmax + 1):
-        walks.append(np.sum(powers[j // 2 - 1] * powers[(j + 1) // 2 - 1]))
+        walks.append(_entry_sum(powers[j // 2 - 1] * powers[(j + 1) // 2 - 1]))
     sums = walks[1:min(kmax, 3)]
     if kmax >= 4:
         g = powers[1]
-        d = np.diag(g)
-        sums.append(walks[3] - 2.0 * np.sum(d * d) + np.sum(sq * sq))
+        d = np.diagonal(g, axis1=-2, axis2=-1)
+        sums.append(walks[3] - 2.0 * np.sum(d * d, axis=-1) + _entry_sum(sq * sq))
     if kmax >= 5:
         ga = powers[2]
-        sums.append(walks[4] - 5.0 * np.sum(d * np.diag(ga)) + 5.0 * np.sum(sq * at * g))
-    return [float(v) for v in sums], [float(v) for v in walks[:kmax]]
+        diag_ga = np.diagonal(ga, axis1=-2, axis2=-1)
+        sums.append(
+            walks[4] - 5.0 * np.sum(d * diag_ga, axis=-1) + 5.0 * _entry_sum(sq * at * g)
+        )
+    return sums, walks[:kmax]
+
+
+def _entry_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of the entries of each matrix of ``x`` (over its last two axes)."""
+    return np.sum(x, axis=(-2, -1))
 
 
 def _dfs_cycle_sum(at: np.ndarray, k: int) -> float:
@@ -214,29 +229,34 @@ class CycleSeries:
         return v
 
 
-def cycle_series(
-    a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET
-) -> CycleSeries:
+def cycle_series(a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET):
     """C_{n,1..kmax} and Tr (A_hollow / sqrt n)^1..kmax in one pass, for
     1 <= kmax <= min(n, ``CLOSED_FORM_KMAX``), sharing the matrix products
     across k.  ``check_cycle_budget`` refuses a larger kmax or a series
     beyond the budget before any product is taken.
+
+    One matrix gives one ``CycleSeries``; a stack (B, n, n) gives a list of
+    B, from stacked products and sums, each bit for bit the series of its
+    matrix alone.  The budget prices one matrix: the caller bounds the
+    stack.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    n = a.shape[-1]
+    if a.ndim not in (2, 3) or a.shape[-2] != n:
         raise ValueError("matrix must be square")
     if not 1 <= kmax <= n:
         raise ValueError(f"need 1 <= kmax <= n, got kmax={kmax}, n={n}")
     check_cycle_budget(n, kmax, budget)
-    sums, walks = _walk_sums(hollowed(a), kmax)
-    values = [signed_cycle_c1(a)]
+    stack = a if a.ndim == 3 else a[None]
+    sums, walks = _walk_sums(hollowed(stack), kmax)
+    values = [signed_cycle_c1(stack)]
     values += [s_k / n ** (k / 2.0) for k, s_k in enumerate(sums, start=2)]
-    return CycleSeries(
-        n=n,
-        values=tuple(values),
-        traces=tuple(t / n ** (j / 2.0) for j, t in enumerate(walks, start=1)),
-    )
+    traces = [t / n ** (j / 2.0) for j, t in enumerate(walks, start=1)]
+    series = [
+        CycleSeries(n=n, values=tuple(v), traces=tuple(t))
+        for v, t in zip(np.transpose(values).tolist(), np.transpose(traces).tolist())
+    ]
+    return series if a.ndim == 3 else series[0]
 
 
 def chebyshev_lss(a_hollow: np.ndarray, k: int) -> float:

@@ -9,7 +9,11 @@ arguments, a per-size builder of summaries, checks and raw samples, the
 cross-size checks and the targets.  ``ExperimentConfig`` checks every size
 of the grid, and the driver every per-size input, before any sample is
 drawn.  Replicate r at size index s uses stream_id = s * 2^32 + r under
-the configured master seed; the stream id ends every task tuple.
+the configured master seed; the stream id ends every task tuple.  A
+worker call takes a stack, a list of consecutive same-size tasks of at
+most ``STACK_ELEMENTS`` matrix entries, and computes its matrices as one
+(B, n, n) array; every value is bit for bit what the replicate alone
+gives, so the stacking moves no report.
 
 Every comparison is recorded as a named check carrying the rule, the
 observed value, the target and the tolerance; a report is never a bare
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import itertools
 import math
 import multiprocessing
 import os
@@ -82,6 +87,10 @@ _SPIN_VECTORS = {
 SIGMAS = tuple(_SPIN_VECTORS)
 
 _STREAM_BLOCK = 1 << 32
+# at most this many matrix entries (B * n^2) in one stack of replicates:
+# 113 matrices at n = 12, 40 at n = 20, and one from n = 91 on, where a
+# stacked product runs slower than one matrix at a time
+STACK_ELEMENTS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +486,28 @@ def _keep_freed_memory() -> None:
         mallopt(-3, 1 << 25)  # M_MMAP_THRESHOLD: its largest value, 32 MiB
 
 
+def _stacks(tasks: list) -> list[list]:
+    """The task tuples, in order, cut into lists of consecutive same-size
+    tasks, at most ``max(1, STACK_ELEMENTS // n^2)`` to a list."""
+    stacks = []
+    for n, same_size in itertools.groupby(tasks, key=lambda task: task[0]):
+        same_size = list(same_size)
+        length = max(1, STACK_ELEMENTS // n**2)
+        stacks += [same_size[i:i + length] for i in range(0, len(same_size), length)]
+    return stacks
+
+
 def _map_replicates(worker: Callable, tasks: list, pool, workers: int) -> list:
+    """One output per task, in task order: the worker runs once per stack
+    (a list, so a tracer reads no stream id from it) and returns the
+    outputs of the stack's tasks."""
+    stacks = _stacks(tasks)
     if pool is None:
-        return [worker(t) for t in tasks]
-    chunk = max(1, len(tasks) // (8 * workers))
-    return list(pool.map(worker, tasks, chunksize=chunk))
+        outputs = map(worker, stacks)
+    else:
+        chunk = max(1, len(stacks) // (8 * workers))
+        outputs = pool.map(worker, stacks, chunksize=chunk)
+    return [output for stack in outputs for output in stack]
 
 
 @dataclass(frozen=True)
@@ -516,8 +542,9 @@ def _drive(
     module-level name at call time: the pool pickles it by that name, and a
     wrapper installed under the name (the perfbench tracer) is what runs.
 
-    The tasks of every size, in grid order, go through one map of a pool of
-    at most ``threads`` workers, never more than replicates or usable cores.
+    The tasks of every size, in grid order and cut into stacks
+    (``_stacks``), go through one map of a pool of at most ``threads``
+    workers, never more than replicates or usable cores.
     The pool is opened after every per-size input is checked and shut down
     before this returns, so the run's resource usage covers its workers.
     The whole run holds this process at one OpenBLAS thread: forked workers
@@ -535,6 +562,10 @@ def _drive(
     ]
     workers = min(config.threads, config.replicates, _usable_cores())
     if workers > 1:
+        # numpy imports numpy.random on first use; imported here, before the
+        # fork, the workers inherit it instead of each paying 14-18 ms
+        import numpy.random  # noqa: F401
+
         # fork, whatever the platform default: the workers must inherit the
         # one-thread BLAS count and any wrapper installed under the worker's
         # module-level name
@@ -576,10 +607,16 @@ def _drive(
 # clt: free-energy fluctuations
 
 
-def _clt_worker(task) -> float:
-    n, params, master, stream = task
-    a = sample_gaussian_matrix(n, SeedSpec(master, stream))
-    return exact_log_partition(a, params) - n * params.beta**2
+def _stack_seeds(tasks: list) -> list[SeedSpec]:
+    """The seed of each task of a stack: (master_seed, stream_id) end every
+    task tuple."""
+    return [SeedSpec(task[-2], task[-1]) for task in tasks]
+
+
+def _clt_worker(tasks: list) -> list[float]:
+    n, params = tasks[0][:2]
+    a = sample_gaussian_matrix(n, _stack_seeds(tasks))
+    return (exact_log_partition(a, params) - n * params.beta**2).tolist()
 
 
 def _clt_plan(config: ExperimentConfig) -> _Plan:
@@ -637,16 +674,16 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
 # cycles and tilted: signed-cycle laws
 
 
-def _cycles_worker(task) -> list[float]:
-    n, kmax, budget, master, stream = task
-    a = sample_gaussian_matrix(n, SeedSpec(master, stream))
-    return list(cycle_series(a, kmax, budget=budget).values)
+def _cycles_worker(tasks: list) -> list[list[float]]:
+    n, kmax, budget = tasks[0][:3]
+    a = sample_gaussian_matrix(n, _stack_seeds(tasks))
+    return [list(series.values) for series in cycle_series(a, kmax, budget=budget)]
 
 
-def _tilted_worker(task) -> list[float]:
-    n, kmax, beta, sigma, budget, master, stream = task
-    a = sample_tilted_matrix(n, sigma, beta, SeedSpec(master, stream))
-    return list(cycle_series(a, kmax, budget=budget).values)
+def _tilted_worker(tasks: list) -> list[list[float]]:
+    n, kmax, beta, sigma, budget = tasks[0][:5]
+    a = sample_tilted_matrix(n, sigma, beta, _stack_seeds(tasks))
+    return [list(series.values) for series in cycle_series(a, kmax, budget=budget)]
 
 
 def _cycle_variance(k: int) -> float:
@@ -770,14 +807,16 @@ def run_tilted(config: ExperimentConfig) -> ExperimentReport:
 # approx: cycles against Chebyshev spectral statistics
 
 
-def _approx_worker(task) -> tuple[list[float], list[float]]:
+def _approx_worker(tasks: list) -> list[tuple[list[float], list[float]]]:
     """Per replicate: (C_{n,k} for k=3..kmax, Tr P_k(A/sqrt n) for k=3..kmax),
     both from one set of matrix products."""
-    n, kmax, budget, master, stream = task
-    a = sample_gaussian_matrix(n, SeedSpec(master, stream), hollow=True)
-    series = cycle_series(a, kmax, budget=budget)
+    n, kmax, budget = tasks[0][:3]
+    a = sample_gaussian_matrix(n, _stack_seeds(tasks), hollow=True)
     ks = range(3, kmax + 1)
-    return [series.value(k) for k in ks], [chebyshev_trace(series.traces, n, k) for k in ks]
+    return [
+        ([series.value(k) for k in ks], [chebyshev_trace(series.traces, n, k) for k in ks])
+        for series in cycle_series(a, kmax, budget=budget)
+    ]
 
 
 def _approx_plan(config: ExperimentConfig) -> _Plan:
@@ -851,12 +890,12 @@ def run_approx(config: ExperimentConfig) -> ExperimentReport:
 # decomposition: log Z against its signed-cycle expansion
 
 
-def _decomposition_worker(task) -> tuple[float, float]:
-    n, params, m, budget, master, stream = task
-    a = sample_gaussian_matrix(n, SeedSpec(master, stream))
+def _decomposition_worker(tasks: list) -> list[tuple[float, float]]:
+    n, params, m, budget = tasks[0][:4]
+    a = sample_gaussian_matrix(n, _stack_seeds(tasks))
     log_z = exact_log_partition(a, params)
     resid = decomposition_residual(a, params, m, log_z, cycle_budget=budget)
-    return resid, log_z - n * params.beta**2
+    return list(zip(resid.tolist(), (log_z - n * params.beta**2).tolist()))
 
 
 def _decomposition_plan(config: ExperimentConfig) -> _Plan:

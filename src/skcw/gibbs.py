@@ -31,7 +31,9 @@ guards for every caller, via three interchangeable methods:
   3 * 2^(2(n-1)/3) exponentials and one 2^(n-1) multiply-add GEMM instead
   of 2^(n-1) exponentials.  The block spin tables are cached per size,
   read-only.  A row whose sum underflows is recomputed with its exact
-  shift;
+  shift.  A stack of matrices (B, n, n) runs as one kernel call per
+  sub-stack whose X, V and Y hold at most ``_SPLIT_ELEMENTS`` elements,
+  and each value is bit for bit that of its matrix alone;
 * ``gray``  -- serial Gray-code traversal flipping one spin per step with
   O(n) local-field updates and an online running-max log-sum-exp;
 * ``naive`` -- literal re-evaluation of <sigma, M sigma> per state
@@ -60,6 +62,11 @@ ENUMERATION_MAX_N = 28
 # at or above this floor that is far below rounding; a smaller row sum is
 # recomputed with its exact shift.
 _ROW_FLOOR = 1e-250
+# at most this many elements of X, V and Y together in one sub-stack of the
+# split kernel: 64 matrices at n = 12, ten at n = 16 and one from n = 20 on.
+# Sub-stacks of 2^16 elements ran slower at n = 16 and 20 than 2^14 or 2^15:
+# their arrays no longer stay in cache
+_SPLIT_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -103,12 +110,14 @@ class CltTargets:
 
 
 def interaction_matrix(a: np.ndarray, params: ModelParams) -> np.ndarray:
+    """M of one matrix, or of each matrix of a stack (B, n, n)."""
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or n != params.n:
+    n = a.shape[-1]
+    if a.ndim not in (2, 3) or a.shape[-2:] != (n, n) or n != params.n:
         raise ValueError(f"matrix shape {a.shape} does not match n={params.n}")
     m = a / np.sqrt(n) + params.J / n
-    np.fill_diagonal(m, np.diag(a) / np.sqrt(n) + params.Jprime / n)
+    diag = np.arange(n)
+    m[..., diag, diag] = a[..., diag, diag] / np.sqrt(n) + params.Jprime / n
     return m
 
 
@@ -150,8 +159,22 @@ def _block_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _log_partition_split(m: np.ndarray, beta: float) -> float:
-    """Three-block factored enumeration; spin 0 pinned to +1 by symmetry.
+def _log_partition_split(m: np.ndarray, beta: float) -> np.ndarray:
+    """log Z of each matrix M of the stack ``m`` (B, n, n), n >= 2, by the
+    three-block factored enumeration, in sub-stacks whose X, V and Y hold
+    at most ``_SPLIT_ELEMENTS`` elements together (at least one matrix)."""
+    n = m.shape[-1]
+    ta, tu, tw = _block_tables(n)
+    per_matrix = ta.shape[0] * (tu.shape[0] + tw.shape[0]) + tu.shape[0] * tw.shape[0]
+    step = max(1, _SPLIT_ELEMENTS // per_matrix)
+    return np.concatenate(
+        [_log_partition_split_stack(m[i:i + step], beta) for i in range(0, len(m), step)]
+    )
+
+
+def _log_partition_split_stack(m: np.ndarray, beta: float) -> np.ndarray:
+    """Three-block factored enumeration of a stack; spin 0 pinned to +1 by
+    symmetry.
 
     With s = (a, u, w) over the blocks of ``_block_tables``, beta*H is
     e_a(a) + cu(a) . u + cw(a) . w + e_uw(u, w): the cross terms are linear
@@ -160,47 +183,57 @@ def _log_partition_split(m: np.ndarray, beta: float) -> float:
         sum_uw X[a, u] V[u, w] Y[a, w],  X = exp(cu(a) . u - |cu(a)|_1),
         Y = exp(cw(a) . w - |cw(a)|_1),  V = exp(e_uw - max e_uw),
 
-    each factor peaking at 1.  All rows are one matrix product
-    ((X @ V) * Y).sum(1), followed by a log-sum-exp over the rows.
+    each factor peaking at 1.  All rows of a matrix are one matrix product
+    ((X @ V) * Y).sum(1), followed by a log-sum-exp over the rows.  Every
+    step runs on the stack's leading axis and reduces along the same
+    contiguous axis as for one matrix, and numpy's stacked matmul makes the
+    same BLAS call per matrix, so each value is bit for bit that of a
+    stack of one.
     """
-    n = m.shape[0]
+    n = m.shape[-1]
     ta, tu, tw = _block_tables(n)
     # spins [0, ka) are a with the pinned spin 0, [ka, kw) u, [kw, n) w
     ka = ta.shape[1]
     kw = ka + tu.shape[1]
     bm = beta * m
     with one_blas_thread():
-        h = ta @ bm[:ka]
-        e_a = (h[:, :ka] * ta).sum(axis=1)
-        cu = 2.0 * h[:, ka:kw]
-        cw = 2.0 * h[:, kw:]
-        su = np.abs(cu).sum(axis=1)
-        sw = np.abs(cw).sum(axis=1)
-        g = tu @ bm[ka:kw, ka:]
-        e_uw = 2.0 * (g[:, kw - ka :] @ tw.T)
-        e_uw += (g[:, : kw - ka] * tu).sum(axis=1)[:, None]
-        e_uw += ((tw @ bm[kw:, kw:]) * tw).sum(axis=1)
-        top_uw = float(e_uw.max())
+        h = ta @ bm[:, :ka]
+        e_a = (h[:, :, :ka] * ta).sum(axis=2)
+        cu = 2.0 * h[:, :, ka:kw]
+        cw = 2.0 * h[:, :, kw:]
+        su = np.abs(cu).sum(axis=2)
+        sw = np.abs(cw).sum(axis=2)
+        g = tu @ bm[:, ka:kw, ka:]
+        e_uw = 2.0 * (g[:, :, kw - ka :] @ tw.T)
+        e_uw += (g[:, :, : kw - ka] * tu).sum(axis=2)[:, :, None]
+        e_uw += ((tw @ bm[:, kw:, kw:]) * tw).sum(axis=2)[:, None, :]
+        top_uw = e_uw.max(axis=(1, 2))
         x = cu @ tu.T
-        x -= su[:, None]
+        x -= su[:, :, None]
         np.exp(x, out=x)
         y = cw @ tw.T
-        y -= sw[:, None]
+        y -= sw[:, :, None]
         np.exp(y, out=y)
-        xv = x @ np.exp(e_uw - top_uw)
+        xv = x @ np.exp(e_uw - top_uw[:, None, None])
     xv *= y
-    sums = xv.sum(axis=1)
-    row_log = e_a + su + sw + top_uw + np.log(np.maximum(sums, _ROW_FLOOR))
+    sums = xv.sum(axis=2)
+    row_log = e_a + su + sw + top_uw[:, None] + np.log(np.maximum(sums, _ROW_FLOOR))
     # X, Y and V each peak at 1 but possibly in different cells, so a row's
     # largest term, and with it the row sum, can underflow far outside the
     # paramagnetic regime; such rows are summed again with their exact shift
-    for i in np.flatnonzero(sums < _ROW_FLOOR):
-        exact = e_uw + (cu[i] @ tu.T)[:, None] + cw[i] @ tw.T
+    for b, i in zip(*np.nonzero(sums < _ROW_FLOOR)):
+        exact = e_uw[b] + (cu[b, i] @ tu.T)[:, None] + cw[b, i] @ tw.T
         top_i = float(exact.max())
-        row_log[i] = e_a[i] + top_i + math.log(float(np.exp(exact - top_i).sum()))
-    top = float(row_log.max())
-    # the pinned spin accounts for half the cube; sigma -> -sigma is exact
-    return top + math.log(2.0 * float(np.exp(row_log - top).sum())) - n * math.log(2.0)
+        row_log[b, i] = e_a[b, i] + top_i + math.log(float(np.exp(exact - top_i).sum()))
+    top = row_log.max(axis=1)
+    totals = np.exp(row_log - top[:, None]).sum(axis=1)
+    # the pinned spin accounts for half the cube; sigma -> -sigma is exact.
+    # math.log per matrix, as for one matrix alone: numpy's vector log need
+    # not round the same way
+    return np.array([
+        t + math.log(2.0 * s) - n * math.log(2.0)
+        for t, s in zip(top.tolist(), totals.tolist())
+    ])
 
 
 def _log_partition_gray(m: np.ndarray, beta: float) -> float:
@@ -241,27 +274,33 @@ def check_enumeration(n: int) -> None:
         raise ValueError(f"n={n} exceeds the enumeration bound {ENUMERATION_MAX_N}")
 
 
-def exact_log_partition(a: np.ndarray, params: ModelParams, method: str = "split") -> float:
-    """log Z_n(beta) by exhaustive enumeration of the hypercube.
+def exact_log_partition(a: np.ndarray, params: ModelParams, method: str = "split"):
+    """log Z_n(beta) by exhaustive enumeration of the hypercube: a float for
+    one matrix, an array of B values for a stack (B, n, n).
 
     Refuses n beyond ``ENUMERATION_MAX_N`` (``check_enumeration``) rather
-    than subsampling.
+    than subsampling.  A stack builds M and checks it once; ``split`` then
+    runs on sub-stacks, the oracles matrix by matrix.  Every value equals
+    that of its matrix alone, bit for bit.
     """
     check_enumeration(params.n)
     m = interaction_matrix(a, params)
     if not np.all(np.isfinite(m)):
         raise ValueError("non-finite interaction matrix")
+    stack = m if m.ndim == 3 else m[None]
     if params.n == 1:
-        return params.beta * float(m[0, 0])
-    if method == "split":
-        return _log_partition_split(m, params.beta)
-    if method == "gray":
-        return _log_partition_gray(m, params.beta)
-    if method == "naive":
+        values = params.beta * stack[:, 0, 0]
+    elif method == "split":
+        values = _log_partition_split(stack, params.beta)
+    elif method == "gray":
+        values = np.array([_log_partition_gray(mi, params.beta) for mi in stack])
+    elif method == "naive":
         if params.n > 22:
             raise ValueError("the naive method materializes 2^n states; n <= 22 only")
-        return _log_partition_naive(m, params.beta)
-    raise ValueError(f"unknown method {method!r}")
+        values = np.array([_log_partition_naive(mi, params.beta) for mi in stack])
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return values if m.ndim == 3 else float(values[0])
 
 
 def curie_weiss_tau(n: int, beta_j: float) -> float:
@@ -326,9 +365,9 @@ def decomposition_residual(
     a: np.ndarray,
     params: ModelParams,
     m: int,
-    log_z: float,
+    log_z,
     cycle_budget: float = DEFAULT_CYCLE_BUDGET,
-) -> float:
+):
     """Residual of the signed-cycle decomposition of log Z_n, truncated at m:
 
         log Z + log(1 - 2 beta J)/2 - (n-1) beta^2 + beta (J - J')
@@ -337,22 +376,27 @@ def decomposition_residual(
 
     ``log_z`` is log Z_n(beta) of ``a``, which the caller has evaluated
     (``exact_log_partition``).  The cycles come from ``cycle_series``, so
-    1 <= m <= 5.
+    1 <= m <= 5.  For a stack (B, n, n), ``log_z`` holds the B values and
+    the B residuals are returned as an array.
     """
     n = params.n
     beta = params.beta
     series = cycle_series(a, m, budget=cycle_budget)
+    stacked = isinstance(series, list)
+    # cycles[k - 1] holds C_{n,k} of every matrix
+    cycles = np.array([s.values for s in (series if stacked else [series])]).T
     residual = (
         log_z
         + 0.5 * math.log1p(-2.0 * beta * params.J)
         - (n - 1) * beta**2
         + beta * (params.J - params.Jprime)
-        - beta * series.value(1)
+        - beta * cycles[0]
     )
     for k in range(2, m + 1):
         mu = (2.0 * beta) ** k
-        residual -= (2.0 * mu * series.centered_value(k) - mu**2) / (4.0 * k)
-    return residual
+        centered = cycles[k - 1] - (n - 1) if k == 2 else cycles[k - 1]
+        residual -= (2.0 * mu * centered - mu**2) / (4.0 * k)
+    return residual if stacked else float(residual[0])
 
 
 def second_moment_target(beta: float) -> float:

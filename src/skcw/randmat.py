@@ -12,7 +12,10 @@ Philox counter-based bit generator, and entries are drawn with numpy's
 ziggurat ``standard_normal`` in a pinned order (strict upper triangle
 row-major first, then the diagonal).  The same SeedSpec therefore yields
 bit-identical matrices regardless of scheduling or worker count, and
-distinct stream_ids yield independent streams.
+distinct stream_ids yield independent streams.  A sequence of SeedSpecs
+samples a stack (B, n, n) whose every matrix is bit for bit the one its
+SeedSpec alone gives, so how replicates are grouped into stacks moves no
+value.
 """
 
 from __future__ import annotations
@@ -113,10 +116,24 @@ class SeedSpec:
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = np.array(
+        return np.random.Generator(np.random.Philox(key=self._key()))
+
+    def _key(self) -> np.ndarray:
+        return np.array(
             [self.master_seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
         )
-        return np.random.Generator(np.random.Philox(key=key))
+
+    def _philox_state(self) -> dict:
+        """The state of ``generator()``'s fresh Philox: this key, counter
+        zero and an empty output buffer."""
+        return {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key()},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def stream(self, stream_id: int) -> "SeedSpec":
         return SeedSpec(self.master_seed, stream_id)
@@ -126,46 +143,64 @@ class SeedSpec:
         return SeedSpec(_mix64(self.master_seed, salt), 0)
 
 
-def sample_gaussian_matrix(n: int, seed: SeedSpec, hollow: bool = False) -> np.ndarray:
+def sample_gaussian_matrix(n: int, seed, hollow: bool = False) -> np.ndarray:
     """Symmetric n x n matrix with i.i.d. standard normal upper triangle.
 
     ``hollow=True`` sets the diagonal to exactly zero (the matrix entering
     the spectral statistics); otherwise the diagonal is standard normal.
+
+    ``seed`` is one ``SeedSpec``, or a sequence of them for a stack of
+    matrices, shape (len(seed), n, n).  Each stream's normals are drawn
+    into one row of a draw array, scattered over the strict upper triangle
+    (row-major, the order of ``np.triu_indices``), mirrored, and followed
+    by the diagonal, so every matrix of a stack is bit for bit the one its
+    ``SeedSpec`` alone gives.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    rng = seed.generator()
-    a = np.zeros((n, n))
-    iu = _upper_indices(n)
-    a[iu] = rng.standard_normal(iu[0].size)
-    a += a.T
+    seeds = [seed] if isinstance(seed, SeedSpec) else list(seed)
+    upper = _upper_flat_index(n)
+    draws = np.empty((len(seeds), upper.size if hollow else upper.size + n))
+    # one Philox per call, re-keyed per stream: constructing a Philox seeds
+    # it from OS entropy first, which cost more than a whole draw at n = 12
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    for row, spec in zip(draws, seeds):
+        bits.state = spec._philox_state()
+        rng.standard_normal(out=row)
+    flat = np.zeros((len(seeds), n * n))
+    flat[:, upper] = draws[:, :upper.size]
+    a = flat.reshape(len(seeds), n, n)
+    a += a.swapaxes(1, 2)
     if not hollow:
-        np.fill_diagonal(a, rng.standard_normal(n))
-    return a
+        flat[:, :: n + 1] = draws[:, upper.size:]
+    return a[0] if isinstance(seed, SeedSpec) else a
 
 
 # a run samples at the few sizes of its grid; the bound keeps a long-lived
 # process from holding the index of every size it ever drew
 @functools.lru_cache(maxsize=8)
-def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row and column indices of the strict upper triangle,
-    row-major, cached per size: building them cost as much as the rest of
-    a draw at n = 12."""
-    iu = np.triu_indices(n, 1)
-    for index in iu:
-        index.flags.writeable = False
-    return iu
+def _upper_flat_index(n: int) -> np.ndarray:
+    """Read-only flat positions i * n + j of the strict upper triangle,
+    row-major (the order of ``np.triu_indices``), cached per size: building
+    them cost as much as the rest of a draw at n = 12.  One index into the
+    flattened matrices scatters a whole stack; at n = 200 it scattered in
+    0.08 ms, a (row, column) index pair in 0.16 ms and a boolean mask in
+    0.37 ms."""
+    rows, cols = np.triu_indices(n, 1)
+    index = rows * n + cols
+    index.flags.writeable = False
+    return index
 
 
-def sample_tilted_matrix(
-    n: int, sigma: np.ndarray, beta: float, seed: SeedSpec
-) -> np.ndarray:
+def sample_tilted_matrix(n: int, sigma: np.ndarray, beta: float, seed) -> np.ndarray:
     """Symmetric matrix with off-diagonal means 2*beta*sigma_i*sigma_j/sqrt(n).
 
     The noise is drawn exactly as in ``sample_gaussian_matrix`` (shared seed
     and beta=0 reproduce it bit for bit); the mean shift is added to the
     strict upper triangle and mirrored.  The diagonal is standard normal,
-    untouched by the tilt.
+    untouched by the tilt.  A sequence of ``SeedSpec`` gives a stack, each
+    matrix shifted alike.
     """
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
@@ -175,7 +210,8 @@ def sample_tilted_matrix(
     a = sample_gaussian_matrix(n, seed, hollow=False)
     shift = (2.0 * beta / np.sqrt(n)) * np.outer(sigma, sigma)
     np.fill_diagonal(shift, 0.0)
-    return a + shift
+    a += shift
+    return a
 
 
 # the guard of ``power_traces``: at most this many (kmax * n^3) operations
@@ -212,10 +248,12 @@ def power_traces(m: np.ndarray, kmax: int) -> np.ndarray:
 
 
 def matrix_powers(m: np.ndarray, depth: int) -> list[np.ndarray]:
-    """[M, M^2, ..., M^depth], each power one product M^(j-1) @ M.
+    """[M, M^2, ..., M^depth], each power one product M^(j-1) @ M, of one
+    matrix or of each matrix of a stack (B, n, n).
 
     The products run on one BLAS thread, so every process gets the same
-    bits.
+    bits; numpy's stacked product makes the same BLAS call per matrix as a
+    single product.
     """
     powers = [m]
     with one_blas_thread():
@@ -225,9 +263,11 @@ def matrix_powers(m: np.ndarray, depth: int) -> list[np.ndarray]:
 
 
 def hollowed(a: np.ndarray) -> np.ndarray:
-    """Copy of a with the diagonal set to zero."""
+    """Copy of a, one matrix or a stack (..., n, n), with the diagonal set
+    to zero."""
     out = np.array(a, dtype=float, copy=True)
-    np.fill_diagonal(out, 0.0)
+    diag = np.arange(out.shape[-1])
+    out[..., diag, diag] = 0.0
     return out
 
 

@@ -234,6 +234,18 @@ def test_cycle_series_matches_individual_calls():
     assert series.centered_value(3) == series.value(3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
+@pytest.mark.parametrize("hollow", [False, True])
+def test_stacked_cycle_series_equals_singles(n, hollow):
+    """A stack's series are bit for bit those of its matrices alone, at
+    every kmax from 1 to 5, on plain and hollow matrices."""
+    a = sample_gaussian_matrix(n, [SeedSpec(44, r) for r in range(4)], hollow=hollow)
+    for kmax in range(1, min(n, 5) + 1):
+        stacked = cycle_series(a, kmax)
+        assert stacked == [cycle_series(m, kmax) for m in a]
+    assert signed_cycle_c1(a).tolist() == [signed_cycle_c1(m) for m in a]
+
+
 def test_cycle_series_validation():
     a = sample_gaussian_matrix(4, SeedSpec(14, 0))
     with pytest.raises(ValueError):

@@ -447,6 +447,42 @@ def test_one_map_per_run_in_grid_order(monkeypatch):
     assert all(r.summaries["n_fluct"].count == 3 for r in report.results)
 
 
+def test_stacks_cut_each_size_by_the_element_cap():
+    """Same-size tasks in order, at most STACK_ELEMENTS // n^2 (and at least
+    one) to a stack; each stack is a list."""
+    tasks = [(n, "x", 5, r) for n in (12, 20, 200) for r in range(150)]
+    stacks = ex._stacks(tasks)
+    assert all(isinstance(stack, list) for stack in stacks)
+    assert [task for stack in stacks for task in stack] == tasks
+    for stack in stacks:
+        n = stack[0][0]
+        assert {task[0] for task in stack} == {n}
+        assert len(stack) <= max(1, ex.STACK_ELEMENTS // n**2)
+    assert [len(s) for s in stacks if s[0][0] == 12] == [113, 37]
+    assert {len(s) for s in stacks if s[0][0] == 200} == {1}
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("clt", dict(params=ModelParams(beta=0.25, J=1.0, n=16))),
+    ("decomposition", dict(params=ModelParams(beta=0.25, J=0.5, n=16), m=4)),
+])
+def test_stack_grouping_leaves_raw_samples_unchanged(kind, kwargs):
+    """At 7 replicates a size is one stack, at 200 its first stack holds 113
+    matrices at n = 12 and 64 at n = 16: the first 7 replicates' samples
+    are the same bits either way."""
+    run = getattr(ex, f"run_{kind}")
+    raw = [
+        run(ex.ExperimentConfig(
+            kind=kind, replicates=reps, master_seed=17, n_grid=(12, 16, 20),
+            keep_raw=True, **kwargs,
+        )).raw_samples
+        for reps in (7, 200)
+    ]
+    for n, samples in raw[0].items():
+        for name, xs in samples.items():
+            assert xs == raw[1][n][name][:7], (n, name)
+
+
 def _blas_threads():
     return randmat.openblas_function("get_num_threads")()
 

@@ -171,6 +171,55 @@ def test_split_block_tables_are_cached_read_only():
             table[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("n", range(1, 25))
+def test_stacked_log_partition_equals_singles(n):
+    """A stack's log Z values are bit for bit those of its matrices alone,
+    at every block shape, the empty blocks of n = 2 and 3 included."""
+    a = sample_gaussian_matrix(n, [SeedSpec(40, r) for r in range(3)])
+    p = ModelParams(beta=0.3, J=0.5, Jprime=0.1, n=n)
+    stacked = exact_log_partition(a, p)
+    assert stacked.shape == (3,)
+    assert stacked.tolist() == [exact_log_partition(a[i], p) for i in range(3)]
+
+
+def test_stacked_log_partition_is_independent_of_the_sub_stacks(monkeypatch):
+    """The split kernel's sub-stacks, down to one matrix each, leave every
+    value unchanged."""
+    a = sample_gaussian_matrix(16, [SeedSpec(41, r) for r in range(25)])
+    p = ModelParams(beta=0.25, J=1.0, Jprime=0.0, n=16)
+    whole = exact_log_partition(a, p)
+    monkeypatch.setattr(gibbs, "_SPLIT_ELEMENTS", 1)
+    assert exact_log_partition(a, p).tolist() == whole.tolist()
+    assert whole.tolist() == [exact_log_partition(m, p) for m in a]
+
+
+@pytest.mark.parametrize("n", [6, 13])
+def test_stacked_underflow_fallback_is_per_matrix_and_row(n):
+    """One matrix far outside the paramagnetic regime, whose rows need the
+    exact-shift fallback, stacked between ordinary ones: every value equals
+    its matrix's own, and the scaled one still agrees with the Gray code."""
+    seeds = [SeedSpec(42, r) for r in range(4)]
+    a = sample_gaussian_matrix(n, seeds)
+    a[2] *= 1000.0
+    p = ModelParams(beta=0.25, J=1.0, Jprime=0.2, n=n)
+    stacked = exact_log_partition(a, p)
+    assert stacked.tolist() == [exact_log_partition(m, p) for m in a]
+    assert stacked[2] == pytest.approx(exact_log_partition(a[2], p, method="gray"), rel=1e-11)
+
+
+def test_stacked_oracles_and_decomposition_equal_singles():
+    a = sample_gaussian_matrix(8, [SeedSpec(43, r) for r in range(3)])
+    p = ModelParams(beta=0.3, J=0.5, Jprime=0.1, n=8)
+    for method in ("gray", "naive"):
+        stacked = exact_log_partition(a, p, method=method)
+        assert stacked.tolist() == [exact_log_partition(m, p, method=method) for m in a]
+    log_z = exact_log_partition(a, p)
+    for m in range(1, 6):
+        stacked = decomposition_residual(a, p, m, log_z)
+        singles = [decomposition_residual(a[i], p, m, float(log_z[i])) for i in range(3)]
+        assert stacked.tolist() == singles
+
+
 def test_log_partition_n1():
     a = np.array([[0.4]])
     p = ModelParams(beta=0.25, J=0.0, Jprime=0.7, n=1)

@@ -47,21 +47,43 @@ def test_symmetry_and_hollow():
     assert np.array_equal(hollowed(a), h)
 
 
-def test_upper_indices_are_cached_read_only():
-    """The strict upper-triangle index is built once per size and cannot be
-    written through; the draws it places are those of a fresh index."""
-    iu = randmat._upper_indices(9)
-    assert randmat._upper_indices(9) is iu
-    for index, fresh in zip(iu, np.triu_indices(9, 1)):
-        assert np.array_equal(index, fresh)
-        with pytest.raises(ValueError):
-            index[0] = 1
+def test_upper_triangle_index_is_cached_read_only():
+    """The flat strict upper-triangle index is built once per size and
+    cannot be written through; the draws it places are those of
+    ``np.triu_indices``, row-major, followed by the diagonal."""
+    index = randmat._upper_flat_index(9)
+    assert randmat._upper_flat_index(9) is index
+    rows, cols = np.triu_indices(9, 1)
+    assert np.array_equal(index, rows * 9 + cols)
+    with pytest.raises(ValueError):
+        index[0] = 1
     want = np.zeros((9, 9))
     rng = SEED.generator()
     want[np.triu_indices(9, 1)] = rng.standard_normal(36)
     want += want.T
     want[np.diag_indices(9)] = rng.standard_normal(9)
     assert sample_gaussian_matrix(9, SEED).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 40])
+def test_stacked_sampling_equals_singles(n):
+    """Each matrix of a plain, hollow or tilted stack is bit for bit the one
+    its seed alone gives, and the plain one holds the seed's own generator
+    draws: the upper triangle row-major, then the diagonal."""
+    seeds = [SEED.stream(r) for r in (0, 7, 3)]
+    sigma = alternating_spins(n)
+    for hollow in (False, True):
+        stack = sample_gaussian_matrix(n, seeds, hollow=hollow)
+        assert stack.shape == (3, n, n)
+        for a, seed in zip(stack, seeds):
+            assert a.tobytes() == sample_gaussian_matrix(n, seed, hollow=hollow).tobytes()
+    stack = sample_tilted_matrix(n, sigma, 0.3, seeds)
+    for a, seed in zip(stack, seeds):
+        assert a.tobytes() == sample_tilted_matrix(n, sigma, 0.3, seed).tobytes()
+        draws = seed.generator().standard_normal(n * (n + 1) // 2)
+        plain = sample_gaussian_matrix(n, seed)
+        assert np.array_equal(plain[np.triu_indices(n, 1)], draws[: n * (n - 1) // 2])
+        assert np.array_equal(np.diag(plain), draws[n * (n - 1) // 2:])
 
 
 def test_pooled_moments_large_matrix():
