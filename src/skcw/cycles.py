@@ -16,14 +16,18 @@ no further.  They come from the Moebius inversion of walk counts into
 distinct-index counts: S_k is the sum over set partitions of the k cycle
 positions of mu(0, pi) times the closed-walk count of the quotient cycle,
 and only partitions that never merge adjacent positions survive on a
-hollow matrix.  With G = A A and d = diag G:
+hollow matrix.  A is symmetric, so its powers are Gram products: with
+G = A A^T = A^2, A^4 = G G^T, d = diag G and e = diag A^3, the row sums
+of G o A,
 
     S_2 = sum a_ij^2
     S_3 = <G, A>
     S_4 = <G, G> - 2 d.d + sum a_ij^4
-    S_5 = <G A, G> - 5 d.diag(G A) + 5 <A o A o A, G>
+    S_5 = <A^4, A> - 5 d.e + 5 <A o A, G o A>
 
-so k <= 2 takes no matrix product, k <= 4 one and k = 5 two.
+so k <= 2 takes no matrix product, k = 3 and 4 one Gram product and
+k = 5 two.  numpy sends a product of an array with its own transpose to
+BLAS syrk, which does half the multiply-adds of a general product.
 ``check_cycle_budget`` is the one compute guard of every series.  A stack
 of matrices (B, n, n) takes stacked products and per-matrix sums along the
 same axes as one matrix, so each of its series is bit for bit the series
@@ -39,9 +43,9 @@ nested-loop oracle.
 The spectral side: C_{n,k} for k >= 3 is approximated by the centered
 linear spectral statistic Tr P_k(A_hollow / sqrt(n)) built from the
 doubled Chebyshev polynomial P_k.  Its power traces Tr A^j are the walk
-sums <A^(j//2), A^(j-j//2)> of the same matrix powers the closed forms
-use (Tr A^2 .. Tr A^5 are S_2, S_3, <G, G> and <G A, G>), so every
-series returns them with the cycles.  For k = 3 the two sides agree
+sums of the same products the closed forms use (Tr A^2 .. Tr A^5 are
+S_2, S_3, <G, G> and <A^4, A>), so every series returns them with the
+cycles.  For k = 3 the two sides agree
 identically.  The centering E Tr P_k is exact: zero for odd k by sign
 symmetry, and for even k the Chebyshev combination of the exact moments
 from ``combinat.walk_moments``.  ``chebyshev_lss`` (from
@@ -59,7 +63,7 @@ from .combinat import chebyshev_coeffs, walk_moments
 from .randmat import (
     SeedSpec,
     hollowed,
-    matrix_powers,
+    one_blas_thread,
     power_traces,
     sample_gaussian_matrix,
 )
@@ -112,8 +116,10 @@ def check_cycle_budget(n: int, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET) 
     The one compute guard of ``cycle_series``.  A kmax beyond
     ``CLOSED_FORM_KMAX`` is refused first, whatever the budget: no engine
     of the run path goes past the closed forms.  Every series is charged
-    2 * n^3, the two n x n matrix products G = A A and G A of kmax 5.  Up
-    to kmax = 2 no product is taken, but the series still holds several
+    2 * n^3, the price of the two general n x n products that kmax 5 once
+    took; its two Gram products now do half that work, and the price is
+    kept so that the default budget still admits n <= 793.  Up to
+    kmax = 2 no product is taken, but the series still holds several
     n x n arrays, and the one price keeps those within memory.  A budget
     that is not a number admits nothing, and ``inf`` everything.
     """
@@ -131,36 +137,63 @@ def _require_budget(what: str, cost: float, budget: float) -> None:
 
 
 def _walk_sums(at: np.ndarray, kmax: int) -> tuple[list, list]:
-    """The walk-product core of the hollow matrix ``at``, or of each matrix
-    of a stack (B, n, n), 1 <= kmax <= 5.
+    """The walk-product core of the symmetric hollow matrix ``at``, or of
+    each matrix of a stack (B, n, n), 1 <= kmax <= 5.
 
     Returns the distinct-tuple cycle sums [S_2, ..., S_kmax] from the
     closed forms of the module docstring and the walk traces
-    [Tr A, ..., Tr A^kmax], Tr A^j = <A^(j//2), A^(j-j//2)>, from the
-    powers A .. A^ceil(kmax/2); each entry has the shape of ``at`` without
-    its last two axes.  Every sum runs over the last axes of one
-    contiguous array, in the order of one matrix's sum, so a stack's
-    values are bit for bit those of its matrices alone.
+    [Tr A, ..., Tr A^kmax], each one reduction of a Gram product against
+    A or itself: Tr A^3 = <G, A>, Tr A^4 = <G, G>, Tr A^5 = <A^4, A>.  Each
+    entry has the shape of ``at`` without its last two axes.  Every sum
+    runs over the last axes of one contiguous array, in the order of one
+    matrix's sum, so a stack's values are bit for bit those of its
+    matrices alone.
     """
-    powers = matrix_powers(at, (kmax + 1) // 2)
     # elementwise sums instead of BLAS dots: the value must not depend on
-    # how a multi-threaded BLAS splits the work
-    sq = at * at
-    walks = [np.zeros(at.shape[:-2]), _entry_sum(sq)]
-    for j in range(3, kmax + 1):
-        walks.append(_entry_sum(powers[j // 2 - 1] * powers[(j + 1) // 2 - 1]))
+    # how a multi-threaded BLAS splits the work.  One scratch array w holds
+    # each elementwise product in turn: a process whose allocator trims
+    # freed memory faults in the pages of every fresh n x n array again
+    w = np.multiply(at, at)
+    walks = [np.zeros(at.shape[:-2]), _entry_sum(w)]
+    if kmax >= 4:
+        w *= w
+        fourth = _entry_sum(w)  # sum a_ij^4
+    if kmax >= 3:
+        g = _gram(at)
+        np.multiply(g, at, out=w)
+        walks.append(_entry_sum(w))  # <G, A>
+    if kmax >= 5:
+        e = np.sum(w, axis=-1)  # diag A^3, the row sums of G o A
+        w *= at
+        w *= at
+        cubes = _entry_sum(w)  # <A o A, G o A>
+    if kmax >= 4:
+        np.multiply(g, g, out=w)
+        walks.append(_entry_sum(w))  # <G, G>
+    if kmax >= 5:
+        del w  # A^4 takes its place
+        a4 = _gram(g)
+        a4 *= at
+        walks.append(_entry_sum(a4))  # <A^4, A>
     sums = walks[1:min(kmax, 3)]
     if kmax >= 4:
-        g = powers[1]
         d = np.diagonal(g, axis1=-2, axis2=-1)
-        sums.append(walks[3] - 2.0 * np.sum(d * d, axis=-1) + _entry_sum(sq * sq))
+        sums.append(walks[3] - 2.0 * np.sum(d * d, axis=-1) + fourth)
     if kmax >= 5:
-        ga = powers[2]
-        diag_ga = np.diagonal(ga, axis1=-2, axis2=-1)
-        sums.append(
-            walks[4] - 5.0 * np.sum(d * diag_ga, axis=-1) + 5.0 * _entry_sum(sq * at * g)
-        )
+        sums.append(walks[4] - 5.0 * np.sum(d * e, axis=-1) + 5.0 * cubes)
     return sums, walks[:kmax]
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """x x^T of one matrix or of each matrix of a stack, on one BLAS thread.
+
+    numpy computes a product of an array with its own transpose by syrk and
+    copies one triangle into the other, so the result is exactly
+    symmetric.  On one thread it has the same bits in every process, and a
+    stack makes the same call per matrix as one matrix alone.
+    """
+    with one_blas_thread():
+        return x @ x.swapaxes(-1, -2)
 
 
 def _entry_sum(x: np.ndarray) -> np.ndarray:
@@ -232,8 +265,10 @@ class CycleSeries:
 def cycle_series(a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET):
     """C_{n,1..kmax} and Tr (A_hollow / sqrt n)^1..kmax in one pass, for
     1 <= kmax <= min(n, ``CLOSED_FORM_KMAX``), sharing the matrix products
-    across k.  ``check_cycle_budget`` refuses a larger kmax or a series
-    beyond the budget before any product is taken.
+    across k.  A matrix that is not exactly symmetric is refused (a NaN
+    entry fails too), and ``check_cycle_budget`` refuses a larger kmax or a
+    series beyond the budget, before any product is taken.  A matrix whose
+    diagonal is already zero is used as it is, without a hollowed copy.
 
     One matrix gives one ``CycleSeries``; a stack (B, n, n) gives a list of
     B, from stacked products and sums, each bit for bit the series of its
@@ -246,9 +281,15 @@ def cycle_series(a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET)
         raise ValueError("matrix must be square")
     if not 1 <= kmax <= n:
         raise ValueError(f"need 1 <= kmax <= n, got kmax={kmax}, n={n}")
-    check_cycle_budget(n, kmax, budget)
     stack = a if a.ndim == 3 else a[None]
-    sums, walks = _walk_sums(hollowed(stack), kmax)
+    if not (stack == stack.swapaxes(-1, -2)).all():
+        raise ValueError("matrix must be exactly symmetric")
+    check_cycle_budget(n, kmax, budget)
+    if np.diagonal(stack, axis1=-2, axis2=-1).any():
+        at = hollowed(stack)
+    else:
+        at = np.ascontiguousarray(stack)
+    sums, walks = _walk_sums(at, kmax)
     values = [signed_cycle_c1(stack)]
     values += [s_k / n ** (k / 2.0) for k, s_k in enumerate(sums, start=2)]
     traces = [t / n ** (j / 2.0) for j, t in enumerate(walks, start=1)]

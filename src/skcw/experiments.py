@@ -13,7 +13,9 @@ the configured master seed; the stream id ends every task tuple.  A
 worker call takes a stack, a list of consecutive same-size tasks of at
 most ``STACK_ELEMENTS`` matrix entries, and computes its matrices as one
 (B, n, n) array; every value is bit for bit what the replicate alone
-gives, so the stacking moves no report.
+gives, so the stacking moves no report.  With more than one worker the
+stacks run in forked children (``_fork_map``), each size cut so that
+every child gets the same share of it.
 
 Every comparison is recorded as a named check carrying the rule, the
 observed value, the target and the tolerance; a report is never a bare
@@ -29,13 +31,12 @@ difference for means, decreasing point estimates for residual variances).
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import itertools
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
@@ -468,7 +469,7 @@ def _trend_check_decreasing(name: str, values: list[float], sizes, what: str) ->
 
 
 def _usable_cores() -> int:
-    """Cores this process may run on, the cap on pool workers."""
+    """Cores this process may run on, the cap on forked workers."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -476,38 +477,111 @@ def _usable_cores() -> int:
 
 
 def _keep_freed_memory() -> None:
-    """Pool initializer: glibc keeps freed blocks in the heap (no-op without
-    ``mallopt``).  Otherwise each n x n array may be unmapped or trimmed and
-    fault its pages in again, as the inherited heap happens to decide: the
-    ``approx_grid`` workers took 6e3 or 3e4 faults for comment-only edits."""
+    """Run first in each forked worker: glibc keeps freed blocks in the heap
+    (no-op without ``mallopt``).  Otherwise each n x n array may be unmapped
+    or trimmed and fault its pages in again, as the inherited heap happens
+    to decide: the ``approx_grid`` workers took 6e3 or 3e4 faults for
+    comment-only edits."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: no trimming below 1 GiB free
         mallopt(-3, 1 << 25)  # M_MMAP_THRESHOLD: its largest value, 32 MiB
 
 
-def _stacks(tasks: list) -> list[list]:
+def _stacks(tasks: list, workers: int) -> list[list]:
     """The task tuples, in order, cut into lists of consecutive same-size
-    tasks, at most ``max(1, STACK_ELEMENTS // n^2)`` to a list."""
+    tasks.  Each size is cut into stacks whose lengths differ by at most
+    one, each at most ``max(1, STACK_ELEMENTS // n^2)`` long, and whose
+    count is the least multiple of ``workers`` that allows it (one stack
+    per task where the size has fewer tasks than that), so stacks dealt
+    out in turn give every worker the same share of every size."""
     stacks = []
     for n, same_size in itertools.groupby(tasks, key=lambda task: task[0]):
         same_size = list(same_size)
-        length = max(1, STACK_ELEMENTS // n**2)
-        stacks += [same_size[i:i + length] for i in range(0, len(same_size), length)]
+        total = len(same_size)
+        cap = max(1, STACK_ELEMENTS // n**2)
+        count = min(total, workers * -(-total // (cap * workers)))
+        stacks += [
+            same_size[i * total // count:(i + 1) * total // count] for i in range(count)
+        ]
     return stacks
 
 
-def _map_replicates(worker: Callable, tasks: list, pool, workers: int) -> list:
+def _map_replicates(worker: Callable, tasks: list, workers: int) -> list:
     """One output per task, in task order: the worker runs once per stack
     (a list, so a tracer reads no stream id from it) and returns the
-    outputs of the stack's tasks."""
-    stacks = _stacks(tasks)
-    if pool is None:
+    outputs of the stack's tasks.  One worker runs in this process."""
+    stacks = _stacks(tasks, workers)
+    if workers == 1:
         outputs = map(worker, stacks)
     else:
-        chunk = max(1, len(stacks) // (8 * workers))
-        outputs = pool.map(worker, stacks, chunksize=chunk)
+        outputs = _fork_map(worker, stacks, workers)
     return [output for stack in outputs for output in stack]
+
+
+def _fork_map(worker: Callable, stacks: list, workers: int) -> list:
+    """``[worker(stack) for stack in stacks]`` in ``workers`` forked children.
+
+    Child w runs stacks w, w + workers, ... and pickles its outputs, or the
+    exception it raised, back through a pipe.  The parent reads every pipe,
+    then raises the first child's exception with its own type, or
+    RuntimeError for a child that exited without writing.  Every child is
+    reaped before this returns or raises, and killed first when the parent
+    stops reading early (an interrupt).  The worker is not pickled, so the
+    children run the very object passed in.
+    """
+    children = []  # (pid, read end of its pipe)
+    read_all = False
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(worker, stacks[w::workers], write_fd)
+            except BaseException:
+                os.close(read_fd)
+                raise
+            finally:
+                os.close(write_fd)
+            children.append((pid, read_fd))
+        payloads = []
+        for _, read_fd in children:
+            with os.fdopen(read_fd, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+        read_all = True
+    finally:
+        for pid, read_fd in children:
+            os.close(read_fd)
+            if not read_all:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    outputs = [None] * len(stacks)
+    for w, payload in enumerate(payloads):
+        if not payload:
+            raise RuntimeError(f"forked worker {w} exited without writing its outputs")
+        error, results = pickle.loads(payload)
+        if error is not None:
+            raise error
+        outputs[w::workers] = results
+    return outputs
+
+
+def _run_child(worker: Callable, stacks: list, write_fd: int) -> None:
+    """The whole life of a forked child: run its stacks, write the pickled
+    (exception or None, outputs) pair to the pipe and leave by ``os._exit``,
+    so it never returns into the parent's stack or runs its exit handlers."""
+    try:
+        try:
+            _keep_freed_memory()
+            payload = pickle.dumps((None, [worker(stack) for stack in stacks]))
+        except BaseException as exc:
+            # one that does not pickle leaves the pipe empty, a RuntimeError
+            payload = pickle.dumps((exc, None))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
 
 
 @dataclass(frozen=True)
@@ -539,17 +613,18 @@ def _drive(
 
     The kind is checked before ``plan_for`` builds the plan, so a plan never
     sees another kind's config.  Each ``run_*`` passes its worker by its
-    module-level name at call time: the pool pickles it by that name, and a
-    wrapper installed under the name (the perfbench tracer) is what runs.
+    module-level name at call time, so a wrapper installed under the name
+    (the perfbench tracer) is what runs, in this process or in a child.
 
     The tasks of every size, in grid order and cut into stacks
-    (``_stacks``), go through one map of a pool of at most ``threads``
-    workers, never more than replicates or usable cores.
-    The pool is opened after every per-size input is checked and shut down
-    before this returns, so the run's resource usage covers its workers.
-    The whole run holds this process at one OpenBLAS thread: forked workers
-    inherit that count, so ``set_blas_threads`` never has to call the
-    setter in them, and the setter would start a BLAS thread server there.
+    (``_stacks``), go through one map over at most ``threads`` workers,
+    never more than replicates or usable cores: one worker runs in this
+    process, more run in forked children (``_fork_map``), started after
+    every per-size input is checked and reaped before this returns, so the
+    run's resource usage covers them.  The whole run holds this process at
+    one OpenBLAS thread: the children inherit that count, so
+    ``set_blas_threads`` never has to call the setter in them, and the
+    setter would start a BLAS thread server there.
     """
     if config.kind != kind:
         raise ValueError(f"config kind is {config.kind!r}, expected {kind!r}")
@@ -565,21 +640,10 @@ def _drive(
         # numpy imports numpy.random on first use; imported here, before the
         # fork, the workers inherit it instead of each paying 14-18 ms
         import numpy.random  # noqa: F401
-
-        # fork, whatever the platform default: the workers must inherit the
-        # one-thread BLAS count and any wrapper installed under the worker's
-        # module-level name
-        pool_context = ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_keep_freed_memory,
-        )
-    else:
-        pool_context = contextlib.nullcontext()  # one worker: this process
     results = []
     raw: dict = {}
     with one_blas_thread():
-        with pool_context as pool:
-            outputs = _map_replicates(worker, tasks, pool, workers)
+        outputs = _map_replicates(worker, tasks, workers)
         reps = config.replicates
         for s, n in enumerate(config.sizes):
             summaries, checks, samples = plan.size_result(

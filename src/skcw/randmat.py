@@ -70,7 +70,7 @@ def set_blas_threads(count: int) -> int | None:
 
     The setter is called only when the count changes.  In a forked child
     it starts OpenBLAS's thread server again even when asked for the count
-    the child already has, so a pool worker that inherits one BLAS thread
+    the child already has, so a forked worker that inherits one BLAS thread
     would otherwise run a second OS thread beside its own.
     """
     get_threads = openblas_function("get_num_threads")
@@ -90,7 +90,7 @@ def one_blas_thread():
     A multi-threaded OpenBLAS product splits its output across threads,
     and at some sizes (n = 250 and 300 with 2 threads, not n = 200) the
     split changes the last bits of the result; on one thread a product
-    has the same value in the main process and in a pool worker.
+    has the same value in the main process and in a forked worker.
     """
     before = set_blas_threads(1)
     try:
@@ -151,15 +151,16 @@ def sample_gaussian_matrix(n: int, seed, hollow: bool = False) -> np.ndarray:
 
     ``seed`` is one ``SeedSpec``, or a sequence of them for a stack of
     matrices, shape (len(seed), n, n).  Each stream's normals are drawn
-    into one row of a draw array, scattered over the strict upper triangle
-    (row-major, the order of ``np.triu_indices``), mirrored, and followed
-    by the diagonal, so every matrix of a stack is bit for bit the one its
-    ``SeedSpec`` alone gives.
+    into one row of a draw array and scattered through two flat indices,
+    the strict upper triangle (row-major, the order of ``np.triu_indices``)
+    and its transpose, followed by the diagonal, so every matrix of a stack
+    is bit for bit the one its ``SeedSpec`` alone gives.  Every entry is
+    written once, so the matrices need no zero fill.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     seeds = [seed] if isinstance(seed, SeedSpec) else list(seed)
-    upper = _upper_flat_index(n)
+    upper, lower = _triangle_flat_index(n)
     draws = np.empty((len(seeds), upper.size if hollow else upper.size + n))
     # one Philox per call, re-keyed per stream: constructing a Philox seeds
     # it from OS entropy first, which cost more than a whole draw at n = 12
@@ -168,27 +169,27 @@ def sample_gaussian_matrix(n: int, seed, hollow: bool = False) -> np.ndarray:
     for row, spec in zip(draws, seeds):
         bits.state = spec._philox_state()
         rng.standard_normal(out=row)
-    flat = np.zeros((len(seeds), n * n))
+    flat = np.empty((len(seeds), n * n))
     flat[:, upper] = draws[:, :upper.size]
+    flat[:, lower] = draws[:, :upper.size]
+    flat[:, :: n + 1] = 0.0 if hollow else draws[:, upper.size:]
     a = flat.reshape(len(seeds), n, n)
-    a += a.swapaxes(1, 2)
-    if not hollow:
-        flat[:, :: n + 1] = draws[:, upper.size:]
     return a[0] if isinstance(seed, SeedSpec) else a
 
 
 # a run samples at the few sizes of its grid; the bound keeps a long-lived
-# process from holding the index of every size it ever drew
+# process from holding the indices of every size it ever drew
 @functools.lru_cache(maxsize=8)
-def _upper_flat_index(n: int) -> np.ndarray:
-    """Read-only flat positions i * n + j of the strict upper triangle,
-    row-major (the order of ``np.triu_indices``), cached per size: building
-    them cost as much as the rest of a draw at n = 12.  One index into the
-    flattened matrices scatters a whole stack; at n = 200 it scattered in
-    0.08 ms, a (row, column) index pair in 0.16 ms and a boolean mask in
-    0.37 ms."""
+def _triangle_flat_index(n: int) -> np.ndarray:
+    """Read-only flat positions of the strict upper triangle, i * n + j
+    row-major (the order of ``np.triu_indices``), and of its transpose,
+    j * n + i in the same order, as the two rows of one array, cached per
+    size: building them cost as much as the rest of a draw at n = 12.  One
+    index into the flattened matrices scatters a whole stack; at n = 200 it
+    scattered in 0.08 ms, a (row, column) index pair in 0.16 ms and a
+    boolean mask in 0.37 ms."""
     rows, cols = np.triu_indices(n, 1)
-    index = rows * n + cols
+    index = np.stack([rows * n + cols, cols * n + rows])
     index.flags.writeable = False
     return index
 
@@ -248,12 +249,12 @@ def power_traces(m: np.ndarray, kmax: int) -> np.ndarray:
 
 
 def matrix_powers(m: np.ndarray, depth: int) -> list[np.ndarray]:
-    """[M, M^2, ..., M^depth], each power one product M^(j-1) @ M, of one
-    matrix or of each matrix of a stack (B, n, n).
+    """[M, M^2, ..., M^depth], each power one general product M^(j-1) @ M.
 
-    The products run on one BLAS thread, so every process gets the same
-    bits; numpy's stacked product makes the same BLAS call per matrix as a
-    single product.
+    It serves only ``power_traces``, the reference that the Gram products
+    of ``cycles.cycle_series`` are tested against, so it shares none of
+    their code.  The products run on one BLAS thread, so every process gets
+    the same bits.
     """
     powers = [m]
     with one_blas_thread():

@@ -88,7 +88,7 @@ def test_depth_six_is_refused_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("cycle work started")
 
-    monkeypatch.setattr(cycles, "matrix_powers", no_work)
+    monkeypatch.setattr(cycles, "_gram", no_work)
     monkeypatch.setattr(cycles, "_dfs_cycle_sum", no_work)
     a = symmetric_int_matrix(7, 176)
     for refused in (
@@ -301,25 +301,33 @@ def test_walk_core_traces_equal_power_traces(n):
 
 @pytest.mark.parametrize("kmax, products", [(1, 0), (2, 0), (3, 1), (4, 1), (5, 2)])
 def test_walk_core_products_per_kmax(monkeypatch, kmax, products):
-    """S_2 = sum a_ij^2 is elementwise; k = 3, 4 take G = A A and k = 5
-    also G A.  The traces up to kmax come from the same products."""
+    """S_2 = sum a_ij^2 is elementwise; k = 3, 4 take the Gram product
+    G = A A^T and k = 5 also A^4 = G G^T.  The traces up to kmax come from
+    the same products."""
     calls = []
+    real = cycles._gram
 
-    class CountingArray(np.ndarray):
-        def __matmul__(self, other):
-            calls.append(1)
-            return np.asarray(self) @ np.asarray(other)
+    def counting_gram(x):
+        calls.append(x.shape)
+        return real(x)
 
-        def __rmatmul__(self, other):
-            calls.append(1)
-            return np.asarray(other) @ np.asarray(self)
-
-    real = cycles.hollowed
-    monkeypatch.setattr(cycles, "hollowed", lambda a: real(a).view(CountingArray))
+    monkeypatch.setattr(cycles, "_gram", counting_gram)
     a = sample_gaussian_matrix(7, SeedSpec(33, 0), hollow=True)
     series = cycle_series(a, kmax)
     assert len(series.values) == len(series.traces) == kmax
-    assert len(calls) == products
+    assert calls == [(1, 7, 7)] * products
+
+
+def test_gram_products_are_symmetric_and_equal_general_products():
+    """x x^T of one matrix and of each matrix of a stack is exactly
+    symmetric, the same bits for a matrix alone and in a stack, and equal
+    to the general product to rounding."""
+    a = sample_gaussian_matrix(40, [SeedSpec(34, r) for r in range(3)], hollow=True)
+    g = cycles._gram(a)
+    assert np.array_equal(g, g.swapaxes(1, 2))
+    for m, gm in zip(a, g):
+        assert cycles._gram(m).tobytes() == gm.tobytes()
+        np.testing.assert_allclose(gm, m @ m, rtol=1e-12, atol=1e-12)
 
 
 def test_traced_series_is_priced_by_the_cycle_budget(monkeypatch):
@@ -329,12 +337,10 @@ def test_traced_series_is_priced_by_the_cycle_budget(monkeypatch):
     to kmax = 2 the traces take no product, and the same 2 n^3 price admits
     n = 793 and refuses n = 794."""
 
-    def no_products(m, depth):
-        if depth > 1:
-            raise AssertionError("matrix product taken")
-        return [m]
+    def no_products(x):
+        raise AssertionError("matrix product taken")
 
-    monkeypatch.setattr(cycles, "matrix_powers", no_products)
+    monkeypatch.setattr(cycles, "_gram", no_products)
     for kmax in (3, 5):
         with pytest.raises(ValueError, match="operation budget"):
             cycle_series(np.zeros((1600, 1600)), kmax)
@@ -346,6 +352,47 @@ def test_traced_series_is_priced_by_the_cycle_budget(monkeypatch):
         assert traces == (0.0,) * kmax
     with pytest.raises(AssertionError, match="matrix product taken"):
         cycle_series(np.zeros((1600, 1600)), 5, budget=1e11)
+
+
+def test_asymmetric_input_refused_before_any_product(monkeypatch):
+    """The closed forms hold for a symmetric A only: ``cycle_series`` and the
+    default ``signed_cycle_bruteforce`` refuse a matrix or a stack with one
+    entry off its mirror, before any product, and the DFS reference still
+    sums any square matrix."""
+    a = symmetric_int_matrix(6, 40)
+    a[1, 4] += 1.0
+    stack = np.stack([symmetric_int_matrix(6, 41), a])
+
+    def no_products(x):
+        raise AssertionError("matrix product taken")
+
+    monkeypatch.setattr(cycles, "_gram", no_products)
+    for refused in (
+        lambda: cycle_series(a, 3),
+        lambda: cycle_series(stack, 5),
+        lambda: cycle_series(a, 1, budget=math.inf),
+        lambda: signed_cycle_bruteforce(a, 4),
+    ):
+        with pytest.raises(ValueError, match="matrix must be exactly symmetric"):
+            refused()
+    assert signed_cycle_bruteforce(a, 4, method="dfs") == oracle_cycle(a, 4)
+
+
+def test_zero_diagonal_skips_the_hollowed_copy(monkeypatch):
+    """A hollow matrix enters the products as it is; a matrix with a
+    diagonal is hollowed first, and both give the same off-diagonal cycles."""
+    calls = []
+    real = cycles.hollowed
+
+    def counting_hollowed(x):
+        calls.append(x.shape)
+        return real(x)
+
+    monkeypatch.setattr(cycles, "hollowed", counting_hollowed)
+    plain = sample_gaussian_matrix(9, SeedSpec(35, 0))
+    hollow = sample_gaussian_matrix(9, SeedSpec(35, 0), hollow=True)
+    assert cycle_series(hollow, 5).values[1:] == cycle_series(plain, 5).values[1:]
+    assert calls == [(1, 9, 9)]
 
 
 def test_depth_first_terms_are_charged_their_cost(monkeypatch):

@@ -4,14 +4,18 @@ reproducibility across worker counts."""
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skcw import cli, cycles, randmat
 from skcw import experiments as ex
-from skcw import randmat
 from skcw.gibbs import ModelParams
 
 PARAMS = ModelParams(beta=0.25, J=1.0, Jprime=0.0, n=10)
@@ -357,32 +361,22 @@ def test_worker_counts_agree_where_parent_blas_is_threaded(kind, kwargs):
     assert serial.checks == parallel.checks
 
 
-def _record_pools(monkeypatch, cores):
-    """Replace the pool by one that records its worker count and maps in
-    this process, and report ``cores`` usable cores; return the record."""
+def _record_fork_maps(monkeypatch, cores):
+    """Replace the fork map by one that records its worker count and maps
+    in this process, and report ``cores`` usable cores; return the record."""
     created = []
 
-    class RecordingPool:
-        def __init__(self, max_workers, mp_context=None, initializer=None):
-            assert initializer is ex._keep_freed_memory
-            created.append(max_workers)
+    def recording_fork_map(worker, stacks, workers):
+        created.append(workers)
+        return list(map(worker, stacks))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(ex, "_fork_map", recording_fork_map)
     monkeypatch.setattr(ex, "_usable_cores", lambda: cores)
     return created
 
 
 def test_one_pool_per_run_never_wider_than_replicates(monkeypatch):
-    created = _record_pools(monkeypatch, cores=64)
+    created = _record_fork_maps(monkeypatch, cores=64)
     grid = dict(kind="clt", params=PARAMS, master_seed=2, n_grid=(6, 8))
     ex.run_clt(ex.ExperimentConfig(replicates=3, threads=64, **grid))
     ex.run_clt(ex.ExperimentConfig(replicates=5, threads=2, **grid))
@@ -391,7 +385,7 @@ def test_one_pool_per_run_never_wider_than_replicates(monkeypatch):
 
 
 def test_pool_never_wider_than_usable_cores(monkeypatch):
-    created = _record_pools(monkeypatch, cores=2)
+    created = _record_fork_maps(monkeypatch, cores=2)
     grid = dict(kind="clt", params=PARAMS, master_seed=2, n_grid=(6, 8))
     report = ex.run_clt(ex.ExperimentConfig(replicates=5, threads=8, **grid))
     monkeypatch.setattr(ex, "_usable_cores", lambda: 1)
@@ -409,7 +403,7 @@ def test_usable_cores_falls_back_to_the_cpu_count(monkeypatch):
 
 
 def test_pool_workers_keep_freed_memory(monkeypatch):
-    """The pool initializer asks glibc to keep freed arrays in the heap (no
+    """Each forked worker asks glibc to keep freed arrays in the heap (no
     trim, no per-array mmap), and does nothing where there is no mallopt."""
     calls = []
 
@@ -430,9 +424,9 @@ def test_one_map_per_run_in_grid_order(monkeypatch):
     seen = []
     map_replicates = ex._map_replicates
 
-    def spy(worker, tasks, pool, workers):
+    def spy(worker, tasks, workers):
         seen.append(list(tasks))
-        return map_replicates(worker, tasks, pool, workers)
+        return map_replicates(worker, tasks, workers)
 
     monkeypatch.setattr(ex, "_map_replicates", spy)
     cfg = ex.ExperimentConfig(
@@ -448,18 +442,29 @@ def test_one_map_per_run_in_grid_order(monkeypatch):
 
 
 def test_stacks_cut_each_size_by_the_element_cap():
-    """Same-size tasks in order, at most STACK_ELEMENTS // n^2 (and at least
-    one) to a stack; each stack is a list."""
+    """Same-size tasks in order, each stack a list of at most
+    STACK_ELEMENTS // n^2 (and at least one) tasks; a size's stack lengths
+    differ by at most one, and their count is a multiple of the worker
+    count wherever the size has that many tasks."""
     tasks = [(n, "x", 5, r) for n in (12, 20, 200) for r in range(150)]
-    stacks = ex._stacks(tasks)
-    assert all(isinstance(stack, list) for stack in stacks)
-    assert [task for stack in stacks for task in stack] == tasks
-    for stack in stacks:
-        n = stack[0][0]
-        assert {task[0] for task in stack} == {n}
-        assert len(stack) <= max(1, ex.STACK_ELEMENTS // n**2)
-    assert [len(s) for s in stacks if s[0][0] == 12] == [113, 37]
-    assert {len(s) for s in stacks if s[0][0] == 200} == {1}
+    tasks += [(300, "x", 5, r) for r in range(3)]
+    for workers in (1, 2, 3):
+        stacks = ex._stacks(tasks, workers)
+        assert all(isinstance(stack, list) for stack in stacks)
+        assert [task for stack in stacks for task in stack] == tasks
+        for n in (12, 20, 200, 300):
+            lengths = [len(s) for s in stacks if s[0][0] == n]
+            assert all({task[0] for task in s} == {n} for s in stacks if s[0][0] == n)
+            assert max(lengths) <= max(1, ex.STACK_ELEMENTS // n**2)
+            assert max(lengths) - min(lengths) <= 1
+            total = sum(lengths)
+            assert len(lengths) % workers == 0 or len(lengths) == total
+    assert [len(s) for s in ex._stacks(tasks, 2) if s[0][0] == 12] == [75, 75]
+    assert [len(s) for s in ex._stacks(tasks, 3) if s[0][0] == 12] == [50, 50, 50]
+    assert [len(s) for s in ex._stacks(tasks, 1) if s[0][0] == 20] == [37, 38, 37, 38]
+    assert [len(s) for s in ex._stacks(tasks, 3) if s[0][0] == 20] == [25] * 6
+    assert {len(s) for s in ex._stacks(tasks, 2) if s[0][0] == 200} == {1}
+    assert [len(s) for s in ex._stacks(tasks, 2) if s[0][0] == 300] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("kind, kwargs", [
@@ -467,8 +472,8 @@ def test_stacks_cut_each_size_by_the_element_cap():
     ("decomposition", dict(params=ModelParams(beta=0.25, J=0.5, n=16), m=4)),
 ])
 def test_stack_grouping_leaves_raw_samples_unchanged(kind, kwargs):
-    """At 7 replicates a size is one stack, at 200 its first stack holds 113
-    matrices at n = 12 and 64 at n = 16: the first 7 replicates' samples
+    """At 7 replicates a size is one stack, at 200 its first stack holds 100
+    matrices at n = 12 and 50 at n = 16: the first 7 replicates' samples
     are the same bits either way."""
     run = getattr(ex, f"run_{kind}")
     raw = [
@@ -494,24 +499,114 @@ def _worker_threads():
 
 
 def test_pool_workers_run_one_blas_thread(monkeypatch):
+    """Each child of a run's fork map has kept its freed memory and, after
+    a Gram product at n = 200, still runs one OpenBLAS thread and one OS
+    thread; this process never changes its allocator."""
     if randmat.openblas_function("get_num_threads") is None:
         pytest.skip("numpy does not link OpenBLAS here")
     seen = []
-    map_replicates = ex._map_replicates
+    fork_map = ex._fork_map
+    kept = []
+    monkeypatch.setattr(ex, "_keep_freed_memory", lambda: kept.append(os.getpid()))
 
-    def spy(worker, tasks, pool, workers):
-        seen.extend(pool.submit(_worker_threads).result() for _ in range(4))
-        return map_replicates(worker, tasks, pool, workers)
+    def probe(stack):
+        assert kept == [os.getpid()]
+        cycles._gram(np.ones((2, 200, 200)))
+        return [_worker_threads()]
 
-    monkeypatch.setattr(ex, "_map_replicates", spy)
+    def spy(worker, stacks, workers):
+        seen.extend(out for outs in fork_map(probe, [[None]] * 4, workers) for out in outs)
+        return fork_map(worker, stacks, workers)
+
+    monkeypatch.setattr(ex, "_fork_map", spy)
     monkeypatch.setattr(ex, "_usable_cores", lambda: 2)
     cfg = ex.ExperimentConfig(
         kind="clt", params=PARAMS, replicates=4, master_seed=3, threads=2, n_grid=(8,)
     )
     ex.run_clt(cfg)
+    assert kept == []
     assert [blas for blas, _ in seen] == [1] * 4
     if seen[0][1] is not None:
         assert [os_threads for _, os_threads in seen] == [1] * 4
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _two_worker_clt(monkeypatch, worker):
+    monkeypatch.setattr(ex, "_clt_worker", worker)
+    monkeypatch.setattr(ex, "_usable_cores", lambda: 2)
+    return ex.ExperimentConfig(
+        kind="clt", params=PARAMS, replicates=4, master_seed=3, threads=2, n_grid=(8,)
+    )
+
+
+def test_a_worker_error_reaches_the_parent_with_its_type(monkeypatch, capsys):
+    """A child's ValueError is raised in the parent as a ValueError, the CLI
+    turns it into exit 1, and every child is reaped."""
+
+    def refusing_worker(tasks):
+        raise ValueError(f"stack at n={tasks[0][0]} refused")
+
+    cfg = _two_worker_clt(monkeypatch, refusing_worker)
+    with pytest.raises(ValueError, match="stack at n=8 refused"):
+        ex.run_clt(cfg)
+    _assert_no_child_left()
+    argv = ["clt", "--n", "10", "--n-grid", "8", "--beta", "0.25", "--J", "1",
+            "--reps", "4", "--seed", "3", "--threads", "2"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "stack at n=8 refused" in capsys.readouterr().err
+    _assert_no_child_left()
+
+
+def test_a_worker_that_exits_without_writing_is_an_error(monkeypatch):
+    cfg = _two_worker_clt(monkeypatch, lambda tasks: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited without writing its outputs"):
+        ex.run_clt(cfg)
+    _assert_no_child_left()
+
+
+def test_an_interrupted_run_kills_and_reaps_its_children(monkeypatch):
+    """An interrupt while the parent waits kills the children at once
+    instead of waiting out their work."""
+
+    def slow_worker(tasks):
+        time.sleep(60)
+        return [0.0] * len(tasks)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    cfg = _two_worker_clt(monkeypatch, slow_worker)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            ex.run_clt(cfg)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The fork map needs neither multiprocessing nor concurrent.futures,
+    so importing the command line loads neither."""
+    src = os.path.dirname(os.path.dirname(ex.__file__))
+    code = (
+        "import sys, skcw.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+        "if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_unknown_spin_vector_refused_when_the_config_is_built():

@@ -48,15 +48,17 @@ def test_symmetry_and_hollow():
 
 
 def test_upper_triangle_index_is_cached_read_only():
-    """The flat strict upper-triangle index is built once per size and
-    cannot be written through; the draws it places are those of
-    ``np.triu_indices``, row-major, followed by the diagonal."""
-    index = randmat._upper_flat_index(9)
-    assert randmat._upper_flat_index(9) is index
+    """The flat indices of the strict upper triangle and of its transpose
+    are built once per size and cannot be written through; the draws they
+    place are those of ``np.triu_indices``, row-major, mirrored, followed
+    by the diagonal."""
+    index = randmat._triangle_flat_index(9)
+    assert randmat._triangle_flat_index(9) is index
     rows, cols = np.triu_indices(9, 1)
-    assert np.array_equal(index, rows * 9 + cols)
+    assert np.array_equal(index[0], rows * 9 + cols)
+    assert np.array_equal(index[1], cols * 9 + rows)
     with pytest.raises(ValueError):
-        index[0] = 1
+        index[0, 0] = 1
     want = np.zeros((9, 9))
     rng = SEED.generator()
     want[np.triu_indices(9, 1)] = rng.standard_normal(36)
