@@ -12,6 +12,15 @@ from that config alone.  ``experiments.KIND_FIELDS`` names the inputs each
 kind reads: besides the inputs of every run, a subcommand takes flags for
 those alone, and its report's ``config`` block echoes those alone.
 
+The program sets up its own process for that work.  Importing this
+module before numpy sets ``OPENBLAS_NUM_THREADS=1`` unless the caller has
+set it, so OpenBLAS starts no idle threads beside the main one (every
+product runs on one BLAS thread anyway).  ``main`` first asks glibc to
+keep freed arrays in the heap (``experiments.keep_freed_memory``), as the
+forked workers do, so a serial run does not fault its pages in again on
+every replicate.  A library caller of ``experiments.run_*`` keeps its own
+BLAS threads and allocator.
+
 Exit codes: 0 success with all verdicts passing, 2 verdict failure,
 1 usage, regime or budget errors.
 """
@@ -21,8 +30,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from datetime import datetime, timezone
+
+# before numpy loads: OpenBLAS starts its threads then, and its idle ones
+# spun for 0.12-0.13 s of CPU in every process
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import experiments, gibbs, randmat
 from .cycles import DEFAULT_CYCLE_BUDGET
@@ -258,6 +273,7 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
+    experiments.keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -476,12 +476,15 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _keep_freed_memory() -> None:
-    """Run first in each forked worker: glibc keeps freed blocks in the heap
-    (no-op without ``mallopt``).  Otherwise each n x n array may be unmapped
-    or trimmed and fault its pages in again, as the inherited heap happens
+def keep_freed_memory() -> None:
+    """Ask glibc to keep freed blocks in the heap (no-op without
+    ``mallopt``).  Otherwise each n x n array may be unmapped or trimmed
+    and fault its pages in again on the next replicate, as the heap happens
     to decide: the ``approx_grid`` workers took 6e3 or 3e4 faults for
-    comment-only edits."""
+    comment-only edits, and a serial ``approx`` run 5.9e3 where it takes
+    9.5e2 with this call.  Run first in each forked worker and by ``cli.main``
+    in the program's own process; a library caller's process keeps the
+    allocator it was given."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: no trimming below 1 GiB free
@@ -573,7 +576,7 @@ def _run_child(worker: Callable, stacks: list, write_fd: int) -> None:
     so it never returns into the parent's stack or runs its exit handlers."""
     try:
         try:
-            _keep_freed_memory()
+            keep_freed_memory()
             payload = pickle.dumps((None, [worker(stack) for stack in stacks]))
         except BaseException as exc:
             # one that does not pickle leaves the pipe empty, a RuntimeError

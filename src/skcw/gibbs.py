@@ -29,11 +29,13 @@ guards for every caller, via three interchangeable methods:
   one matrix product ((X @ V) * Y).sum(1) on one BLAS thread.  This is the
   weighted-triangle reduction of R. Williams (TCS 2005): about
   3 * 2^(2(n-1)/3) exponentials and one 2^(n-1) multiply-add GEMM instead
-  of 2^(n-1) exponentials.  The block spin tables are cached per size,
-  read-only.  A row whose sum underflows is recomputed with its exact
-  shift.  A stack of matrices (B, n, n) runs as one kernel call per
-  sub-stack whose X, V and Y hold at most ``_SPLIT_ELEMENTS`` elements,
-  and each value is bit for bit that of its matrix alone;
+  of 2^(n-1) exponentials.  The block spin tables and their pair tables
+  (s_i s_j per row, so each block's quadratic term is one product) are
+  cached per size, read-only.  A row whose sum underflows is recomputed
+  with its exact shift.  A stack of matrices (B, n, n) runs as one kernel
+  call per sub-stack whose X, V and Y hold at most ``_SPLIT_ELEMENTS``
+  elements, all sub-stacks writing into one set of work arrays, and each
+  value is bit for bit that of its matrix alone;
 * ``gray``  -- serial Gray-code traversal flipping one spin per step with
   O(n) local-field updates and an online running-max log-sum-exp;
 * ``naive`` -- literal re-evaluation of <sigma, M sigma> per state
@@ -63,10 +65,14 @@ ENUMERATION_MAX_N = 28
 # recomputed with its exact shift.
 _ROW_FLOOR = 1e-250
 # at most this many elements of X, V and Y together in one sub-stack of the
-# split kernel: 64 matrices at n = 12, ten at n = 16 and one from n = 20 on.
-# Sub-stacks of 2^16 elements ran slower at n = 16 and 20 than 2^14 or 2^15:
-# their arrays no longer stay in cache
-_SPLIT_ELEMENTS = 1 << 15
+# split kernel: 128 matrices at n = 12, 21 at n = 16, 3 at n = 20 and one
+# from n = 24 on.  Larger sub-stacks pay less per-call overhead, but their
+# arrays pass glibc's 128 KiB mmap threshold: allocated per sub-stack, they
+# faulted their pages in again every time (a library caller's
+# ``decomp_serial`` run took 13.6e3 faults at 2^16 and 1.4e3 at 2^15), which
+# the one work buffer of ``_log_partition_split`` avoids.  2^17 changes
+# nothing from n = 24 on and raised the benchmark's peak RSS by 0.3 MB
+_SPLIT_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -159,20 +165,59 @@ def _block_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
+@functools.cache
+def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only pair tables of the blocks of ``_block_tables(n)``.
+
+    For a block table t with k columns, the pair table has shape
+    (k^2, rows) and holds t[r, i] * t[r, j] in row i*k + j, column r, so
+    the flattened k x k block of beta*M times the pair table is the block's
+    quadratic form at every row of t.
+    """
+    tables = tuple(
+        (t[:, :, None] * t[:, None, :]).reshape(len(t), -1).T.copy()
+        for t in _block_tables(n)
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _quadratic_forms(block: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """s . B s at every row s of a block table, for each k x k block B of
+    the stack ``block``: one (1, k^2) by (k^2, rows) product per matrix,
+    whose bits do not depend on the stack's length."""
+    return (block.reshape(len(block), 1, -1) @ pairs)[:, 0]
+
+
 def _log_partition_split(m: np.ndarray, beta: float) -> np.ndarray:
     """log Z of each matrix M of the stack ``m`` (B, n, n), n >= 2, by the
     three-block factored enumeration, in sub-stacks whose X, V and Y hold
-    at most ``_SPLIT_ELEMENTS`` elements together (at least one matrix)."""
+    at most ``_SPLIT_ELEMENTS`` elements together (at least one matrix).
+
+    The sub-stacks share one set of work arrays for X, Y, e_uw, V and
+    X @ V, carved from one buffer allocated here for the longest
+    sub-stack, so no sub-stack faults in fresh pages for them.
+    """
     n = m.shape[-1]
-    ta, tu, tw = _block_tables(n)
-    per_matrix = ta.shape[0] * (tu.shape[0] + tw.shape[0]) + tu.shape[0] * tw.shape[0]
+    rows_a, rows_u, rows_w = (len(t) for t in _block_tables(n))
+    per_matrix = rows_a * (rows_u + rows_w) + rows_u * rows_w
     step = max(1, _SPLIT_ELEMENTS // per_matrix)
+    cap = min(len(m), step)
+    shapes = [(cap, rows_a, rows_u), (cap, rows_a, rows_w), (cap, rows_u, rows_w),
+              (cap, rows_u, rows_w), (cap, rows_a, rows_w)]
+    sizes = [math.prod(shape) for shape in shapes]
+    # one allocation: freed whole, it raises glibc's dynamic mmap and trim
+    # thresholds above the whole set, so a process that keeps the default
+    # allocator reuses the heap on its next call instead of faulting it in
+    parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes[:-1]))
+    work = [part.reshape(shape) for part, shape in zip(parts, shapes)]
     return np.concatenate(
-        [_log_partition_split_stack(m[i:i + step], beta) for i in range(0, len(m), step)]
+        [_log_partition_split_stack(m[i:i + step], beta, work) for i in range(0, len(m), step)]
     )
 
 
-def _log_partition_split_stack(m: np.ndarray, beta: float) -> np.ndarray:
+def _log_partition_split_stack(m: np.ndarray, beta: float, work: list) -> np.ndarray:
     """Three-block factored enumeration of a stack; spin 0 pinned to +1 by
     symmetry.
 
@@ -183,48 +228,54 @@ def _log_partition_split_stack(m: np.ndarray, beta: float) -> np.ndarray:
         sum_uw X[a, u] V[u, w] Y[a, w],  X = exp(cu(a) . u - |cu(a)|_1),
         Y = exp(cw(a) . w - |cw(a)|_1),  V = exp(e_uw - max e_uw),
 
-    each factor peaking at 1.  All rows of a matrix are one matrix product
-    ((X @ V) * Y).sum(1), followed by a log-sum-exp over the rows.  Every
-    step runs on the stack's leading axis and reduces along the same
-    contiguous axis as for one matrix, and numpy's stacked matmul makes the
-    same BLAS call per matrix, so each value is bit for bit that of a
-    stack of one.
+    each factor peaking at 1.  The quadratic terms e_a, e_u and e_w are one
+    product each with the ``_pair_tables``.  All rows of a matrix are one
+    matrix product ((X @ V) * Y).sum(1), followed by a log-sum-exp over the
+    rows.  X, Y, e_uw, V and X @ V are written into the first len(m)
+    matrices of the ``work`` arrays.  Every step runs on the stack's
+    leading axis and reduces along the same contiguous axis as for one
+    matrix, and numpy's stacked matmul makes the same BLAS call per matrix,
+    so each value is bit for bit that of a stack of one.
     """
-    n = m.shape[-1]
+    b, n = len(m), m.shape[-1]
     ta, tu, tw = _block_tables(n)
+    qa, qu, qw = _pair_tables(n)
+    x, y, e_uw, v, xv = (w[:b] for w in work)
     # spins [0, ka) are a with the pinned spin 0, [ka, kw) u, [kw, n) w
     ka = ta.shape[1]
     kw = ka + tu.shape[1]
     bm = beta * m
     with one_blas_thread():
-        h = ta @ bm[:, :ka]
-        e_a = (h[:, :, :ka] * ta).sum(axis=2)
-        cu = 2.0 * h[:, :, ka:kw]
-        cw = 2.0 * h[:, :, kw:]
+        e_a = _quadratic_forms(bm[:, :ka, :ka], qa)
+        h = ta @ bm[:, :ka, ka:]
+        cu = 2.0 * h[:, :, : kw - ka]
+        cw = 2.0 * h[:, :, kw - ka :]
         su = np.abs(cu).sum(axis=2)
         sw = np.abs(cw).sum(axis=2)
-        g = tu @ bm[:, ka:kw, ka:]
-        e_uw = 2.0 * (g[:, :, kw - ka :] @ tw.T)
-        e_uw += (g[:, :, : kw - ka] * tu).sum(axis=2)[:, :, None]
-        e_uw += ((tw @ bm[:, kw:, kw:]) * tw).sum(axis=2)[:, None, :]
+        np.matmul(tu @ bm[:, ka:kw, kw:], tw.T, out=e_uw)
+        e_uw *= 2.0
+        e_uw += _quadratic_forms(bm[:, ka:kw, ka:kw], qu)[:, :, None]
+        e_uw += _quadratic_forms(bm[:, kw:, kw:], qw)[:, None, :]
         top_uw = e_uw.max(axis=(1, 2))
-        x = cu @ tu.T
+        np.matmul(cu, tu.T, out=x)
         x -= su[:, :, None]
         np.exp(x, out=x)
-        y = cw @ tw.T
+        np.matmul(cw, tw.T, out=y)
         y -= sw[:, :, None]
         np.exp(y, out=y)
-        xv = x @ np.exp(e_uw - top_uw[:, None, None])
+        np.subtract(e_uw, top_uw[:, None, None], out=v)
+        np.exp(v, out=v)
+        np.matmul(x, v, out=xv)
     xv *= y
     sums = xv.sum(axis=2)
     row_log = e_a + su + sw + top_uw[:, None] + np.log(np.maximum(sums, _ROW_FLOOR))
     # X, Y and V each peak at 1 but possibly in different cells, so a row's
     # largest term, and with it the row sum, can underflow far outside the
     # paramagnetic regime; such rows are summed again with their exact shift
-    for b, i in zip(*np.nonzero(sums < _ROW_FLOOR)):
-        exact = e_uw[b] + (cu[b, i] @ tu.T)[:, None] + cw[b, i] @ tw.T
+    for k, i in zip(*np.nonzero(sums < _ROW_FLOOR)):
+        exact = e_uw[k] + (cu[k, i] @ tu.T)[:, None] + cw[k, i] @ tw.T
         top_i = float(exact.max())
-        row_log[b, i] = e_a[b, i] + top_i + math.log(float(np.exp(exact - top_i).sum()))
+        row_log[k, i] = e_a[k, i] + top_i + math.log(float(np.exp(exact - top_i).sum()))
     top = row_log.max(axis=1)
     totals = np.exp(row_log - top[:, None]).sum(axis=1)
     # the pinned spin accounts for half the cube; sigma -> -sigma is exact.

@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from skcw import combinat, experiments
+from skcw import combinat, experiments, randmat
 from skcw.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, build_parser, main
 from skcw.gibbs import ModelParams
 from skcw.randmat import load_matrix_text
@@ -390,3 +393,56 @@ def test_readme_command_lines_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def _fresh_interpreter(code, blas_threads=None):
+    """Standard output of ``code`` run by a new interpreter that imports
+    skcw from this tree, with ``OPENBLAS_NUM_THREADS`` set to
+    ``blas_threads`` or, for None, removed from its environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(experiments.__file__).resolve().parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout
+
+
+@pytest.mark.parametrize("blas_threads, expected", [(None, 1), ("2", 2)])
+def test_the_cli_process_starts_one_blas_thread_unless_told(blas_threads, expected):
+    """Imported before numpy, the command line holds OpenBLAS to one thread,
+    so no idle BLAS thread runs beside the main one; a count the caller set
+    is kept."""
+    if randmat.openblas_function("get_num_threads") is None:
+        pytest.skip("numpy does not link OpenBLAS here")
+    if expected > experiments._usable_cores():
+        pytest.skip("OpenBLAS runs no more threads than there are cores")
+    code = (
+        "import os, skcw.cli; from skcw.randmat import openblas_function; "
+        "print(openblas_function('get_num_threads')(), len(os.listdir('/proc/self/task')) "
+        "if os.path.isdir('/proc/self/task') else None)"
+    )
+    blas, os_threads = _fresh_interpreter(code, blas_threads).split()
+    assert int(blas) == expected
+    if sys.platform.startswith("linux"):
+        assert int(os_threads) == expected
+
+
+def test_importing_the_cli_after_numpy_leaves_the_environment_alone():
+    code = (
+        "import os, numpy; before = dict(os.environ); import skcw.cli; "
+        "print(dict(os.environ) == before, 'OPENBLAS_NUM_THREADS' in os.environ)"
+    )
+    assert _fresh_interpreter(code).split() == ["True", "False"]
+
+
+def test_main_keeps_freed_memory_once_per_run(monkeypatch, tmp_path):
+    """The program's own process keeps its freed arrays, as a forked worker
+    does: ``main`` asks once, before the run, however many sizes it has."""
+    calls = []
+    monkeypatch.setattr(experiments, "keep_freed_memory", lambda: calls.append(1))
+    argv = ["clt", "--n", "8", "--n-grid", "6,8", "--beta", "0.2", "--reps", "5",
+            "--out", str(tmp_path / "r.json")]
+    assert run(argv) in (EXIT_OK, EXIT_VERDICT)
+    assert calls == [1]

@@ -413,10 +413,10 @@ def test_pool_workers_keep_freed_memory(monkeypatch):
             return 1
 
     monkeypatch.setattr(ex.ctypes, "CDLL", lambda name: Libc())
-    ex._keep_freed_memory()
+    ex.keep_freed_memory()
     assert calls == [(-1, 1 << 30), (-3, 1 << 25)]
     monkeypatch.setattr(ex.ctypes, "CDLL", lambda name: object())
-    ex._keep_freed_memory()
+    ex.keep_freed_memory()
     assert len(calls) == 2
 
 
@@ -507,7 +507,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     seen = []
     fork_map = ex._fork_map
     kept = []
-    monkeypatch.setattr(ex, "_keep_freed_memory", lambda: kept.append(os.getpid()))
+    monkeypatch.setattr(ex, "keep_freed_memory", lambda: kept.append(os.getpid()))
 
     def probe(stack):
         assert kept == [os.getpid()]

@@ -163,10 +163,19 @@ def test_split_matches_naive_at_every_block_shape(n):
 
 
 def test_split_block_tables_are_cached_read_only():
+    """The block spin tables and their pair tables, whose row i*k + j holds
+    s_i * s_j for each row s of a k-column block table."""
     tables = gibbs._block_tables(12)
+    pairs = gibbs._pair_tables(12)
     assert gibbs._block_tables(12) is tables
+    assert gibbs._pair_tables(12) is pairs
     assert sum(t.shape[1] for t in tables) == 12
-    for table in tables:
+    for table, pair in zip(tables, pairs):
+        k = table.shape[1]
+        assert pair.shape == (k * k, len(table))
+        for i, j in itertools.product(range(k), repeat=2):
+            assert pair[i * k + j].tolist() == (table[:, i] * table[:, j]).tolist()
+    for table in tables + pairs:
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
 
@@ -191,6 +200,26 @@ def test_stacked_log_partition_is_independent_of_the_sub_stacks(monkeypatch):
     monkeypatch.setattr(gibbs, "_SPLIT_ELEMENTS", 1)
     assert exact_log_partition(a, p).tolist() == whole.tolist()
     assert whole.tolist() == [exact_log_partition(m, p) for m in a]
+
+
+@pytest.mark.parametrize("n, count, cut", [(20, 7, [3, 3, 1]), (16, 25, [21, 4])])
+def test_short_last_sub_stack_equals_singles(monkeypatch, n, count, cut):
+    """The sub-stacks share work arrays sized for the longest; a shorter
+    last one writes only their leading matrices, and every value is still
+    its matrix's own."""
+    a = sample_gaussian_matrix(n, [SeedSpec(44, r) for r in range(count)])
+    p = ModelParams(beta=0.25, J=1.0, Jprime=0.1, n=n)
+    lengths = []
+    split_stack = gibbs._log_partition_split_stack
+
+    def spy(m, beta, work):
+        lengths.append(len(m))
+        return split_stack(m, beta, work)
+
+    monkeypatch.setattr(gibbs, "_log_partition_split_stack", spy)
+    stacked = exact_log_partition(a, p)
+    assert lengths == cut
+    assert stacked.tolist() == [exact_log_partition(m, p) for m in a]
 
 
 @pytest.mark.parametrize("n", [6, 13])
