@@ -10,7 +10,9 @@ The five experiment subcommands share one path: their flags become an
 replicate runs, and ``experiments.run_<subcommand>`` produces the report
 from that config alone.  ``experiments.KIND_FIELDS`` names the inputs each
 kind reads: besides the inputs of every run, a subcommand takes flags for
-those alone, and its report's ``config`` block echoes those alone.
+those alone, and its report's ``config`` block echoes those alone.  An
+experiment run builds the parser of its own subcommand only; its help and
+usage errors are the same bytes as with every subcommand built.
 
 The program sets up its own process for that work.  Importing this
 module before numpy sets ``OPENBLAS_NUM_THREADS=1`` unless the caller has
@@ -107,8 +109,22 @@ def _add_field_flags(p, fields):
         p.add_argument(flag, dest=field, **kwargs)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# every subcommand, in the order the help lists them
+_COMMANDS = ("identities", "sample", "free-energy", *experiments.KINDS, "report")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``skcw`` parser with every subcommand, or with only the
+    experiment subcommand ``command``.  The latter spells the whole
+    subcommand list out as the metavar that the full parser's usage line
+    shows, so the top-level usage prints the same bytes either way."""
     parser = _Parser(prog="skcw", description=__doc__.splitlines()[0])
+    if command is not None:
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
+        )
+        _add_experiment_parser(sub, command)
+        return parser
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("identities", parents=[], help="run the exact identity suite")
@@ -131,28 +147,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
 
     for kind in experiments.KINDS:
-        help_text, defaults = _SUBCOMMANDS[kind]
-        p = sub.add_parser(kind, help=help_text)
-        p.add_argument("--n", type=int, required=True, help="system size")
-        p.add_argument("--reps", type=int, default=1000, help="Monte Carlo replicates")
-        p.add_argument("--seed", type=int, default=1, help="master seed")
-        p.add_argument("--n-grid", type=str, default=None,
-                       help="comma-separated sizes for trend checks, e.g. 12,16,20")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes, at most one per replicate and per "
-                            "usable core, each with one BLAS thread; 1 computes in "
-                            "this process")
-        p.add_argument("--out", type=str, default=None, help="report path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="csv also writes raw samples to <out>.csv (needs --out)")
-        p.add_argument("--raw-samples", action="store_true",
-                       help="keep per-replicate samples in the report")
-        _add_field_flags(p, experiments.KIND_FIELDS[kind])
-        p.set_defaults(**defaults)
+        _add_experiment_parser(sub, kind)
 
     p = sub.add_parser("report", help="re-parse, validate and summarize a report")
     p.add_argument("--in", dest="path", type=str, required=True)
     return parser
+
+
+def _add_experiment_parser(sub, kind: str) -> None:
+    help_text, defaults = _SUBCOMMANDS[kind]
+    p = sub.add_parser(kind, help=help_text)
+    p.add_argument("--n", type=int, required=True, help="system size")
+    p.add_argument("--reps", type=int, default=1000, help="Monte Carlo replicates")
+    p.add_argument("--seed", type=int, default=1, help="master seed")
+    p.add_argument("--n-grid", type=str, default=None,
+                   help="comma-separated sizes for trend checks, e.g. 12,16,20")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes, at most one per replicate and per "
+                        "usable core, each with one BLAS thread; 1 computes in "
+                        "this process")
+    p.add_argument("--out", type=str, default=None, help="report path (default stdout)")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="csv also writes raw samples to <out>.csv (needs --out)")
+    p.add_argument("--raw-samples", action="store_true",
+                   help="keep per-replicate samples in the report")
+    _add_field_flags(p, experiments.KIND_FIELDS[kind])
+    p.set_defaults(**defaults)
 
 
 def _parse_grid(text):
@@ -274,7 +294,10 @@ def _cmd_report(args) -> int:
 
 def main(argv=None) -> int:
     experiments.keep_freed_memory()
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # an experiment run builds its own subcommand alone, a third of the
+    # parser's cost; anything else gets every subcommand and its listing
+    parser = build_parser(argv[0] if argv and argv[0] in experiments.KINDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

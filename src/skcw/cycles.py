@@ -27,11 +27,15 @@ of G o A,
 
 so k <= 2 takes no matrix product, k = 3 and 4 one Gram product and
 k = 5 two.  numpy sends a product of an array with its own transpose to
-BLAS syrk, which does half the multiply-adds of a general product.
+BLAS syrk, which does half the multiply-adds of a general product.  Each
+inner product <X, Y> is one BLAS dot per matrix on one BLAS thread, and
+a trace is read from a diagonal wherever the product is formed anyway.
 ``check_cycle_budget`` is the one compute guard of every series.  A stack
 of matrices (B, n, n) takes stacked products and per-matrix sums along the
 same axes as one matrix, so each of its series is bit for bit the series
-of its matrix alone.
+of its matrix alone.  A stack's series come back as arrays, one
+``CycleStack`` of (B, kmax) values and traces, with no per-matrix object
+unless the caller iterates over it.
 
 A depth-first enumeration with a visited mask and prefix products is the
 reference, reached only as ``signed_cycle_bruteforce(..., method="dfs")``
@@ -43,12 +47,13 @@ nested-loop oracle.
 The spectral side: C_{n,k} for k >= 3 is approximated by the centered
 linear spectral statistic Tr P_k(A_hollow / sqrt(n)) built from the
 doubled Chebyshev polynomial P_k.  Its power traces Tr A^j are the walk
-sums of the same products the closed forms use (Tr A^2 .. Tr A^5 are
-S_2, S_3, <G, G> and <A^4, A>), so every series returns them with the
-cycles.  For k = 3 the two sides agree
-identically.  The centering E Tr P_k is exact: zero for odd k by sign
-symmetry, and for even k the Chebyshev combination of the exact moments
-from ``combinat.walk_moments``.  ``chebyshev_lss`` (from
+sums of the same products the closed forms use (Tr A^2 = S_2 = Tr G,
+Tr A^3 = S_3 = <G, A> = sum e, Tr A^4 = <G, G>, read as the trace of A^4
+where k = 5 forms it, and Tr A^5 = <A^4, A>), so every series returns
+them with the cycles.  For k = 3 the two sides agree identically.  The
+centering E Tr P_k is exact: zero for odd k by sign symmetry, and for
+even k the Chebyshev combination of the exact moments from
+``combinat.walk_moments``.  ``chebyshev_lss`` (from
 ``randmat.power_traces``) and ``lss_centering`` (its Monte Carlo mean) are
 the references the tests compare against.
 """
@@ -142,43 +147,39 @@ def _walk_sums(at: np.ndarray, kmax: int) -> tuple[list, list]:
 
     Returns the distinct-tuple cycle sums [S_2, ..., S_kmax] from the
     closed forms of the module docstring and the walk traces
-    [Tr A, ..., Tr A^kmax], each one reduction of a Gram product against
-    A or itself: Tr A^3 = <G, A>, Tr A^4 = <G, G>, Tr A^5 = <A^4, A>.  Each
-    entry has the shape of ``at`` without its last two axes.  Every sum
-    runs over the last axes of one contiguous array, in the order of one
-    matrix's sum, so a stack's values are bit for bit those of its
-    matrices alone.
+    [Tr A, ..., Tr A^kmax].  Each entry has the shape of ``at`` without its
+    last two axes.  A trace is read where it costs least: Tr A^2 = <A, A>,
+    or the trace of G once G is formed; Tr A^3 = <G, A>, or the sum of
+    e = diag A^3 where k = 5 needs e; Tr A^4 = <G, G>, or the trace of A^4
+    where k = 5 forms it; Tr A^5 = <A^4, A>.  Every inner product is one
+    BLAS dot per matrix on one BLAS thread (``_inner``), and every other
+    sum runs over the last axes in the order of one matrix's sum, so a
+    stack's values are bit for bit those of its matrices alone.
     """
-    # elementwise sums instead of BLAS dots: the value must not depend on
-    # how a multi-threaded BLAS splits the work.  One scratch array w holds
-    # each elementwise product in turn: a process whose allocator trims
-    # freed memory faults in the pages of every fresh n x n array again
-    w = np.multiply(at, at)
-    walks = [np.zeros(at.shape[:-2]), _entry_sum(w)]
-    if kmax >= 4:
-        w *= w
-        fourth = _entry_sum(w)  # sum a_ij^4
-    if kmax >= 3:
-        g = _gram(at)
-        np.multiply(g, at, out=w)
-        walks.append(_entry_sum(w))  # <G, A>
-    if kmax >= 5:
-        e = np.sum(w, axis=-1)  # diag A^3, the row sums of G o A
-        w *= at
-        w *= at
-        cubes = _entry_sum(w)  # <A o A, G o A>
-    if kmax >= 4:
-        np.multiply(g, g, out=w)
-        walks.append(_entry_sum(w))  # <G, G>
-    if kmax >= 5:
-        del w  # A^4 takes its place
-        a4 = _gram(g)
-        a4 *= at
-        walks.append(_entry_sum(a4))  # <A^4, A>
+    with one_blas_thread():
+        g = _gram(at) if kmax >= 3 else None
+        walks = [np.zeros(at.shape[:-2]), _inner(at, at) if g is None else _trace(g)]
+        if kmax >= 5:
+            ga = np.multiply(g, at)
+            e = np.sum(ga, axis=-1)  # diag A^3, the row sums of G o A
+            walks.append(np.sum(e, axis=-1))
+        elif kmax >= 3:
+            walks.append(_inner(g, at))
+        if kmax >= 4:
+            aa = np.multiply(at, at)
+            fourth = _inner(aa, aa)  # sum a_ij^4
+            d = np.diagonal(g, axis1=-2, axis2=-1)
+            dd = np.sum(d * d, axis=-1)
+        if kmax >= 5:
+            cubes = _inner(aa, ga)  # <A o A, G o A>
+            del aa, ga
+            a4 = _gram(g)
+            walks += [_trace(a4), _inner(a4, at)]
+        elif kmax >= 4:
+            walks.append(_inner(g, g))
     sums = walks[1:min(kmax, 3)]
     if kmax >= 4:
-        d = np.diagonal(g, axis1=-2, axis2=-1)
-        sums.append(walks[3] - 2.0 * np.sum(d * d, axis=-1) + fourth)
+        sums.append(walks[3] - 2.0 * dd + fourth)
     if kmax >= 5:
         sums.append(walks[4] - 5.0 * np.sum(d * e, axis=-1) + 5.0 * cubes)
     return sums, walks[:kmax]
@@ -196,9 +197,18 @@ def _gram(x: np.ndarray) -> np.ndarray:
         return x @ x.swapaxes(-1, -2)
 
 
-def _entry_sum(x: np.ndarray) -> np.ndarray:
-    """Sum of the entries of each matrix of ``x`` (over its last two axes)."""
-    return np.sum(x, axis=(-2, -1))
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x, y> of each pair of contiguous matrices over their last two axes:
+    one BLAS dot per matrix, so a stack makes the same call per matrix as
+    one matrix alone.  The caller holds one BLAS thread, so the dot is not
+    split across threads."""
+    lead = x.shape[:-2]
+    return (x.reshape(*lead, 1, -1) @ y.reshape(*lead, -1, 1))[..., 0, 0]
+
+
+def _trace(x: np.ndarray) -> np.ndarray:
+    """Trace of each matrix of ``x`` (over its last two axes)."""
+    return np.trace(x, axis1=-2, axis2=-1)
 
 
 def _dfs_cycle_sum(at: np.ndarray, k: int) -> float:
@@ -262,6 +272,22 @@ class CycleSeries:
         return v
 
 
+@dataclass(frozen=True, eq=False)
+class CycleStack:
+    """The series of a stack of B matrices as arrays: ``values[:, k-1]``
+    holds C_{n,k} and ``traces[:, j-1]`` Tr (A_hollow / sqrt n)^j of every
+    matrix, each (B, kmax).  Iteration yields the per-matrix
+    ``CycleSeries``; a run reads the arrays instead."""
+
+    n: int
+    values: np.ndarray
+    traces: np.ndarray
+
+    def __iter__(self):
+        for v, t in zip(self.values.tolist(), self.traces.tolist()):
+            yield CycleSeries(n=self.n, values=tuple(v), traces=tuple(t))
+
+
 def cycle_series(a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET):
     """C_{n,1..kmax} and Tr (A_hollow / sqrt n)^1..kmax in one pass, for
     1 <= kmax <= min(n, ``CLOSED_FORM_KMAX``), sharing the matrix products
@@ -270,10 +296,10 @@ def cycle_series(a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET)
     series beyond the budget, before any product is taken.  A matrix whose
     diagonal is already zero is used as it is, without a hollowed copy.
 
-    One matrix gives one ``CycleSeries``; a stack (B, n, n) gives a list of
-    B, from stacked products and sums, each bit for bit the series of its
-    matrix alone.  The budget prices one matrix: the caller bounds the
-    stack.
+    One matrix gives one ``CycleSeries``; a stack (B, n, n) gives one
+    ``CycleStack``, from stacked products and sums, whose every row is bit
+    for bit the series of its matrix alone.  The budget prices one matrix:
+    the caller bounds the stack.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
@@ -293,11 +319,8 @@ def cycle_series(a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET)
     values = [signed_cycle_c1(stack)]
     values += [s_k / n ** (k / 2.0) for k, s_k in enumerate(sums, start=2)]
     traces = [t / n ** (j / 2.0) for j, t in enumerate(walks, start=1)]
-    series = [
-        CycleSeries(n=n, values=tuple(v), traces=tuple(t))
-        for v, t in zip(np.transpose(values).tolist(), np.transpose(traces).tolist())
-    ]
-    return series if a.ndim == 3 else series[0]
+    series = CycleStack(n, np.stack(values, axis=1), np.stack(traces, axis=1))
+    return series if a.ndim == 3 else next(iter(series))
 
 
 def chebyshev_lss(a_hollow: np.ndarray, k: int) -> float:

@@ -639,10 +639,10 @@ def _drive(
         for r in range(config.replicates)
     ]
     workers = min(config.threads, config.replicates, _usable_cores())
-    if workers > 1:
-        # numpy imports numpy.random on first use; imported here, before the
-        # fork, the workers inherit it instead of each paying 14-18 ms
-        import numpy.random  # noqa: F401
+    # numpy imports numpy.random on first use; imported here, before the map,
+    # forked workers inherit it instead of each paying 14-18 ms, and a
+    # serial run's sampling time does not include the import
+    import numpy.random  # noqa: F401
     results = []
     raw: dict = {}
     with one_blas_thread():
@@ -744,13 +744,13 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
 def _cycles_worker(tasks: list) -> list[list[float]]:
     n, kmax, budget = tasks[0][:3]
     a = sample_gaussian_matrix(n, _stack_seeds(tasks))
-    return [list(series.values) for series in cycle_series(a, kmax, budget=budget)]
+    return cycle_series(a, kmax, budget=budget).values.tolist()
 
 
 def _tilted_worker(tasks: list) -> list[list[float]]:
     n, kmax, beta, sigma, budget = tasks[0][:5]
     a = sample_tilted_matrix(n, sigma, beta, _stack_seeds(tasks))
-    return [list(series.values) for series in cycle_series(a, kmax, budget=budget)]
+    return cycle_series(a, kmax, budget=budget).values.tolist()
 
 
 def _cycle_variance(k: int) -> float:
@@ -880,9 +880,10 @@ def _approx_worker(tasks: list) -> list[tuple[list[float], list[float]]]:
     n, kmax, budget = tasks[0][:3]
     a = sample_gaussian_matrix(n, _stack_seeds(tasks), hollow=True)
     ks = range(3, kmax + 1)
+    series = cycle_series(a, kmax, budget=budget)
     return [
-        ([series.value(k) for k in ks], [chebyshev_trace(series.traces, n, k) for k in ks])
-        for series in cycle_series(a, kmax, budget=budget)
+        (values[2:], [chebyshev_trace(traces, n, k) for k in ks])
+        for values, traces in zip(series.values.tolist(), series.traces.tolist())
     ]
 
 

@@ -22,20 +22,25 @@ guards for every caller, via three interchangeable methods:
 
 * ``split`` (default) -- factored three-block enumeration.  Spin 0 is
   pinned by the global flip symmetry and the other n-1 spins form blocks
-  a, u and w of about (n-1)/3 each.  The cross terms between a and the
-  other two blocks are linear in u and in w, so every row a of the sum
-  factors into exp-tables X[a, u] and Y[a, w] (each shifted to peak at 1
-  in closed form) around V[u, w] = exp(e_uw - max e_uw), and all rows are
-  one matrix product ((X @ V) * Y).sum(1) on one BLAS thread.  This is the
+  a, u and w of about (n-1)/3 each, u taking the larger half after a.  The
+  cross terms between a and the other two blocks are linear in u and in
+  w, so every row a of the sum factors into exp-tables X[a, u] and Y[a, w]
+  (each shifted to peak at 1 in closed form) around V[u, w] =
+  exp(e_uw - c), with c a closed-form bound on e_uw, and all rows are one
+  matrix product ((X @ V) * Y).sum(1) on one BLAS thread.  This is the
   weighted-triangle reduction of R. Williams (TCS 2005): about
   3 * 2^(2(n-1)/3) exponentials and one 2^(n-1) multiply-add GEMM instead
-  of 2^(n-1) exponentials.  The block spin tables and their pair tables
-  (s_i s_j per row, so each block's quadratic term is one product) are
-  cached per size, read-only.  A row whose sum underflows is recomputed
-  with its exact shift.  A stack of matrices (B, n, n) runs as one kernel
-  call per sub-stack whose X, V and Y hold at most ``_SPLIT_ELEMENTS``
-  elements, all sub-stacks writing into one set of work arrays, and each
-  value is bit for bit that of its matrix alone;
+  of 2^(n-1) exponentials.  Each table's exponent, shift included, is one
+  product with an augmented factor (a column of shifts against a row of
+  ones), so no elementwise pass but the exponential touches a table
+  before the GEMM.  The block spin tables, their pair tables (s_i s_j per
+  row, so each block's quadratic term is one product) and the augmented
+  tables are cached per size, read-only.  A row whose sum underflows is
+  recomputed with its exact shift.  A stack of matrices (B, n, n) forms
+  its coefficients in one pass and its tables in sub-stacks whose X, V and
+  Y hold at most ``_SPLIT_ELEMENTS`` elements, all sub-stacks writing into
+  one set of work arrays, and each value is bit for bit that of its matrix
+  alone;
 * ``gray``  -- serial Gray-code traversal flipping one spin per step with
   O(n) local-field updates and an online running-max log-sum-exp;
 * ``naive`` -- literal re-evaluation of <sigma, M sigma> per state
@@ -57,12 +62,15 @@ from .cycles import DEFAULT_CYCLE_BUDGET, cycle_series
 from .randmat import one_blas_thread
 
 ENUMERATION_MAX_N = 28
-# A row sum of the split kernel is a sum of products of factors in (0, 1];
-# each product and partial sum is correctly rounded unless it falls below
-# the normal range (2.2e-308), and a row has fewer than 2^19 terms at
-# n <= 28, so underflow moves a row sum by less than 1e-301.  Against a sum
-# at or above this floor that is far below rounding; a smaller row sum is
-# recomputed with its exact shift.
+# A row sum of the split kernel is a sum of the 2^(|u| + |w|) products
+# X V Y, each factor at most 1 up to rounding: 2^18 terms at n = 28 (blocks
+# of 9), 2^21 at n = 32.  Each product and partial sum is correctly rounded
+# unless it falls below the normal range (2.2e-308), where it loses at most
+# 2^-1075 (2.5e-324); a row takes fewer than 2^(|u| + |w| + 2) such
+# operations, so underflow moves a row sum by less than 1e-317 at n <= 28
+# (and less than 1e-301 while a row has fewer than 2^50 terms).  Against a
+# sum at or above this floor that is far below rounding; a smaller row sum
+# is recomputed with its exact shift.
 _ROW_FLOOR = 1e-250
 # at most this many elements of X, V and Y together in one sub-stack of the
 # split kernel: 128 matrices at n = 12, 21 at n = 16, 3 at n = 20 and one
@@ -71,7 +79,8 @@ _ROW_FLOOR = 1e-250
 # faulted their pages in again every time (a library caller's
 # ``decomp_serial`` run took 13.6e3 faults at 2^16 and 1.4e3 at 2^15), which
 # the one work buffer of ``_log_partition_split`` avoids.  2^17 changes
-# nothing from n = 24 on and raised the benchmark's peak RSS by 0.3 MB
+# nothing from n = 24 on and raised the benchmark's peak RSS by 0.3 to
+# 0.9 MB
 _SPLIT_ELEMENTS = 1 << 16
 
 
@@ -148,17 +157,19 @@ def _block_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Spin 0 is pinned to +1 by the global flip symmetry and the other n-1
     are split into blocks a, u and w of floor((n-1)/3), then
-    floor((n-1-|a|)/2) and the remaining spins, in index order.  The a
-    table carries the pinned spin as a leading column of ones.  Every table
-    has at most 2^ceil((n-1)/3) rows (2^9 at n = 28), so caching all sizes
+    ceil((n-1-|a|)/2) and the remaining spins, in index order: u takes the
+    larger half, so the (rows_a, rows_u) table X and the (rows_u, rows_w)
+    table V are the larger ones and Y and X @ V the smaller.  The a table
+    carries the pinned spin as a leading column of ones.  Every table has
+    at most 2^ceil((n-1)/3) rows (2^9 at n = 28), so caching all sizes
     costs little.
     """
     na = (n - 1) // 3
-    p = (n - 1 - na) // 2
+    nu = (n - na) // 2
     tables = (
         np.hstack([np.ones((1 << na, 1)), _spin_table(na)]),
-        _spin_table(p),
-        _spin_table(n - 1 - na - p),
+        _spin_table(nu),
+        _spin_table(n - 1 - na - nu),
     )
     for table in tables:
         table.flags.writeable = False
@@ -183,6 +194,18 @@ def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
+@functools.cache
+def _augmented_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only transposed u and w spin tables of ``_block_tables(n)``,
+    each with a row of ones appended: (k + 1, rows).  A coefficient row
+    [c, s] times such a table is c . t + s at every row t of the block, so
+    a shift rides in the product as one more column."""
+    tables = tuple(np.vstack([t.T, np.ones((1, len(t)))]) for t in _block_tables(n)[1:])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _quadratic_forms(block: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """s . B s at every row s of a block table, for each k x k block B of
     the stack ``block``: one (1, k^2) by (k^2, rows) product per matrix,
@@ -192,47 +215,31 @@ def _quadratic_forms(block: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 def _log_partition_split(m: np.ndarray, beta: float) -> np.ndarray:
     """log Z of each matrix M of the stack ``m`` (B, n, n), n >= 2, by the
-    three-block factored enumeration, in sub-stacks whose X, V and Y hold
-    at most ``_SPLIT_ELEMENTS`` elements together (at least one matrix).
-
-    The sub-stacks share one set of work arrays for X, Y, e_uw, V and
-    X @ V, carved from one buffer allocated here for the longest
-    sub-stack, so no sub-stack faults in fresh pages for them.
-    """
-    n = m.shape[-1]
-    rows_a, rows_u, rows_w = (len(t) for t in _block_tables(n))
-    per_matrix = rows_a * (rows_u + rows_w) + rows_u * rows_w
-    step = max(1, _SPLIT_ELEMENTS // per_matrix)
-    cap = min(len(m), step)
-    shapes = [(cap, rows_a, rows_u), (cap, rows_a, rows_w), (cap, rows_u, rows_w),
-              (cap, rows_u, rows_w), (cap, rows_a, rows_w)]
-    sizes = [math.prod(shape) for shape in shapes]
-    # one allocation: freed whole, it raises glibc's dynamic mmap and trim
-    # thresholds above the whole set, so a process that keeps the default
-    # allocator reuses the heap on its next call instead of faulting it in
-    parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes[:-1]))
-    work = [part.reshape(shape) for part, shape in zip(parts, shapes)]
-    return np.concatenate(
-        [_log_partition_split_stack(m[i:i + step], beta, work) for i in range(0, len(m), step)]
-    )
-
-
-def _log_partition_split_stack(m: np.ndarray, beta: float, work: list) -> np.ndarray:
-    """Three-block factored enumeration of a stack; spin 0 pinned to +1 by
-    symmetry.
+    three-block factored enumeration; spin 0 pinned to +1 by symmetry.
 
     With s = (a, u, w) over the blocks of ``_block_tables``, beta*H is
-    e_a(a) + cu(a) . u + cw(a) . w + e_uw(u, w): the cross terms are linear
-    in u and in w, so for each row a the sum over (u, w) factors as
+    e_a(a) + cu(a) . u + cw(a) . w + e_uw(u, w), with e_uw =
+    2 u . B_uw w + q_u(u) + q_w(w): the cross terms are linear in u and in
+    w, so for each row a the sum over (u, w) factors as
 
         sum_uw X[a, u] V[u, w] Y[a, w],  X = exp(cu(a) . u - |cu(a)|_1),
-        Y = exp(cw(a) . w - |cw(a)|_1),  V = exp(e_uw - max e_uw),
+        Y = exp(cw(a) . w - |cw(a)|_1),  V = exp(e_uw - c),
 
-    each factor peaking at 1.  The quadratic terms e_a, e_u and e_w are one
-    product each with the ``_pair_tables``.  All rows of a matrix are one
-    matrix product ((X @ V) * Y).sum(1), followed by a log-sum-exp over the
-    rows.  X, Y, e_uw, V and X @ V are written into the first len(m)
-    matrices of the ``work`` arrays.  Every step runs on the stack's
+    with c = max q_u + max q_w + 2 sum |B_uw|, a bound on e_uw, so every
+    factor is at most 1.  Each exponent is one product whose shift rides
+    in it: X and Y are the rows [cu, -|cu|_1] and [cw, -|cw|_1] of H times
+    the ``_augmented_tables``, and V is L @ R with L = [2 tu B_uw, q_u, 1]
+    and R = [tw^T; 1; q_w - c].  The quadratic terms e_a, q_u and q_w are
+    one product each with the ``_pair_tables``.  All rows of a matrix are
+    one matrix product ((X @ V) * Y).sum(1), followed by a log-sum-exp over
+    the rows.
+
+    The coefficients (H, the quadratic terms, c) are formed once for the
+    whole stack; the tables, in sub-stacks whose X, V and Y hold at most
+    ``_SPLIT_ELEMENTS`` elements together (at least one matrix), by
+    ``_split_row_sums``.  Every array is carved from one buffer allocated
+    here, the sub-stacks' work arrays sized for the longest, so no
+    sub-stack faults in fresh pages.  Every step runs on the stack's
     leading axis and reduces along the same contiguous axis as for one
     matrix, and numpy's stacked matmul makes the same BLAS call per matrix,
     so each value is bit for bit that of a stack of one.
@@ -240,42 +247,61 @@ def _log_partition_split_stack(m: np.ndarray, beta: float, work: list) -> np.nda
     b, n = len(m), m.shape[-1]
     ta, tu, tw = _block_tables(n)
     qa, qu, qw = _pair_tables(n)
-    x, y, e_uw, v, xv = (w[:b] for w in work)
+    aug_u, aug_w = _augmented_tables(n)
     # spins [0, ka) are a with the pinned spin 0, [ka, kw) u, [kw, n) w
     ka = ta.shape[1]
     kw = ka + tu.shape[1]
+    ku = kw - ka
+    rows_a, rows_u, rows_w = len(ta), len(tu), len(tw)
+    per_matrix = rows_a * (rows_u + rows_w) + rows_u * rows_w
+    step = max(1, _SPLIT_ELEMENTS // per_matrix)
+    cap = min(b, step)
+    shapes = [(b, ka, n - ka + 2), (b, rows_a, n - ka + 2), (cap, rows_u, n - kw + 2),
+              (cap, n - kw + 2, rows_w), (cap, rows_a, rows_u), (cap, rows_a, rows_w),
+              (cap, rows_u, rows_w), (cap, rows_a, rows_w)]
+    sizes = [math.prod(shape) for shape in shapes]
+    # one allocation: freed whole, it raises glibc's dynamic mmap and trim
+    # thresholds above the whole set, so a process that keeps the default
+    # allocator reuses the heap on its next call instead of faulting it in
+    parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes[:-1]))
+    cross, h, *work = (part.reshape(shape) for part, shape in zip(parts, shapes))
     bm = beta * m
+    # 2 B_au and 2 B_aw with a zero column after each, so that one product
+    # per matrix writes cu and cw into H beside the columns of their shifts
+    cross[:, :, ku] = cross[:, :, -1] = 0.0
+    np.multiply(bm[:, :ka, ka:kw], 2.0, out=cross[:, :, :ku])
+    np.multiply(bm[:, :ka, kw:], 2.0, out=cross[:, :, ku + 1:-1])
+    b_uw2 = 2.0 * bm[:, ka:kw, kw:]
     with one_blas_thread():
         e_a = _quadratic_forms(bm[:, :ka, :ka], qa)
-        h = ta @ bm[:, :ka, ka:]
-        cu = 2.0 * h[:, :, : kw - ka]
-        cw = 2.0 * h[:, :, kw - ka :]
-        su = np.abs(cu).sum(axis=2)
-        sw = np.abs(cw).sum(axis=2)
-        np.matmul(tu @ bm[:, ka:kw, kw:], tw.T, out=e_uw)
-        e_uw *= 2.0
-        e_uw += _quadratic_forms(bm[:, ka:kw, ka:kw], qu)[:, :, None]
-        e_uw += _quadratic_forms(bm[:, kw:, kw:], qw)[:, None, :]
-        top_uw = e_uw.max(axis=(1, 2))
-        np.matmul(cu, tu.T, out=x)
-        x -= su[:, :, None]
-        np.exp(x, out=x)
-        np.matmul(cw, tw.T, out=y)
-        y -= sw[:, :, None]
-        np.exp(y, out=y)
-        np.subtract(e_uw, top_uw[:, None, None], out=v)
-        np.exp(v, out=v)
-        np.matmul(x, v, out=xv)
-    xv *= y
-    sums = xv.sum(axis=2)
-    row_log = e_a + su + sw + top_uw[:, None] + np.log(np.maximum(sums, _ROW_FLOOR))
-    # X, Y and V each peak at 1 but possibly in different cells, so a row's
-    # largest term, and with it the row sum, can underflow far outside the
-    # paramagnetic regime; such rows are summed again with their exact shift
+        np.matmul(ta, cross, out=h)
+        su = np.abs(h[:, :, :ku]).sum(axis=2)
+        sw = np.abs(h[:, :, ku + 1:-1]).sum(axis=2)
+        np.negative(su, out=h[:, :, ku])
+        np.negative(sw, out=h[:, :, -1])
+        q_u = _quadratic_forms(bm[:, ka:kw, ka:kw], qu)
+        q_w = _quadratic_forms(bm[:, kw:, kw:], qw)
+        c = q_u.max(axis=1) + q_w.max(axis=1) + np.abs(b_uw2).sum(axis=(1, 2))
+        q_w -= c[:, None]
+        left, right = work[:2]
+        left[:, :, -1] = 1.0
+        right[:, :-1] = aug_w
+        sums = np.empty((b, rows_a))
+        for i in range(0, b, step):
+            j = min(b, i + step)
+            _split_row_sums(n, h[i:j], b_uw2[i:j], q_u[i:j], q_w[i:j], work, sums[i:j])
+    shift = e_a + su + sw + c[:, None]
+    row_log = shift + np.log(np.maximum(sums, _ROW_FLOOR))
+    # X, Y and V are each at most 1 but may peak in different cells, so a
+    # row's largest term, and with it the row sum, can underflow far outside
+    # the paramagnetic regime; such a row is summed again with its exact
+    # shift, from the same coefficients: the log of its terms X V Y is
+    # e_uw - c + log X + log Y
     for k, i in zip(*np.nonzero(sums < _ROW_FLOOR)):
-        exact = e_uw[k] + (cu[k, i] @ tu.T)[:, None] + cw[k, i] @ tw.T
-        top_i = float(exact.max())
-        row_log[k, i] = e_a[k, i] + top_i + math.log(float(np.exp(exact - top_i).sum()))
+        terms = ((tu @ b_uw2[k]) @ tw.T + q_u[k][:, None] + q_w[k]
+                 + (h[k, i, :ku + 1] @ aug_u)[:, None] + h[k, i, ku + 1:] @ aug_w)
+        top_i = float(terms.max())
+        row_log[k, i] = shift[k, i] + top_i + math.log(float(np.exp(terms - top_i).sum()))
     top = row_log.max(axis=1)
     totals = np.exp(row_log - top[:, None]).sum(axis=1)
     # the pinned spin accounts for half the cube; sigma -> -sigma is exact.
@@ -285,6 +311,30 @@ def _log_partition_split_stack(m: np.ndarray, beta: float, work: list) -> np.nda
         t + math.log(2.0 * s) - n * math.log(2.0)
         for t, s in zip(top.tolist(), totals.tolist())
     ])
+
+
+def _split_row_sums(n, h, b_uw2, q_u, q_w, work: list, sums: np.ndarray) -> None:
+    """The row sums ((X @ V) * Y).sum(1) of one sub-stack at size n into
+    ``sums``, from its coefficient rows ``h``, 2 B_uw, q_u and q_w - c (the
+    docstring of ``_log_partition_split``), through the first len(h)
+    matrices of the ``work`` arrays L, R, X, Y, V and X @ V, whose shared
+    column of ones in L and augmented w table in R are already written."""
+    tu = _block_tables(n)[1]
+    aug_u, aug_w = _augmented_tables(n)
+    ku = tu.shape[1]
+    left, right, x, y, v, xv = (w[:len(h)] for w in work)
+    np.matmul(tu, b_uw2, out=left[:, :, :-2])
+    left[:, :, -2] = q_u
+    right[:, -1] = q_w
+    np.matmul(h[:, :, :ku + 1], aug_u, out=x)
+    np.exp(x, out=x)
+    np.matmul(h[:, :, ku + 1:], aug_w, out=y)
+    np.exp(y, out=y)
+    np.matmul(left, right, out=v)
+    np.exp(v, out=v)
+    np.matmul(x, v, out=xv)
+    xv *= y
+    np.sum(xv, axis=2, out=sums)
 
 
 def _log_partition_gray(m: np.ndarray, beta: float) -> float:
@@ -432,10 +482,10 @@ def decomposition_residual(
     """
     n = params.n
     beta = params.beta
-    series = cycle_series(a, m, budget=cycle_budget)
-    stacked = isinstance(series, list)
+    a = np.asarray(a, dtype=float)
+    stacked = a.ndim == 3
     # cycles[k - 1] holds C_{n,k} of every matrix
-    cycles = np.array([s.values for s in (series if stacked else [series])]).T
+    cycles = cycle_series(a if stacked else a[None], m, budget=cycle_budget).values.T
     residual = (
         log_z
         + 0.5 * math.log1p(-2.0 * beta * params.J)

@@ -15,7 +15,8 @@ bit-identical matrices regardless of scheduling or worker count, and
 distinct stream_ids yield independent streams.  A sequence of SeedSpecs
 samples a stack (B, n, n) whose every matrix is bit for bit the one its
 SeedSpec alone gives, so how replicates are grouped into stacks moves no
-value.
+value.  A stack costs one Philox and one state dict, re-keyed in place per
+stream, and one gather that places every stream's draws.
 """
 
 from __future__ import annotations
@@ -123,18 +124,6 @@ class SeedSpec:
             [self.master_seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
         )
 
-    def _philox_state(self) -> dict:
-        """The state of ``generator()``'s fresh Philox: this key, counter
-        zero and an empty output buffer."""
-        return {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key()},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
     def stream(self, stream_id: int) -> "SeedSpec":
         return SeedSpec(self.master_seed, stream_id)
 
@@ -151,45 +140,62 @@ def sample_gaussian_matrix(n: int, seed, hollow: bool = False) -> np.ndarray:
 
     ``seed`` is one ``SeedSpec``, or a sequence of them for a stack of
     matrices, shape (len(seed), n, n).  Each stream's normals are drawn
-    into one row of a draw array and scattered through two flat indices,
-    the strict upper triangle (row-major, the order of ``np.triu_indices``)
-    and its transpose, followed by the diagonal, so every matrix of a stack
-    is bit for bit the one its ``SeedSpec`` alone gives.  Every entry is
-    written once, so the matrices need no zero fill.
+    into one row of a draw array, the strict upper triangle (row-major, the
+    order of ``np.triu_indices``) and then the diagonal, or a zero in its
+    place when hollow, and one gather through the cached ``_gather_index``
+    places every row, so every matrix of a stack is bit for bit the one
+    its ``SeedSpec`` alone gives.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     seeds = [seed] if isinstance(seed, SeedSpec) else list(seed)
-    upper, lower = _triangle_flat_index(n)
-    draws = np.empty((len(seeds), upper.size if hollow else upper.size + n))
-    # one Philox per call, re-keyed per stream: constructing a Philox seeds
-    # it from OS entropy first, which cost more than a whole draw at n = 12
+    upper = n * (n - 1) // 2
+    draws = np.empty((len(seeds), upper + 1 if hollow else upper + n))
+    if hollow:
+        draws[:, upper] = 0.0
+    # one Philox per call, re-keyed per stream by writing the key of one
+    # state dict in place: constructing a Philox seeds it from OS entropy
+    # first, which cost more than a whole draw at n = 12, and a fresh state
+    # dict per stream cost a third of a draw.  The state is that of a fresh
+    # Philox (counter zero, empty output buffer), so each stream draws what
+    # its ``generator()`` draws
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     rng = np.random.Generator(bits)
+    key = np.zeros(2, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for row, spec in zip(draws, seeds):
-        bits.state = spec._philox_state()
-        rng.standard_normal(out=row)
-    flat = np.empty((len(seeds), n * n))
-    flat[:, upper] = draws[:, :upper.size]
-    flat[:, lower] = draws[:, :upper.size]
-    flat[:, :: n + 1] = 0.0 if hollow else draws[:, upper.size:]
-    a = flat.reshape(len(seeds), n, n)
+        key[0] = spec.master_seed & _MASK64
+        key[1] = spec.stream_id & _MASK64
+        bits.state = state
+        rng.standard_normal(out=row[:upper] if hollow else row)
+    a = np.take(draws, _gather_index(n, hollow), axis=1).reshape(len(seeds), n, n)
     return a[0] if isinstance(seed, SeedSpec) else a
 
 
 # a run samples at the few sizes of its grid; the bound keeps a long-lived
 # process from holding the indices of every size it ever drew
 @functools.lru_cache(maxsize=8)
-def _triangle_flat_index(n: int) -> np.ndarray:
-    """Read-only flat positions of the strict upper triangle, i * n + j
-    row-major (the order of ``np.triu_indices``), and of its transpose,
-    j * n + i in the same order, as the two rows of one array, cached per
-    size: building them cost as much as the rest of a draw at n = 12.  One
-    index into the flattened matrices scatters a whole stack; at n = 200 it
-    scattered in 0.08 ms, a (row, column) index pair in 0.16 ms and a
-    boolean mask in 0.37 ms."""
+def _gather_index(n: int, hollow: bool) -> np.ndarray:
+    """Read-only position, in a draw row of ``sample_gaussian_matrix``, of
+    each entry of the n x n matrix in row-major order, cached per size:
+    entry (i, j) with i < j reads the strict upper triangle's row-major
+    position (the order of ``np.triu_indices``), (j, i) the same position,
+    and the diagonal reads the draws after the triangle, or the one zero
+    after it when hollow.  ``np.take`` through it returns a C-contiguous
+    stack in one pass, where two scatters and a diagonal write took three."""
     rows, cols = np.triu_indices(n, 1)
-    index = np.stack([rows * n + cols, cols * n + rows])
+    index = np.empty((n, n), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    diag = np.arange(n)
+    index[diag, diag] = rows.size if hollow else rows.size + diag
+    index = index.ravel()
     index.flags.writeable = False
     return index
 

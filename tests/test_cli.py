@@ -446,3 +446,70 @@ def test_main_keeps_freed_memory_once_per_run(monkeypatch, tmp_path):
             "--out", str(tmp_path / "r.json")]
     assert run(argv) in (EXIT_OK, EXIT_VERDICT)
     assert calls == [1]
+
+
+def _full_parser_output(capsys, argv):
+    """(exit code, stdout, stderr) of ``argv`` through the parser with every
+    subcommand, as ``main`` would report them."""
+    try:
+        build_parser().parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("kind", experiments.KINDS)
+@pytest.mark.parametrize("tail", [["--help"], [], ["--n", "8", "--bogus", "1"],
+                                  ["--n", "x"], ["--n", "8", "stray"]])
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, kind, tail):
+    """``main`` builds only the experiment subcommand it runs; its help and
+    every usage error, from the subcommand's parser or the top-level one,
+    are the same bytes as with every subcommand built."""
+    argv = [kind, *tail]
+    want = _full_parser_output(capsys, argv)
+    assert want[0] in (EXIT_OK, EXIT_USAGE)
+    got = run(argv), *capsys.readouterr()
+    assert got == want
+    assert want[1] or want[2]
+
+
+def test_main_builds_only_the_experiment_subcommand_it_runs(monkeypatch, capsys):
+    """An experiment subcommand first in argv builds that subparser alone;
+    anything else builds every subcommand, so an unknown one still lists
+    every choice and ``build_parser()`` still knows them all."""
+    built = []
+    real = build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return real(command)
+
+    monkeypatch.setattr("skcw.cli.build_parser", spy)
+    assert run(["decomposition", "--help"]) == EXIT_OK
+    assert run(["frobnicate"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert built == ["decomposition", None]
+    commands = ("identities", "sample", "free-energy", *experiments.KINDS, "report")
+    assert "invalid choice: 'frobnicate' (choose from " + ", ".join(
+        f"'{c}'" for c in commands) + ")" in err
+    subparsers = [a for a in real()._actions if a.dest == "command"]
+    assert list(subparsers[0].choices) == list(commands)
+
+
+def test_a_serial_run_imports_numpy_random_before_sampling():
+    """The driver imports ``numpy.random`` before the map at every worker
+    count, so a serial run's first draw does not pay numpy's lazy import and
+    the sampling time measures sampling."""
+    code = (
+        "import sys, skcw.cli, skcw.experiments as e; seen = []; real = "
+        "e.sample_gaussian_matrix\n"
+        "def spy(*args, **kwargs):\n"
+        "    seen.append('numpy.random' in sys.modules); return real(*args, **kwargs)\n"
+        "e.sample_gaussian_matrix = spy\n"
+        "code = skcw.cli.main(['clt', '--n', '6', '--beta', '0.2', '--reps', '3', "
+        "'--threads', '1', '--out', '/dev/null'])\n"
+        "print(code in (0, 2), seen[:1])"
+    )
+    assert _fresh_interpreter(code).split() == ["True", "[True]"]

@@ -238,11 +238,16 @@ def test_cycle_series_matches_individual_calls():
 @pytest.mark.parametrize("hollow", [False, True])
 def test_stacked_cycle_series_equals_singles(n, hollow):
     """A stack's series are bit for bit those of its matrices alone, at
-    every kmax from 1 to 5, on plain and hollow matrices."""
+    every kmax from 1 to 5, on plain and hollow matrices: as the (B, kmax)
+    arrays a run reads, and as the series the stack iterates over."""
     a = sample_gaussian_matrix(n, [SeedSpec(44, r) for r in range(4)], hollow=hollow)
     for kmax in range(1, min(n, 5) + 1):
         stacked = cycle_series(a, kmax)
-        assert stacked == [cycle_series(m, kmax) for m in a]
+        singles = [cycle_series(m, kmax) for m in a]
+        assert stacked.values.shape == stacked.traces.shape == (4, kmax)
+        assert stacked.values.tolist() == [list(s.values) for s in singles]
+        assert stacked.traces.tolist() == [list(s.traces) for s in singles]
+        assert list(stacked) == singles
     assert signed_cycle_c1(a).tolist() == [signed_cycle_c1(m) for m in a]
 
 
@@ -301,9 +306,9 @@ def test_walk_core_traces_equal_power_traces(n):
 
 @pytest.mark.parametrize("kmax, products", [(1, 0), (2, 0), (3, 1), (4, 1), (5, 2)])
 def test_walk_core_products_per_kmax(monkeypatch, kmax, products):
-    """S_2 = sum a_ij^2 is elementwise; k = 3, 4 take the Gram product
-    G = A A^T and k = 5 also A^4 = G G^T.  The traces up to kmax come from
-    the same products."""
+    """S_2 = sum a_ij^2 takes no matrix product; k = 3, 4 take the Gram
+    product G = A A^T and k = 5 also A^4 = G G^T.  The traces up to kmax
+    come from the same products."""
     calls = []
     real = cycles._gram
 

@@ -163,27 +163,43 @@ def test_split_matches_naive_at_every_block_shape(n):
 
 
 def test_split_block_tables_are_cached_read_only():
-    """The block spin tables and their pair tables, whose row i*k + j holds
-    s_i * s_j for each row s of a k-column block table."""
+    """The block spin tables, their pair tables, whose row i*k + j holds
+    s_i * s_j for each row s of a k-column block table, and the transposed
+    u and w tables with a row of ones appended."""
     tables = gibbs._block_tables(12)
     pairs = gibbs._pair_tables(12)
+    augmented = gibbs._augmented_tables(12)
     assert gibbs._block_tables(12) is tables
     assert gibbs._pair_tables(12) is pairs
+    assert gibbs._augmented_tables(12) is augmented
     assert sum(t.shape[1] for t in tables) == 12
     for table, pair in zip(tables, pairs):
         k = table.shape[1]
         assert pair.shape == (k * k, len(table))
         for i, j in itertools.product(range(k), repeat=2):
             assert pair[i * k + j].tolist() == (table[:, i] * table[:, j]).tolist()
-    for table in tables + pairs:
+    for table, aug in zip(tables[1:], augmented):
+        assert aug.tolist() == table.T.tolist() + [[1.0] * len(table)]
+    for table in tables + pairs + augmented:
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
 
 
-@pytest.mark.parametrize("n", range(1, 25))
+@pytest.mark.parametrize("n, free", [(2, (0, 1, 0)), (12, (3, 4, 4)), (16, (5, 5, 5)),
+                                     (20, (6, 7, 6)), (24, (7, 8, 8)), (28, (9, 9, 9))])
+def test_split_blocks_give_u_the_larger_half(n, free):
+    """a takes floor((n-1)/3) free spins beside the pinned one, and u the
+    larger half of the rest, so X and V are the larger tables."""
+    ta, tu, tw = gibbs._block_tables(n)
+    assert (ta.shape[1] - 1, tu.shape[1], tw.shape[1]) == free
+    assert (len(ta), len(tu), len(tw)) == tuple(1 << k for k in free)
+
+
+@pytest.mark.parametrize("n", range(1, 29))
 def test_stacked_log_partition_equals_singles(n):
     """A stack's log Z values are bit for bit those of its matrices alone,
-    at every block shape, the empty blocks of n = 2 and 3 included."""
+    at every block shape up to the enumeration bound, the empty blocks of
+    n = 2 and 3 included."""
     a = sample_gaussian_matrix(n, [SeedSpec(40, r) for r in range(3)])
     p = ModelParams(beta=0.3, J=0.5, Jprime=0.1, n=n)
     stacked = exact_log_partition(a, p)
@@ -210,13 +226,13 @@ def test_short_last_sub_stack_equals_singles(monkeypatch, n, count, cut):
     a = sample_gaussian_matrix(n, [SeedSpec(44, r) for r in range(count)])
     p = ModelParams(beta=0.25, J=1.0, Jprime=0.1, n=n)
     lengths = []
-    split_stack = gibbs._log_partition_split_stack
+    row_sums = gibbs._split_row_sums
 
-    def spy(m, beta, work):
-        lengths.append(len(m))
-        return split_stack(m, beta, work)
+    def spy(n, h, *args):
+        lengths.append(len(h))
+        return row_sums(n, h, *args)
 
-    monkeypatch.setattr(gibbs, "_log_partition_split_stack", spy)
+    monkeypatch.setattr(gibbs, "_split_row_sums", spy)
     stacked = exact_log_partition(a, p)
     assert lengths == cut
     assert stacked.tolist() == [exact_log_partition(m, p) for m in a]
@@ -269,6 +285,22 @@ def test_gauge_invariance_of_log_partition():
         assert exact_log_partition(gauge_conjugate(a, sigma), p) == pytest.approx(
             base, rel=1e-10
         )
+
+
+@pytest.mark.parametrize("n", range(23, 29))
+def test_log_partition_symmetries_where_no_oracle_reaches(n):
+    """Above the naive and Gray-code oracles' sizes: a spin permutation
+    moves every spin to another block and leaves log Z unchanged, and so
+    does gauge conjugation at J = 0, each to rounding."""
+    a = sample_gaussian_matrix(n, SeedSpec(48, n))
+    perm = np.random.default_rng(n).permutation(n)
+    sigma = random_spins(n, SeedSpec(49, n))
+    for params, moved in (
+        (ModelParams(beta=0.3, J=0.5, Jprime=0.1, n=n), a[np.ix_(perm, perm)]),
+        (ModelParams(beta=0.3, J=0.0, Jprime=0.1, n=n), gauge_conjugate(a, sigma)),
+    ):
+        base, other = exact_log_partition(np.stack([a, moved]), params)
+        assert other == pytest.approx(base, rel=1e-13)
 
 
 def test_gauge_invariance_fails_with_uniform_coupling():

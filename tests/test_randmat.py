@@ -47,24 +47,26 @@ def test_symmetry_and_hollow():
     assert np.array_equal(hollowed(a), h)
 
 
-def test_upper_triangle_index_is_cached_read_only():
-    """The flat indices of the strict upper triangle and of its transpose
-    are built once per size and cannot be written through; the draws they
-    place are those of ``np.triu_indices``, row-major, mirrored, followed
-    by the diagonal."""
-    index = randmat._triangle_flat_index(9)
-    assert randmat._triangle_flat_index(9) is index
-    rows, cols = np.triu_indices(9, 1)
-    assert np.array_equal(index[0], rows * 9 + cols)
-    assert np.array_equal(index[1], cols * 9 + rows)
+@pytest.mark.parametrize("hollow", [False, True])
+def test_gather_index_is_cached_read_only(hollow):
+    """The gather index is built once per size and cannot be written
+    through; the draws it places are those of ``np.triu_indices``,
+    row-major, mirrored, followed by the diagonal (a zero when hollow), and
+    the stack it gathers is C-contiguous."""
+    index = randmat._gather_index(9, hollow)
+    assert randmat._gather_index(9, hollow) is index
     with pytest.raises(ValueError):
-        index[0, 0] = 1
+        index[0] = 1
     want = np.zeros((9, 9))
     rng = SEED.generator()
     want[np.triu_indices(9, 1)] = rng.standard_normal(36)
     want += want.T
-    want[np.diag_indices(9)] = rng.standard_normal(9)
-    assert sample_gaussian_matrix(9, SEED).tobytes() == want.tobytes()
+    if not hollow:
+        want[np.diag_indices(9)] = rng.standard_normal(9)
+    got = sample_gaussian_matrix(9, [SEED, SEED], hollow=hollow)
+    assert got.flags.c_contiguous
+    assert got[0].tobytes() == got[1].tobytes() == want.tobytes()
+    assert sample_gaussian_matrix(9, SEED, hollow=hollow).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 40])
