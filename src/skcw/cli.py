@@ -187,8 +187,12 @@ def _parse_grid(text):
 def _emit(payload: dict, out: str | None) -> None:
     payload = dict(payload)
     payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-    # strict JSON (RFC 8259): a NaN or infinity raises instead of being written
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    # strict JSON (RFC 8259): a NaN or infinity raises instead of being
+    # written.  No indent keeps json on its C encoder; the separator still
+    # puts every element on its own line
+    text = json.dumps(
+        payload, sort_keys=True, allow_nan=False, separators=(",\n", ": ")
+    ) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -30,12 +30,14 @@ k = 5 two.  numpy sends a product of an array with its own transpose to
 BLAS syrk, which does half the multiply-adds of a general product.  Each
 inner product <X, Y> is one BLAS dot per matrix on one BLAS thread, and
 a trace is read from a diagonal wherever the product is formed anyway.
-``check_cycle_budget`` is the one compute guard of every series.  A stack
-of matrices (B, n, n) takes stacked products and per-matrix sums along the
-same axes as one matrix, so each of its series is bit for bit the series
-of its matrix alone.  A stack's series come back as arrays, one
-``CycleStack`` of (B, kmax) values and traces, with no per-matrix object
-unless the caller iterates over it.
+``randmat.check_matrix`` is the one matrix check (square, finite, exactly
+symmetric) and ``check_cycle_budget`` the one compute guard of every
+series.  A stack of matrices (B, n, n) takes stacked products and
+per-matrix sums along the same axes as one matrix, which runs as a stack
+of one, so each of its series is bit for bit the series of its matrix
+alone.  Every series comes back as one ``CycleStack`` of arrays: values
+and traces of shape (kmax,) for one matrix and (B, kmax) for a stack, the
+float-or-array convention of ``gibbs``.
 
 A depth-first enumeration with a visited mask and prefix products is the
 reference, reached only as ``signed_cycle_bruteforce(..., method="dfs")``
@@ -67,6 +69,7 @@ import numpy as np
 from .combinat import chebyshev_coeffs, walk_moments
 from .randmat import (
     SeedSpec,
+    check_matrix,
     hollowed,
     one_blas_thread,
     power_traces,
@@ -105,7 +108,7 @@ def signed_cycle_bruteforce(
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if method == "auto":
-        return cycle_series(a, k, budget=budget).value(k)
+        return float(cycle_series(a, k, budget=budget).values[k - 1])
     if method == "dfs":
         if a.shape != (n, n):
             raise ValueError("matrix must be square")
@@ -248,69 +251,39 @@ def _dfs_cycle_sum(at: np.ndarray, k: int) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class CycleSeries:
-    """C_{n,k} for k = 1..kmax; ``values[k-1]`` holds C_{n,k} and
-    ``traces[j-1]`` holds Tr (A_hollow / sqrt n)^j."""
-
-    n: int
-    values: tuple[float, ...]
-    traces: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if len(self.values) > self.n:
-            raise ValueError("kmax cannot exceed n (indices must be distinct)")
-
-    def value(self, k: int) -> float:
-        return self.values[k - 1]
-
-    def centered_value(self, k: int) -> float:
-        """C_{n,k} - (n-1)*I(k=2)."""
-        v = self.values[k - 1]
-        if k == 2:
-            v -= self.n - 1
-        return v
-
-
 @dataclass(frozen=True, eq=False)
 class CycleStack:
-    """The series of a stack of B matrices as arrays: ``values[:, k-1]``
-    holds C_{n,k} and ``traces[:, j-1]`` Tr (A_hollow / sqrt n)^j of every
-    matrix, each (B, kmax).  Iteration yields the per-matrix
-    ``CycleSeries``; a run reads the arrays instead."""
+    """The series of one matrix, or of each matrix of a stack, as arrays:
+    ``values[..., k-1]`` holds C_{n,k} and ``traces[..., j-1]``
+    Tr (A_hollow / sqrt n)^j, each (kmax,) for one matrix and (B, kmax)
+    for a stack."""
 
     n: int
     values: np.ndarray
     traces: np.ndarray
 
-    def __iter__(self):
-        for v, t in zip(self.values.tolist(), self.traces.tolist()):
-            yield CycleSeries(n=self.n, values=tuple(v), traces=tuple(t))
-
 
 def cycle_series(a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET):
     """C_{n,1..kmax} and Tr (A_hollow / sqrt n)^1..kmax in one pass, for
     1 <= kmax <= min(n, ``CLOSED_FORM_KMAX``), sharing the matrix products
-    across k.  A matrix that is not exactly symmetric is refused (a NaN
-    entry fails too), and ``check_cycle_budget`` refuses a larger kmax or a
-    series beyond the budget, before any product is taken.  A matrix whose
-    diagonal is already zero is used as it is, without a hollowed copy.
+    across k.  ``randmat.check_matrix`` refuses a matrix that is not
+    square, finite and exactly symmetric, and ``check_cycle_budget`` a
+    larger kmax or a series beyond the budget, before any product is
+    taken.  A matrix whose diagonal is already zero is used as it is,
+    without a hollowed copy.
 
-    One matrix gives one ``CycleSeries``; a stack (B, n, n) gives one
-    ``CycleStack``, from stacked products and sums, whose every row is bit
-    for bit the series of its matrix alone.  The budget prices one matrix:
-    the caller bounds the stack.
+    One ``CycleStack`` comes back, of (kmax,) arrays for one matrix and
+    (B, kmax) arrays for a stack (B, n, n), from stacked products and sums:
+    one matrix runs as a stack of one, and every row of a stack is bit for
+    bit the series of its matrix alone.  The budget prices one matrix: the
+    caller bounds the stack.
     """
-    a = np.asarray(a, dtype=float)
+    a = check_matrix(a)
     n = a.shape[-1]
-    if a.ndim not in (2, 3) or a.shape[-2] != n:
-        raise ValueError("matrix must be square")
     if not 1 <= kmax <= n:
         raise ValueError(f"need 1 <= kmax <= n, got kmax={kmax}, n={n}")
-    stack = a if a.ndim == 3 else a[None]
-    if not (stack == stack.swapaxes(-1, -2)).all():
-        raise ValueError("matrix must be exactly symmetric")
     check_cycle_budget(n, kmax, budget)
+    stack = a if a.ndim == 3 else a[None]
     if np.diagonal(stack, axis1=-2, axis2=-1).any():
         at = hollowed(stack)
     else:
@@ -319,8 +292,10 @@ def cycle_series(a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET)
     values = [signed_cycle_c1(stack)]
     values += [s_k / n ** (k / 2.0) for k, s_k in enumerate(sums, start=2)]
     traces = [t / n ** (j / 2.0) for j, t in enumerate(walks, start=1)]
-    series = CycleStack(n, np.stack(values, axis=1), np.stack(traces, axis=1))
-    return series if a.ndim == 3 else next(iter(series))
+    values, traces = np.stack(values, axis=1), np.stack(traces, axis=1)
+    if a.ndim == 2:
+        values, traces = values[0], traces[0]
+    return CycleStack(n, values, traces)
 
 
 def chebyshev_lss(a_hollow: np.ndarray, k: int) -> float:

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycles import DEFAULT_CYCLE_BUDGET, cycle_series
-from .randmat import one_blas_thread
+from .randmat import check_matrix, one_blas_thread
 
 ENUMERATION_MAX_N = 28
 # A row sum of the split kernel is a sum of the 2^(|u| + |w|) products
@@ -380,14 +380,13 @@ def exact_log_partition(a: np.ndarray, params: ModelParams, method: str = "split
     one matrix, an array of B values for a stack (B, n, n).
 
     Refuses n beyond ``ENUMERATION_MAX_N`` (``check_enumeration``) rather
-    than subsampling.  A stack builds M and checks it once; ``split`` then
-    runs on sub-stacks, the oracles matrix by matrix.  Every value equals
-    that of its matrix alone, bit for bit.
+    than subsampling, and, for every method, a matrix that
+    ``randmat.check_matrix`` refuses.  A stack is checked and builds M
+    once; ``split`` then runs on sub-stacks, the oracles matrix by matrix.
+    Every value equals that of its matrix alone, bit for bit.
     """
     check_enumeration(params.n)
-    m = interaction_matrix(a, params)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("non-finite interaction matrix")
+    m = interaction_matrix(check_matrix(a), params)
     stack = m if m.ndim == 3 else m[None]
     if params.n == 1:
         values = params.beta * stack[:, 0, 0]
@@ -477,15 +476,14 @@ def decomposition_residual(
 
     ``log_z`` is log Z_n(beta) of ``a``, which the caller has evaluated
     (``exact_log_partition``).  The cycles come from ``cycle_series``, so
-    1 <= m <= 5.  For a stack (B, n, n), ``log_z`` holds the B values and
-    the B residuals are returned as an array.
+    1 <= m <= 5 and ``a`` passes its matrix check.  For a stack (B, n, n),
+    ``log_z`` holds the B values and the B residuals are returned as an
+    array.
     """
     n = params.n
     beta = params.beta
-    a = np.asarray(a, dtype=float)
-    stacked = a.ndim == 3
-    # cycles[k - 1] holds C_{n,k} of every matrix
-    cycles = cycle_series(a if stacked else a[None], m, budget=cycle_budget).values.T
+    # cycles[k - 1] holds C_{n,k} of the matrix, or of every matrix
+    cycles = cycle_series(a, m, budget=cycle_budget).values.T
     residual = (
         log_z
         + 0.5 * math.log1p(-2.0 * beta * params.J)
@@ -497,7 +495,7 @@ def decomposition_residual(
         mu = (2.0 * beta) ** k
         centered = cycles[k - 1] - (n - 1) if k == 2 else cycles[k - 1]
         residual -= (2.0 * mu * centered - mu**2) / (4.0 * k)
-    return residual if stacked else float(residual[0])
+    return residual if cycles.ndim == 2 else float(residual)
 
 
 def second_moment_target(beta: float) -> float:

@@ -294,6 +294,20 @@ def check_spins(sigma) -> np.ndarray:
     return sigma
 
 
+def check_matrix(a) -> np.ndarray:
+    """Validate and return a float matrix (n, n), or stack (B, n, n), that
+    is square, finite and exactly symmetric: the one matrix check of exact
+    log Z, the cycle series and the text format, made before any product."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+        raise ValueError("matrix must be square")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix must be finite")
+    if not (a == a.swapaxes(-1, -2)).all():
+        raise ValueError("matrix must be exactly symmetric")
+    return a
+
+
 def all_ones_spins(n: int) -> np.ndarray:
     return np.ones(n)
 
@@ -310,19 +324,18 @@ def random_spins(n: int, seed: SeedSpec) -> np.ndarray:
 
 
 def save_matrix_text(a: np.ndarray, path) -> None:
-    """Write a symmetric matrix in the plain-text exchange format.
+    """Write one matrix that ``check_matrix`` admits in the plain-text
+    exchange format.
 
     Line 1 is the dimension n; line 1+i (1-based i <= n) holds the entries
     A[i-1, i-1:] (diagonal first, then the rest of row i-1's upper triangle)
     separated by single spaces, printed with repr precision so the file
     round-trips bit for bit.
     """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if not np.array_equal(a, a.T):
-        raise ValueError("matrix must be symmetric")
+    a = check_matrix(a)
+    if a.ndim != 2:
+        raise ValueError("one matrix per file, not a stack")
+    n = len(a)
     lines = [str(n)]
     for i in range(n):
         lines.append(" ".join(repr(float(x)) for x in a[i, i:]))

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from skcw import cycles
 from skcw.cycles import (
-    CycleSeries,
     _walk_sums,
     chebyshev_lss,
     chebyshev_trace,
@@ -24,6 +23,7 @@ from skcw.cycles import (
     signed_cycle_bruteforce,
     signed_cycle_c1,
 )
+from skcw.gibbs import ModelParams, decomposition_residual
 from skcw.randmat import (
     SeedSpec,
     gauge_conjugate,
@@ -76,7 +76,7 @@ def test_dfs_oracle_is_exact_beyond_the_closed_forms():
     a = symmetric_int_matrix(7, 176, hollow=False)
     series = cycle_series(a, 5)
     for k in range(2, 6):
-        assert series.value(k) == oracle_cycle(a, k)
+        assert series.values[k - 1] == oracle_cycle(a, k)
     assert signed_cycle_bruteforce(a, 6, method="dfs") == oracle_cycle(a, 6)
 
 
@@ -222,41 +222,59 @@ def test_gauge_invariance_of_cycles(seed):
 
 
 def test_cycle_series_matches_individual_calls():
+    """One matrix gives (kmax,) arrays whose entry k - 1 is C_{n,k}, and
+    the default bruteforce reads that entry as a float."""
     a = sample_gaussian_matrix(20, SeedSpec(13, 0))
     series = cycle_series(a, 5)
-    assert series.value(1) == signed_cycle_c1(a)
+    assert series.n == 20
+    assert series.values.shape == series.traces.shape == (5,)
+    assert series.values[0] == signed_cycle_c1(a)
     for k in range(2, 6):
-        assert series.value(k) == pytest.approx(
+        assert series.values[k - 1] == pytest.approx(
             signed_cycle_bruteforce(a, k), rel=1e-12
         )
-        assert signed_cycle_bruteforce(a, k) == cycle_series(a, k).value(k)
-    assert series.centered_value(2) == pytest.approx(series.value(2) - 19, rel=1e-12)
-    assert series.centered_value(3) == series.value(3)
+        value = signed_cycle_bruteforce(a, k)
+        assert type(value) is float and value == cycle_series(a, k).values[k - 1]
+    # the decomposition centers C_{n,2} by n - 1 and C_{n,3} not at all
+    p = ModelParams(beta=0.2, n=20)
+    steps = np.diff([decomposition_residual(a, p, m, 0.0) for m in (1, 2, 3)])
+    mu2, mu3 = 0.4**2, 0.4**3
+    assert steps[0] == pytest.approx(-(2 * mu2 * (series.values[1] - 19) - mu2**2) / 8)
+    assert steps[1] == pytest.approx(-(2 * mu3 * series.values[2] - mu3**2) / 12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
 @pytest.mark.parametrize("hollow", [False, True])
 def test_stacked_cycle_series_equals_singles(n, hollow):
     """A stack's series are bit for bit those of its matrices alone, at
-    every kmax from 1 to 5, on plain and hollow matrices: as the (B, kmax)
-    arrays a run reads, and as the series the stack iterates over."""
+    every kmax from 1 to 5, on plain and hollow matrices: each row of the
+    (B, kmax) arrays a run reads is the (kmax,) arrays of its matrix, and
+    one matrix's arrays are row 0 of its one-element stack."""
     a = sample_gaussian_matrix(n, [SeedSpec(44, r) for r in range(4)], hollow=hollow)
     for kmax in range(1, min(n, 5) + 1):
         stacked = cycle_series(a, kmax)
-        singles = [cycle_series(m, kmax) for m in a]
         assert stacked.values.shape == stacked.traces.shape == (4, kmax)
-        assert stacked.values.tolist() == [list(s.values) for s in singles]
-        assert stacked.traces.tolist() == [list(s.traces) for s in singles]
-        assert list(stacked) == singles
+        for i, m in enumerate(a):
+            single = cycle_series(m, kmax)
+            one = cycle_series(m[None], kmax)
+            assert single.values.shape == single.traces.shape == (kmax,)
+            assert single.values.tobytes() == stacked.values[i].tobytes()
+            assert single.traces.tobytes() == stacked.traces[i].tobytes()
+            assert one.values.shape == one.traces.shape == (1, kmax)
+            assert single.values.tobytes() == one.values[0].tobytes()
+            assert single.traces.tobytes() == one.traces[0].tobytes()
     assert signed_cycle_c1(a).tolist() == [signed_cycle_c1(m) for m in a]
 
 
 def test_cycle_series_validation():
+    """kmax cannot exceed n (the indices must be distinct), for one matrix
+    and for a stack."""
     a = sample_gaussian_matrix(4, SeedSpec(14, 0))
     with pytest.raises(ValueError):
         cycle_series(a, 5)
-    with pytest.raises(ValueError):
-        CycleSeries(n=3, values=(0.0, 0.0, 0.0, 0.0))
+    for zeros in (np.zeros((3, 3)), np.zeros((2, 3, 3))):
+        with pytest.raises(ValueError, match="need 1 <= kmax <= n"):
+            cycle_series(zeros, 4)
 
 
 # --- spectral statistics ------------------------------------------------------------
@@ -301,7 +319,7 @@ def test_walk_core_traces_equal_power_traces(n):
         assert len(cycle_series(a, kmax).traces) == kmax
     series = cycle_series(a, 5)
     np.testing.assert_allclose(series.traces, want, rtol=1e-12, atol=1e-12)
-    assert abs(series.value(3) - chebyshev_trace(series.traces, n, 3)) <= 1e-12
+    assert abs(series.values[2] - chebyshev_trace(series.traces, n, 3)) <= 1e-12
 
 
 @pytest.mark.parametrize("kmax, products", [(1, 0), (2, 0), (3, 1), (4, 1), (5, 2)])
@@ -350,11 +368,11 @@ def test_traced_series_is_priced_by_the_cycle_budget(monkeypatch):
         with pytest.raises(ValueError, match="operation budget"):
             cycle_series(np.zeros((1600, 1600)), kmax)
     for kmax in (1, 2):
-        assert cycle_series(np.zeros((793, 793)), kmax).traces == (0.0,) * kmax
+        assert cycle_series(np.zeros((793, 793)), kmax).traces.tolist() == [0.0] * kmax
         with pytest.raises(ValueError, match="operation budget"):
             cycle_series(np.zeros((794, 794)), kmax)
         traces = cycle_series(np.zeros((1600, 1600)), kmax, budget=1e11).traces
-        assert traces == (0.0,) * kmax
+        assert traces.tolist() == [0.0] * kmax
     with pytest.raises(AssertionError, match="matrix product taken"):
         cycle_series(np.zeros((1600, 1600)), 5, budget=1e11)
 
@@ -396,7 +414,7 @@ def test_zero_diagonal_skips_the_hollowed_copy(monkeypatch):
     monkeypatch.setattr(cycles, "hollowed", counting_hollowed)
     plain = sample_gaussian_matrix(9, SeedSpec(35, 0))
     hollow = sample_gaussian_matrix(9, SeedSpec(35, 0), hollow=True)
-    assert cycle_series(hollow, 5).values[1:] == cycle_series(plain, 5).values[1:]
+    assert np.array_equal(cycle_series(hollow, 5).values[1:], cycle_series(plain, 5).values[1:])
     assert calls == [(1, 9, 9)]
 
 

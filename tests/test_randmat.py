@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skcw import randmat
+from skcw import cycles, gibbs, randmat
+from skcw.cycles import cycle_series
+from skcw.gibbs import ModelParams, decomposition_residual, exact_log_partition, rn_log_ratio
 from skcw.randmat import (
     SeedSpec,
     all_ones_spins,
     alternating_spins,
+    check_matrix,
     check_spins,
     gauge_conjugate,
     hollowed,
@@ -194,6 +197,84 @@ def test_spin_helpers():
         check_spins(np.ones((2, 2)))
 
 
+def _refused_matrices():
+    """(name, matrix or stack, message) of each input ``check_matrix``
+    refuses: a seeded non-symmetric matrix, a symmetric pair of infinite
+    entries, a NaN, and a stack with one matrix off its mirror."""
+    asym = np.random.default_rng(3).standard_normal((10, 10))
+    good = sample_gaussian_matrix(10, SEED)
+    inf_pair = good.copy()
+    inf_pair[1, 4] = inf_pair[4, 1] = math.inf
+    nan = good.copy()
+    nan[2, 2] = math.nan
+    bad = good.copy()
+    bad[0, 9] += 1.0
+    stack = np.stack([good, bad, good])
+    return [
+        ("asymmetric", asym, "exactly symmetric"),
+        ("inf_pair", inf_pair, "finite"),
+        ("nan", nan, "finite"),
+        ("stack", stack, "exactly symmetric"),
+    ]
+
+
+MATRIX_ENTRY_POINTS = ("split", "gray", "naive", "decomposition_residual",
+                       "rn_log_ratio", "cycle_series", "save_matrix_text")
+
+
+def _call_entry_point(entry: str, a: np.ndarray, out: io.StringIO):
+    p = ModelParams(beta=0.25, J=0.5, n=10)
+    if entry in ("split", "gray", "naive"):
+        return exact_log_partition(a, p, method=entry)
+    if entry == "decomposition_residual":
+        return decomposition_residual(a, p, 4, np.zeros(len(a)) if a.ndim == 3 else 0.0)
+    if entry == "rn_log_ratio":
+        return rn_log_ratio(a, p)
+    if entry == "cycle_series":
+        return cycle_series(a, 4)
+    return save_matrix_text(a, out)
+
+
+@pytest.mark.parametrize("entry", MATRIX_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "a, message", [pytest.param(a, message, id=name) for name, a, message in _refused_matrices()]
+)
+def test_bad_matrix_refused_before_any_product(monkeypatch, entry, a, message):
+    """``check_matrix`` is the one matrix check of exact log Z (every
+    method), the decomposition residual, the RN log ratio, the cycle series
+    and the text format: each refuses the input with its message before M
+    is built, a kernel runs or a line is written.  Unchecked, the three
+    log Z methods disagree on the seeded non-symmetric matrix (0.950 split,
+    3.468 Gray, 0.599 naive), and the infinite pair gives infinite and NaN
+    cycles."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, fn in ((gibbs, "interaction_matrix"), (gibbs, "_log_partition_split"),
+                       (gibbs, "_log_partition_gray"), (gibbs, "_log_partition_naive"),
+                       (cycles, "_walk_sums"), (cycles, "signed_cycle_c1")):
+        monkeypatch.setattr(module, fn, no_work)
+    out = io.StringIO()
+    with pytest.raises(ValueError, match=f"matrix must be {message}"):
+        _call_entry_point(entry, a, out)
+    assert out.getvalue() == ""
+
+
+def test_check_matrix_returns_float_square_matrices():
+    """A square, finite, exactly symmetric matrix or stack comes back as a
+    float array with its values; anything but (n, n) or (B, n, n) with
+    square matrices is refused."""
+    ints = np.array([[1, 2], [2, 0]])
+    assert check_matrix(ints).dtype == float
+    assert check_matrix(ints).tolist() == ints.tolist()
+    stack = sample_gaussian_matrix(4, [SEED, SEED.stream(1)])
+    assert check_matrix(stack) is stack
+    for shape in ((3,), (3, 4), (2, 3, 4), (1, 2, 3, 3)):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            check_matrix(np.zeros(shape))
+
+
 def test_matrix_text_round_trip():
     a = sample_gaussian_matrix(7, SEED)
     buf = io.StringIO()
@@ -214,6 +295,8 @@ def test_matrix_text_file_round_trip(tmp_path):
 def test_matrix_text_validation(tmp_path):
     with pytest.raises(ValueError):
         save_matrix_text(np.arange(4.0).reshape(2, 2), io.StringIO())
+    with pytest.raises(ValueError, match="one matrix per file"):
+        save_matrix_text(np.zeros((2, 3, 3)), io.StringIO())
     with pytest.raises(ValueError):
         load_matrix_text(io.StringIO("2\n1.0 2.0\n"))
 
