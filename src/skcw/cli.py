@@ -163,9 +163,10 @@ def _add_experiment_parser(sub, kind: str) -> None:
     p.add_argument("--n-grid", type=str, default=None,
                    help="comma-separated sizes for trend checks, e.g. 12,16,20")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes, at most one per replicate and per "
-                        "usable core, each with one BLAS thread; 1 computes in "
-                        "this process")
+                   help="worker processes, at most one per replicate, per "
+                        "usable core and per 2^27 operations of the run's "
+                        "priced work, each with one BLAS thread; one worker "
+                        "computes in this process")
     p.add_argument("--out", type=str, default=None, help="report path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv also writes raw samples to <out>.csv (needs --out)")

@@ -124,16 +124,22 @@ def check_cycle_budget(n: int, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET) 
     The one compute guard of ``cycle_series``.  A kmax beyond
     ``CLOSED_FORM_KMAX`` is refused first, whatever the budget: no engine
     of the run path goes past the closed forms.  Every series is charged
-    2 * n^3, the price of the two general n x n products that kmax 5 once
-    took; its two Gram products now do half that work, and the price is
-    kept so that the default budget still admits n <= 793.  Up to
-    kmax = 2 no product is taken, but the series still holds several
-    n x n arrays, and the one price keeps those within memory.  A budget
-    that is not a number admits nothing, and ``inf`` everything.
+    ``series_price(n)``.  A budget that is not a number admits nothing,
+    and ``inf`` everything.
     """
     if kmax > CLOSED_FORM_KMAX:
         raise ValueError(f"k={kmax} exceeds the closed-form bound {CLOSED_FORM_KMAX}")
-    _require_budget("2*n^3", 2.0 * float(n) ** 3, budget)
+    _require_budget("2*n^3", series_price(n), budget)
+
+
+def series_price(n: int) -> float:
+    """Operations charged for one cycle series at size n, whatever kmax:
+    2 * n^3, the price of the two general n x n products that kmax 5 once
+    took.  Its two Gram products now do half that work, and the price is
+    kept so that the default budget still admits n <= 793.  Up to
+    kmax = 2 no product is taken, but the series still holds several
+    n x n arrays, and the one price keeps those within memory."""
+    return 2.0 * float(n) ** 3
 
 
 def _require_budget(what: str, cost: float, budget: float) -> None:

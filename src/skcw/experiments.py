@@ -13,9 +13,13 @@ the configured master seed; the stream id ends every task tuple.  A
 worker call takes a stack, a list of consecutive same-size tasks of at
 most ``STACK_ELEMENTS`` matrix entries, and computes its matrices as one
 (B, n, n) array; every value is bit for bit what the replicate alone
-gives, so the stacking moves no report.  With more than one worker the
-stacks run in forked children (``_fork_map``), each size cut so that
-every child gets the same share of it.
+gives, so the stacking moves no report.  Each plan prices one replicate
+at size n in the operations of the cycle budget, and a run forks only as
+many workers as its priced work pays for (``_worker_count``): a run too
+small to pay for a second worker computes in this process, as with
+``threads=1``.  With more than one worker the stacks run in forked
+children (``_fork_map``), each size cut so that every child gets the same
+share of it.
 
 Every comparison is recorded as a named check carrying the rule, the
 observed value, the target and the tolerance; a report is never a bare
@@ -49,6 +53,7 @@ from .cycles import (
     check_cycle_budget,
     cycle_series,
     exact_centering,
+    series_price,
 )
 from .gibbs import (
     ModelParams,
@@ -56,6 +61,7 @@ from .gibbs import (
     clt_targets,
     decomposition_residual,
     exact_log_partition,
+    log_partition_price,
 )
 from .randmat import (
     SeedSpec,
@@ -92,6 +98,15 @@ _STREAM_BLOCK = 1 << 32
 # 113 matrices at n = 12, 40 at n = 20, and one from n = 91 on, where a
 # stacked product runs slower than one matrix at a time
 STACK_ELEMENTS = 1 << 14
+# a run gets one worker per this many operations of priced work (replicates
+# times the grid's summed ``_Plan.price``).  Each forked child costs about
+# 13 ms of CPU and 1.2e3 to 1.5e3 minor faults beyond its share, so on a
+# 2-core VM a second worker lost below 2^28 (clt grid 12..24 at 20
+# replicates, 1.8e8; decomposition 12..20 at 200, 1.2e8; approx 50..200 at
+# 5 and 10, 0.9e8 and 1.8e8) and won or tied above it (the same lines at
+# 40 and 60 clt, 500 decomposition and 20 approx replicates, 2.9e8 to
+# 5.4e8)
+FORK_OPERATIONS = 1 << 27
 
 
 # ---------------------------------------------------------------------------
@@ -598,12 +613,25 @@ class _Plan:
     there, once per size.  ``size_result(n, outputs)`` turns the worker
     outputs at size n into (summaries, checks, raw samples), and
     ``cross_checks(results)`` compares the sizes of a grid run.
+    ``price(n)`` is what one replicate at size n costs in the operations of
+    the cycle budget, which ``_worker_count`` weighs against the price of a
+    fork.
     """
 
     task_args: Callable[[int], tuple]
+    price: Callable[[int], float]
     size_result: Callable[[int, list], tuple[dict, list, dict]]
     cross_checks: Callable[[list], list] = lambda results: []
     targets: tuple[TargetValue, ...] = ()
+
+
+def _worker_count(config: ExperimentConfig, plan: _Plan) -> int:
+    """Workers of a run: ``threads``, never more than replicates or usable
+    cores, and one per ``FORK_OPERATIONS`` of the run's priced work, at
+    least one.  A ``FORK_OPERATIONS`` of 0 prices a fork at nothing."""
+    work = config.replicates * sum(plan.price(n) for n in config.sizes)
+    affordable = int(work // FORK_OPERATIONS) if FORK_OPERATIONS else config.threads
+    return min(config.threads, config.replicates, _usable_cores(), max(1, affordable))
 
 
 def _drive(
@@ -620,9 +648,11 @@ def _drive(
     (the perfbench tracer) is what runs, in this process or in a child.
 
     The tasks of every size, in grid order and cut into stacks
-    (``_stacks``), go through one map over at most ``threads`` workers,
-    never more than replicates or usable cores: one worker runs in this
-    process, more run in forked children (``_fork_map``), started after
+    (``_stacks``), go through one map over ``_worker_count`` workers: at
+    most ``threads``, never more than replicates or usable cores, and no
+    more than the run's priced work pays for.  One worker runs in this
+    process, with the stacks and values of ``threads=1``; more run in
+    forked children (``_fork_map``), started after
     every per-size input is checked and reaped before this returns, so the
     run's resource usage covers them.  The whole run holds this process at
     one OpenBLAS thread: the children inherit that count, so
@@ -638,7 +668,7 @@ def _drive(
         for s, (n, args) in enumerate(zip(config.sizes, size_args))
         for r in range(config.replicates)
     ]
-    workers = min(config.threads, config.replicates, _usable_cores())
+    workers = _worker_count(config, plan)
     # numpy imports numpy.random on first use; imported here, before the map,
     # forked workers inherit it instead of each paying 14-18 ms, and a
     # serial run's sampling time does not include the import
@@ -729,7 +759,10 @@ def _clt_plan(config: ExperimentConfig) -> _Plan:
             )
         ]
 
-    return _Plan(lambda n: (replace(params, n=n),), size_result, cross_checks, targets)
+    return _Plan(
+        lambda n: (replace(params, n=n),), log_partition_price, size_result,
+        cross_checks, targets,
+    )
 
 
 def run_clt(config: ExperimentConfig) -> ExperimentReport:
@@ -824,7 +857,7 @@ def _cycle_plan(
             f"cycle_{k}": values[:, k - 1] for k in range(1, kmax + 1)
         }
 
-    return _Plan(task_args, size_result, targets=targets)
+    return _Plan(task_args, series_price, size_result, targets=targets)
 
 
 def _cycles_plan(config: ExperimentConfig) -> _Plan:
@@ -942,7 +975,9 @@ def _approx_plan(config: ExperimentConfig) -> _Plan:
             for k in range(4, kmax + 1)
         ]
 
-    return _Plan(lambda n: (kmax, config.cycle_budget), size_result, cross_checks)
+    return _Plan(
+        lambda n: (kmax, config.cycle_budget), series_price, size_result, cross_checks
+    )
 
 
 def run_approx(config: ExperimentConfig) -> ExperimentReport:
@@ -1007,6 +1042,7 @@ def _decomposition_plan(config: ExperimentConfig) -> _Plan:
 
     return _Plan(
         lambda n: (replace(params, n=n), config.m, config.cycle_budget),
+        lambda n: log_partition_price(n) + series_price(n),
         size_result, cross_checks,
     )
 

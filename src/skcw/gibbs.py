@@ -239,7 +239,8 @@ def _log_partition_split(m: np.ndarray, beta: float) -> np.ndarray:
     ``_SPLIT_ELEMENTS`` elements together (at least one matrix), by
     ``_split_row_sums``.  Every array is carved from one buffer allocated
     here, the sub-stacks' work arrays sized for the longest, so no
-    sub-stack faults in fresh pages.  Every step runs on the stack's
+    sub-stack faults in fresh pages; Y takes no slot of its own, as it
+    reuses X's memory.  Every step runs on the stack's
     leading axis and reduces along the same contiguous axis as for one
     matrix, and numpy's stacked matmul makes the same BLAS call per matrix,
     so each value is bit for bit that of a stack of one.
@@ -257,8 +258,8 @@ def _log_partition_split(m: np.ndarray, beta: float) -> np.ndarray:
     step = max(1, _SPLIT_ELEMENTS // per_matrix)
     cap = min(b, step)
     shapes = [(b, ka, n - ka + 2), (b, rows_a, n - ka + 2), (cap, rows_u, n - kw + 2),
-              (cap, n - kw + 2, rows_w), (cap, rows_a, rows_u), (cap, rows_a, rows_w),
-              (cap, rows_u, rows_w), (cap, rows_a, rows_w)]
+              (cap, n - kw + 2, rows_w), (cap, rows_a, rows_u), (cap, rows_u, rows_w),
+              (cap, rows_a, rows_w)]
     sizes = [math.prod(shape) for shape in shapes]
     # one allocation: freed whole, it raises glibc's dynamic mmap and trim
     # thresholds above the whole set, so a process that keeps the default
@@ -317,22 +318,25 @@ def _split_row_sums(n, h, b_uw2, q_u, q_w, work: list, sums: np.ndarray) -> None
     """The row sums ((X @ V) * Y).sum(1) of one sub-stack at size n into
     ``sums``, from its coefficient rows ``h``, 2 B_uw, q_u and q_w - c (the
     docstring of ``_log_partition_split``), through the first len(h)
-    matrices of the ``work`` arrays L, R, X, Y, V and X @ V, whose shared
-    column of ones in L and augmented w table in R are already written."""
+    matrices of the ``work`` arrays L, R, X, V and X @ V, whose shared
+    column of ones in L and augmented w table in R are already written.
+    Y is written into X's memory once X @ V has read X: it has rows_w <=
+    rows_u columns, so it fits."""
     tu = _block_tables(n)[1]
     aug_u, aug_w = _augmented_tables(n)
     ku = tu.shape[1]
-    left, right, x, y, v, xv = (w[:len(h)] for w in work)
+    left, right, x, v, xv = (w[:len(h)] for w in work)
     np.matmul(tu, b_uw2, out=left[:, :, :-2])
     left[:, :, -2] = q_u
     right[:, -1] = q_w
     np.matmul(h[:, :, :ku + 1], aug_u, out=x)
     np.exp(x, out=x)
-    np.matmul(h[:, :, ku + 1:], aug_w, out=y)
-    np.exp(y, out=y)
     np.matmul(left, right, out=v)
     np.exp(v, out=v)
     np.matmul(x, v, out=xv)
+    y = x.reshape(-1)[:xv.size].reshape(xv.shape)
+    np.matmul(h[:, :, ku + 1:], aug_w, out=y)
+    np.exp(y, out=y)
     xv *= y
     np.sum(xv, axis=2, out=sums)
 
@@ -373,6 +377,14 @@ def check_enumeration(n: int) -> None:
     """The one guard of exact log Z: refuse n beyond ``ENUMERATION_MAX_N``."""
     if n > ENUMERATION_MAX_N:
         raise ValueError(f"n={n} exceeds the enumeration bound {ENUMERATION_MAX_N}")
+
+
+def log_partition_price(n: int) -> int:
+    """Operations of one exact log Z at size n, in the units of the cycle
+    budget: the 2^(n-1) multiply-adds of the split kernel's GEMM X @ V,
+    one per state with spin 0 pinned.  Its exponentials, about
+    3 * 2^(2(n-1)/3), are a smaller term from n = 8 on."""
+    return 1 << (n - 1)
 
 
 def exact_log_partition(a: np.ndarray, params: ModelParams, method: str = "split"):

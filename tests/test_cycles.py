@@ -62,9 +62,12 @@ def symmetric_int_matrix(n: int, seed: int, hollow: bool = True) -> np.ndarray:
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_bruteforce_matches_oracle_exactly_on_integers(n, k):
-    if k > n:
-        pytest.skip("k exceeds n")
     a = symmetric_int_matrix(n, 100 + n * 10 + k, hollow=False)
+    if k > n:  # no k-cycle of distinct indices: both methods refuse
+        for method in ("auto", "dfs"):
+            with pytest.raises(ValueError, match="need 2 <= k <= n"):
+                signed_cycle_bruteforce(a, k, method=method)
+        return
     expect = oracle_cycle(a, k)
     assert signed_cycle_bruteforce(a, k, method="dfs") == expect
     assert signed_cycle_bruteforce(a, k) == expect

@@ -1,6 +1,7 @@
 """Monte Carlo harness: statistics, calibration, report structure and
 reproducibility across worker counts."""
 
+import itertools
 import json
 import math
 import os
@@ -299,7 +300,7 @@ def test_raw_samples_kept_on_request():
     assert lean.raw_samples is None
 
 
-def test_reproducibility_across_worker_counts():
+def test_reproducibility_across_worker_counts(monkeypatch):
     tiny = {
         "clt": dict(params=PARAMS, replicates=30),
         "cycles": dict(params=ModelParams(beta=0.0, n=24), replicates=20, kmax=3),
@@ -315,12 +316,15 @@ def test_reproducibility_across_worker_counts():
         ),
     }
     for kind, kwargs in tiny.items():
-        serial, parallel = _one_and_two_workers(kind, **kwargs)
+        serial, parallel = _one_and_two_workers(monkeypatch, kind, **kwargs)
         assert serial.results == parallel.results, kind
         assert serial.checks == parallel.checks, kind
 
 
-def _one_and_two_workers(kind, **kwargs):
+def _one_and_two_workers(monkeypatch, kind, **kwargs):
+    """The run at ``threads`` 1 and 2, with forks priced at nothing so that
+    the second forks whatever its work."""
+    monkeypatch.setattr(ex, "FORK_OPERATIONS", 0)
     run = getattr(ex, f"run_{kind}")
     return [
         run(ex.ExperimentConfig(kind=kind, master_seed=11, threads=t, **kwargs))
@@ -353,18 +357,20 @@ def _one_and_two_workers(kind, **kwargs):
         ),
     ],
 )
-def test_worker_counts_agree_where_parent_blas_is_threaded(kind, kwargs):
+def test_worker_counts_agree_where_parent_blas_is_threaded(monkeypatch, kind, kwargs):
     """One worker computes in this process with its multi-threaded BLAS,
     two workers with one BLAS thread each; the values must not move."""
-    serial, parallel = _one_and_two_workers(kind, **kwargs)
+    serial, parallel = _one_and_two_workers(monkeypatch, kind, **kwargs)
     assert serial.results == parallel.results
     assert serial.checks == parallel.checks
 
 
 def _record_fork_maps(monkeypatch, cores):
     """Replace the fork map by one that records its worker count and maps
-    in this process, and report ``cores`` usable cores; return the record."""
+    in this process, price a fork at nothing and report ``cores`` usable
+    cores; return the record."""
     created = []
+    monkeypatch.setattr(ex, "FORK_OPERATIONS", 0)
 
     def recording_fork_map(worker, stacks, workers):
         created.append(workers)
@@ -392,6 +398,78 @@ def test_pool_never_wider_than_usable_cores(monkeypatch):
     ex.run_clt(ex.ExperimentConfig(replicates=5, threads=8, **grid))
     assert created == [2]  # one usable core computes in this process
     assert report.config["threads"] == 8
+
+
+CLT_GRID_LINE = ["clt", "--n", "20", "--n-grid", "12,16,20,24", "--beta", "0.25",
+                 "--J", "1", "--reps", "20", "--threads", "2"]
+APPROX_GRID_LINE = ["approx", "--n", "200", "--n-grid", "50,100,200", "--kmax", "5",
+                    "--reps", "40", "--centering-reps", "300", "--threads", "2"]
+CRITERION_8_LINE = ["decomposition", "--n", "16", "--n-grid", "12,16,20", "--beta",
+                    "0.25", "--J", "0.5", "--m", "4", "--reps", "500", "--threads", "2"]
+
+
+def _config(argv):
+    return cli._make_config(cli.build_parser().parse_args(argv))
+
+
+def _workers(argv):
+    cfg = _config(argv)
+    return ex._worker_count(cfg, getattr(ex, f"_{cfg.kind}_plan")(cfg))
+
+
+def test_a_run_too_small_to_fork_computes_in_this_process(monkeypatch, tmp_path):
+    """The benchmark's clt line at --threads 2 is priced below two workers:
+    it never forks, and its report is that of --threads 1 apart from the
+    echoed threads and the time stamp."""
+    monkeypatch.setattr(ex, "_usable_cores", lambda: 2)
+
+    def no_fork(worker, stacks, workers):
+        raise AssertionError("a run priced below two workers forked")
+
+    monkeypatch.setattr(ex, "_fork_map", no_fork)
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        argv = [*CLT_GRID_LINE[:-1], threads, "--raw-samples", "--out", str(out)]
+        assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_VERDICT)
+        report = json.loads(out.read_text())
+        assert report["config"].pop("threads") == int(threads)
+        report.pop("generated_at")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["raw_samples"]["24"]["n_fluct"]
+
+
+def test_worker_count_follows_the_priced_rule(monkeypatch):
+    """min(threads, replicates, usable cores, max(1, work // FORK_OPERATIONS)),
+    with work the replicates times the grid's summed price: 2^(n-1) per log Z
+    and 2 n^3 per cycle series."""
+    counts = set()
+    for line, reps, (threads, cores) in itertools.product(
+        (CLT_GRID_LINE, APPROX_GRID_LINE, CRITERION_8_LINE),
+        (2, 5, 10, 20, 31, 40, 200, 500, 1000),
+        ((1, 2), (2, 2), (2, 8), (8, 8), (64, 4)),
+    ):
+        monkeypatch.setattr(ex, "_usable_cores", lambda: cores)
+        argv = [*line[:-1], str(threads)]
+        argv[argv.index("--reps") + 1] = str(reps)
+        cfg = _config(argv)
+        log_z, series = {"clt": (1, 0), "approx": (0, 1), "decomposition": (1, 1)}[cfg.kind]
+        work = reps * sum(log_z * 2 ** (n - 1) + series * 2 * n**3 for n in cfg.sizes)
+        expected = min(threads, reps, cores, max(1, work // ex.FORK_OPERATIONS))
+        assert _workers(argv) == expected, argv
+        counts.add(expected)
+    # threads (1, 2, 8), usable cores (4) and the price (5) each bind
+    assert counts == {1, 2, 4, 5, 8}
+
+
+def test_two_cores_fork_the_runs_that_pay_for_it(monkeypatch):
+    """With two usable cores the clt benchmark line (1.8e8 operations)
+    computes in this process, while the approx benchmark line (7.3e8) and
+    acceptance criterion 8's config (2.9e8) fork two workers."""
+    monkeypatch.setattr(ex, "_usable_cores", lambda: 2)
+    lines = (CLT_GRID_LINE, APPROX_GRID_LINE, CRITERION_8_LINE)
+    assert [_workers(argv) for argv in lines] == [1, 2, 2]
 
 
 def test_usable_cores_falls_back_to_the_cpu_count(monkeypatch):
@@ -520,6 +598,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
 
     monkeypatch.setattr(ex, "_fork_map", spy)
     monkeypatch.setattr(ex, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(ex, "FORK_OPERATIONS", 0)
     cfg = ex.ExperimentConfig(
         kind="clt", params=PARAMS, replicates=4, master_seed=3, threads=2, n_grid=(8,)
     )
@@ -536,8 +615,11 @@ def _assert_no_child_left():
 
 
 def _two_worker_clt(monkeypatch, worker):
+    """A clt config that forks two workers running ``worker``: the fork is
+    priced at nothing, so the worker never runs in this process."""
     monkeypatch.setattr(ex, "_clt_worker", worker)
     monkeypatch.setattr(ex, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(ex, "FORK_OPERATIONS", 0)
     return ex.ExperimentConfig(
         kind="clt", params=PARAMS, replicates=4, master_seed=3, threads=2, n_grid=(8,)
     )
