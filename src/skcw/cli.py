@@ -163,9 +163,9 @@ def _add_experiment_parser(sub, kind: str) -> None:
     p.add_argument("--n-grid", type=str, default=None,
                    help="comma-separated sizes for trend checks, e.g. 12,16,20")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes, at most one per replicate, per "
-                        "usable core and per 2^27 operations of the run's "
-                        "priced work, each with one BLAS thread; one worker "
+                   help="worker processes, at most one per replicate and "
+                        "per usable core, each with one BLAS thread; a run "
+                        "priced below 2^28 operations, or one worker, "
                         "computes in this process")
     p.add_argument("--out", type=str, default=None, help="report path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json",

@@ -14,12 +14,11 @@ worker call takes a stack, a list of consecutive same-size tasks of at
 most ``STACK_ELEMENTS`` matrix entries, and computes its matrices as one
 (B, n, n) array; every value is bit for bit what the replicate alone
 gives, so the stacking moves no report.  Each plan prices one replicate
-at size n in the operations of the cycle budget, and a run forks only as
-many workers as its priced work pays for (``_worker_count``): a run too
-small to pay for a second worker computes in this process, as with
-``threads=1``.  With more than one worker the stacks run in forked
-children (``_fork_map``), each size cut so that every child gets the same
-share of it.
+at size n in the operations of the cycle budget, and a run whose priced
+work does not pay for a second worker (``_worker_count``) computes in this
+process, as with ``threads=1``.  With more than one worker the stacks run
+in forked children (``_fork_map``), each size cut so that every child gets
+the same share of it.
 
 Every comparison is recorded as a named check carrying the rule, the
 observed value, the target and the tolerance; a report is never a bare
@@ -98,14 +97,15 @@ _STREAM_BLOCK = 1 << 32
 # 113 matrices at n = 12, 40 at n = 20, and one from n = 91 on, where a
 # stacked product runs slower than one matrix at a time
 STACK_ELEMENTS = 1 << 14
-# a run gets one worker per this many operations of priced work (replicates
-# times the grid's summed ``_Plan.price``).  Each forked child costs about
+# a run forks only when its priced work (replicates times the grid's summed
+# ``_Plan.price``) reaches two of these.  Each forked child costs about
 # 13 ms of CPU and 1.2e3 to 1.5e3 minor faults beyond its share, so on a
 # 2-core VM a second worker lost below 2^28 (clt grid 12..24 at 20
 # replicates, 1.8e8; decomposition 12..20 at 200, 1.2e8; approx 50..200 at
 # 5 and 10, 0.9e8 and 1.8e8) and won or tied above it (the same lines at
 # 40 and 60 clt, 500 decomposition and 20 approx replicates, 2.9e8 to
-# 5.4e8)
+# 5.4e8).  Only one worker against two was measured, so a run that forks
+# gets its ``threads`` as before, capped by replicates and usable cores
 FORK_OPERATIONS = 1 << 27
 
 
@@ -626,12 +626,13 @@ class _Plan:
 
 
 def _worker_count(config: ExperimentConfig, plan: _Plan) -> int:
-    """Workers of a run: ``threads``, never more than replicates or usable
-    cores, and one per ``FORK_OPERATIONS`` of the run's priced work, at
-    least one.  A ``FORK_OPERATIONS`` of 0 prices a fork at nothing."""
+    """Workers of a run: one if its priced work is below two
+    ``FORK_OPERATIONS``, which do not pay for a second worker; otherwise
+    ``threads``, never more than replicates or usable cores."""
     work = config.replicates * sum(plan.price(n) for n in config.sizes)
-    affordable = int(work // FORK_OPERATIONS) if FORK_OPERATIONS else config.threads
-    return min(config.threads, config.replicates, _usable_cores(), max(1, affordable))
+    if work < 2 * FORK_OPERATIONS:
+        return 1
+    return min(config.threads, config.replicates, _usable_cores())
 
 
 def _drive(
@@ -648,13 +649,13 @@ def _drive(
     (the perfbench tracer) is what runs, in this process or in a child.
 
     The tasks of every size, in grid order and cut into stacks
-    (``_stacks``), go through one map over ``_worker_count`` workers: at
-    most ``threads``, never more than replicates or usable cores, and no
-    more than the run's priced work pays for.  One worker runs in this
-    process, with the stacks and values of ``threads=1``; more run in
-    forked children (``_fork_map``), started after
-    every per-size input is checked and reaped before this returns, so the
-    run's resource usage covers them.  The whole run holds this process at
+    (``_stacks``), go through one map over ``_worker_count`` workers:
+    one if the run's priced work does not pay for a second, otherwise
+    ``threads``, never more than replicates or usable cores.  One worker
+    runs in this process, with the stacks and values of ``threads=1``; more
+    run in forked children (``_fork_map``), started after every per-size
+    input is checked and reaped before this returns, so the run's resource
+    usage covers them.  The whole run holds this process at
     one OpenBLAS thread: the children inherit that count, so
     ``set_blas_threads`` never has to call the setter in them, and the
     setter would start a BLAS thread server there.

@@ -322,9 +322,9 @@ def test_reproducibility_across_worker_counts(monkeypatch):
 
 
 def _one_and_two_workers(monkeypatch, kind, **kwargs):
-    """The run at ``threads`` 1 and 2, with forks priced at nothing so that
-    the second forks whatever its work."""
-    monkeypatch.setattr(ex, "FORK_OPERATIONS", 0)
+    """The run at ``threads`` 1 and 2, with a fork priced at one operation so
+    that the second forks whatever its work."""
+    monkeypatch.setattr(ex, "FORK_OPERATIONS", 1)
     run = getattr(ex, f"run_{kind}")
     return [
         run(ex.ExperimentConfig(kind=kind, master_seed=11, threads=t, **kwargs))
@@ -367,10 +367,10 @@ def test_worker_counts_agree_where_parent_blas_is_threaded(monkeypatch, kind, kw
 
 def _record_fork_maps(monkeypatch, cores):
     """Replace the fork map by one that records its worker count and maps
-    in this process, price a fork at nothing and report ``cores`` usable
-    cores; return the record."""
+    in this process, price a fork at one operation and report ``cores``
+    usable cores; return the record."""
     created = []
-    monkeypatch.setattr(ex, "FORK_OPERATIONS", 0)
+    monkeypatch.setattr(ex, "FORK_OPERATIONS", 1)
 
     def recording_fork_map(worker, stacks, workers):
         created.append(workers)
@@ -406,6 +406,9 @@ APPROX_GRID_LINE = ["approx", "--n", "200", "--n-grid", "50,100,200", "--kmax", 
                     "--reps", "40", "--centering-reps", "300", "--threads", "2"]
 CRITERION_8_LINE = ["decomposition", "--n", "16", "--n-grid", "12,16,20", "--beta",
                     "0.25", "--J", "0.5", "--m", "4", "--reps", "500", "--threads", "2"]
+# priced only, never run: 2^27 operations per replicate
+CLT_N28_LINE = ["clt", "--n", "28", "--beta", "0.25", "--J", "1", "--reps", "20",
+                "--threads", "2"]
 
 
 def _config(argv):
@@ -441,12 +444,12 @@ def test_a_run_too_small_to_fork_computes_in_this_process(monkeypatch, tmp_path)
 
 
 def test_worker_count_follows_the_priced_rule(monkeypatch):
-    """min(threads, replicates, usable cores, max(1, work // FORK_OPERATIONS)),
-    with work the replicates times the grid's summed price: 2^(n-1) per log Z
-    and 2 n^3 per cycle series."""
+    """One worker below 2 FORK_OPERATIONS of work, else min(threads,
+    replicates, usable cores), with work the replicates times the grid's
+    summed price: 2^(n-1) per log Z and 2 n^3 per cycle series."""
     counts = set()
     for line, reps, (threads, cores) in itertools.product(
-        (CLT_GRID_LINE, APPROX_GRID_LINE, CRITERION_8_LINE),
+        (CLT_GRID_LINE, APPROX_GRID_LINE, CRITERION_8_LINE, CLT_N28_LINE),
         (2, 5, 10, 20, 31, 40, 200, 500, 1000),
         ((1, 2), (2, 2), (2, 8), (8, 8), (64, 4)),
     ):
@@ -456,10 +459,10 @@ def test_worker_count_follows_the_priced_rule(monkeypatch):
         cfg = _config(argv)
         log_z, series = {"clt": (1, 0), "approx": (0, 1), "decomposition": (1, 1)}[cfg.kind]
         work = reps * sum(log_z * 2 ** (n - 1) + series * 2 * n**3 for n in cfg.sizes)
-        expected = min(threads, reps, cores, max(1, work // ex.FORK_OPERATIONS))
+        expected = 1 if work < 2 * ex.FORK_OPERATIONS else min(threads, reps, cores)
         assert _workers(argv) == expected, argv
         counts.add(expected)
-    # threads (1, 2, 8), usable cores (4) and the price (5) each bind
+    # threads (1, 2, 8), usable cores (4) and replicates (5) each bind
     assert counts == {1, 2, 4, 5, 8}
 
 
@@ -598,7 +601,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
 
     monkeypatch.setattr(ex, "_fork_map", spy)
     monkeypatch.setattr(ex, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(ex, "FORK_OPERATIONS", 0)
+    monkeypatch.setattr(ex, "FORK_OPERATIONS", 1)
     cfg = ex.ExperimentConfig(
         kind="clt", params=PARAMS, replicates=4, master_seed=3, threads=2, n_grid=(8,)
     )
@@ -616,10 +619,10 @@ def _assert_no_child_left():
 
 def _two_worker_clt(monkeypatch, worker):
     """A clt config that forks two workers running ``worker``: the fork is
-    priced at nothing, so the worker never runs in this process."""
+    priced at one operation, so the worker never runs in this process."""
     monkeypatch.setattr(ex, "_clt_worker", worker)
     monkeypatch.setattr(ex, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(ex, "FORK_OPERATIONS", 0)
+    monkeypatch.setattr(ex, "FORK_OPERATIONS", 1)
     return ex.ExperimentConfig(
         kind="clt", params=PARAMS, replicates=4, master_seed=3, threads=2, n_grid=(8,)
     )
