@@ -4,21 +4,21 @@ The five experiments (clt, cycles, tilted, approx, decomposition) share
 one driver, ``_drive``.  An ``ExperimentConfig`` is the one input of every
 run; the report echoes what its kind reads of it (``KIND_FIELDS``), so a
 report re-runs from its ``config`` block.  Each ``run_*`` names its
-module-level ``*_worker`` and a ``_Plan`` with what differs: the task
-arguments, a per-size builder of summaries, checks and raw samples, the
-cross-size checks and the targets.  ``ExperimentConfig`` checks every size
-of the grid, and the driver every per-size input, before any sample is
-drawn.  Replicate r at size index s uses stream_id = s * 2^32 + r under
-the configured master seed; the stream id ends every task tuple.  A
-worker call takes a stack, a list of consecutive same-size tasks of at
-most ``STACK_ELEMENTS`` matrix entries, and computes its matrices as one
-(B, n, n) array; every value is bit for bit what the replicate alone
-gives, so the stacking moves no report.  Each plan prices one replicate
-at size n in the operations of the cycle budget, and a run whose priced
-work does not pay for a second worker (``_worker_count``) computes in this
-process, as with ``threads=1``.  With more than one worker the stacks run
-in forked children (``_fork_map``), each size cut so that every child gets
-the same share of it.
+module-level ``*_worker`` and a ``_Plan`` with what differs: the per-size
+worker arguments, a per-size builder of summaries, checks and raw samples,
+the cross-size checks and the targets.  ``ExperimentConfig`` checks every
+size of the grid, and the driver every per-size input, before any sample
+is drawn.  Replicate r at size index s uses stream_id = s * 2^32 + r under
+the configured master seed.  The unit of work is a stack: consecutive
+replicates of one size, at most ``STACK_ELEMENTS`` matrix entries, passed
+as ``worker(n, seeds, *size args)`` with one ``SeedSpec`` per replicate.
+A worker computes its matrices as one (B, n, n) array; every value is bit
+for bit what the replicate alone gives, so the stacking moves no report.
+Each plan prices one replicate at size n in the operations of the cycle
+budget, and a run whose priced work does not pay for a second worker
+(``_worker_count``) computes in this process, as with ``threads=1``.  With
+more than one worker the stacks run in forked children (``_fork_map``),
+each size cut so that every child gets the same share of it.
 
 Every comparison is recorded as a named check carrying the rule, the
 observed value, the target and the tolerance; a report is never a bare
@@ -35,7 +35,6 @@ difference for means, decreasing point estimates for residual variances).
 from __future__ import annotations
 
 import ctypes
-import itertools
 import math
 import os
 import pickle
@@ -506,39 +505,31 @@ def keep_freed_memory() -> None:
         mallopt(-3, 1 << 25)  # M_MMAP_THRESHOLD: its largest value, 32 MiB
 
 
-def _stacks(tasks: list, workers: int) -> list[list]:
-    """The task tuples, in order, cut into lists of consecutive same-size
-    tasks.  Each size is cut into stacks whose lengths differ by at most
-    one, each at most ``max(1, STACK_ELEMENTS // n^2)`` long, and whose
+def _stacks(config: ExperimentConfig, size_args: list, workers: int) -> list[tuple]:
+    """The work of a run in grid order, one ``(n, seeds, *args)`` tuple per
+    stack, where ``args`` are the size's entry of ``size_args`` and
+    ``seeds`` the ``SeedSpec`` of each of the stack's consecutive
+    replicates.  Each size is cut into stacks whose lengths differ by at
+    most one, each at most ``max(1, STACK_ELEMENTS // n^2)`` long, and whose
     count is the least multiple of ``workers`` that allows it (one stack
-    per task where the size has fewer tasks than that), so stacks dealt
-    out in turn give every worker the same share of every size."""
+    per replicate where the size has fewer replicates than that), so stacks
+    dealt out in turn give every worker the same share of every size."""
+    total = config.replicates
     stacks = []
-    for n, same_size in itertools.groupby(tasks, key=lambda task: task[0]):
-        same_size = list(same_size)
-        total = len(same_size)
+    for s, (n, args) in enumerate(zip(config.sizes, size_args)):
         cap = max(1, STACK_ELEMENTS // n**2)
         count = min(total, workers * -(-total // (cap * workers)))
-        stacks += [
-            same_size[i * total // count:(i + 1) * total // count] for i in range(count)
-        ]
+        for i in range(count):
+            seeds = [
+                SeedSpec(config.master_seed, s * _STREAM_BLOCK + r)
+                for r in range(i * total // count, (i + 1) * total // count)
+            ]
+            stacks.append((n, seeds, *args))
     return stacks
 
 
-def _map_replicates(worker: Callable, tasks: list, workers: int) -> list:
-    """One output per task, in task order: the worker runs once per stack
-    (a list, so a tracer reads no stream id from it) and returns the
-    outputs of the stack's tasks.  One worker runs in this process."""
-    stacks = _stacks(tasks, workers)
-    if workers == 1:
-        outputs = map(worker, stacks)
-    else:
-        outputs = _fork_map(worker, stacks, workers)
-    return [output for stack in outputs for output in stack]
-
-
 def _fork_map(worker: Callable, stacks: list, workers: int) -> list:
-    """``[worker(stack) for stack in stacks]`` in ``workers`` forked children.
+    """``[worker(*stack) for stack in stacks]`` in ``workers`` forked children.
 
     Child w runs stacks w, w + workers, ... and pickles its outputs, or the
     exception it raised, back through a pipe.  The parent reads every pipe,
@@ -592,7 +583,7 @@ def _run_child(worker: Callable, stacks: list, write_fd: int) -> None:
     try:
         try:
             keep_freed_memory()
-            payload = pickle.dumps((None, [worker(stack) for stack in stacks]))
+            payload = pickle.dumps((None, [worker(*stack) for stack in stacks]))
         except BaseException as exc:
             # one that does not pickle leaves the pipe empty, a RuntimeError
             payload = pickle.dumps((exc, None))
@@ -606,19 +597,19 @@ def _run_child(worker: Callable, stacks: list, write_fd: int) -> None:
 class _Plan:
     """What one experiment kind adds to the shared driver.
 
-    ``task_args(n)`` gives the worker arguments that sit between n and
-    (master_seed, stream_id) in each task tuple; the driver calls it for
-    every size before any replicate runs, so the per-size inputs (the
-    ``ModelParams`` at n, the spin vector of length n) are built and checked
-    there, once per size.  ``size_result(n, outputs)`` turns the worker
-    outputs at size n into (summaries, checks, raw samples), and
-    ``cross_checks(results)`` compares the sizes of a grid run.
+    ``size_args(n)`` gives the worker arguments that follow ``(n, seeds)``
+    in every stack of size n; the driver calls it for every size before any
+    replicate runs, so the per-size inputs (the ``ModelParams`` at n, the
+    spin vector of length n) are built and checked there, once per size.
+    ``size_result(n, outputs)`` turns the worker outputs at size n into
+    (summaries, checks, raw samples), and ``cross_checks(results)`` compares
+    the sizes of a grid run.
     ``price(n)`` is what one replicate at size n costs in the operations of
     the cycle budget, which ``_worker_count`` weighs against the price of a
     fork.
     """
 
-    task_args: Callable[[int], tuple]
+    size_args: Callable[[int], tuple]
     price: Callable[[int], float]
     size_result: Callable[[int, list], tuple[dict, list, dict]]
     cross_checks: Callable[[list], list] = lambda results: []
@@ -648,8 +639,8 @@ def _drive(
     module-level name at call time, so a wrapper installed under the name
     (the perfbench tracer) is what runs, in this process or in a child.
 
-    The tasks of every size, in grid order and cut into stacks
-    (``_stacks``), go through one map over ``_worker_count`` workers:
+    The stacks of every size, in grid order (``_stacks``), go through one
+    map, ``worker(*stack)`` per stack, over ``_worker_count`` workers:
     one if the run's priced work does not pay for a second, otherwise
     ``threads``, never more than replicates or usable cores.  One worker
     runs in this process, with the stacks and values of ``threads=1``; more
@@ -663,13 +654,9 @@ def _drive(
     if config.kind != kind:
         raise ValueError(f"config kind is {config.kind!r}, expected {kind!r}")
     plan = plan_for(config)
-    size_args = [plan.task_args(n) for n in config.sizes]
-    tasks = [
-        (n, *args, config.master_seed, s * _STREAM_BLOCK + r)
-        for s, (n, args) in enumerate(zip(config.sizes, size_args))
-        for r in range(config.replicates)
-    ]
+    size_args = [plan.size_args(n) for n in config.sizes]
     workers = _worker_count(config, plan)
+    stacks = _stacks(config, size_args, workers)
     # numpy imports numpy.random on first use; imported here, before the map,
     # forked workers inherit it instead of each paying 14-18 ms, and a
     # serial run's sampling time does not include the import
@@ -677,7 +664,11 @@ def _drive(
     results = []
     raw: dict = {}
     with one_blas_thread():
-        outputs = _map_replicates(worker, tasks, workers)
+        if workers == 1:
+            per_stack = (worker(*stack) for stack in stacks)
+        else:
+            per_stack = _fork_map(worker, stacks, workers)
+        outputs = [output for stack in per_stack for output in stack]
         reps = config.replicates
         for s, n in enumerate(config.sizes):
             summaries, checks, samples = plan.size_result(
@@ -705,15 +696,8 @@ def _drive(
 # clt: free-energy fluctuations
 
 
-def _stack_seeds(tasks: list) -> list[SeedSpec]:
-    """The seed of each task of a stack: (master_seed, stream_id) end every
-    task tuple."""
-    return [SeedSpec(task[-2], task[-1]) for task in tasks]
-
-
-def _clt_worker(tasks: list) -> list[float]:
-    n, params = tasks[0][:2]
-    a = sample_gaussian_matrix(n, _stack_seeds(tasks))
+def _clt_worker(n: int, seeds: list, params: ModelParams) -> list[float]:
+    a = sample_gaussian_matrix(n, seeds)
     return (exact_log_partition(a, params) - n * params.beta**2).tolist()
 
 
@@ -775,15 +759,15 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
 # cycles and tilted: signed-cycle laws
 
 
-def _cycles_worker(tasks: list) -> list[list[float]]:
-    n, kmax, budget = tasks[0][:3]
-    a = sample_gaussian_matrix(n, _stack_seeds(tasks))
+def _cycles_worker(n: int, seeds: list, kmax: int, budget: float) -> list[list[float]]:
+    a = sample_gaussian_matrix(n, seeds)
     return cycle_series(a, kmax, budget=budget).values.tolist()
 
 
-def _tilted_worker(tasks: list) -> list[list[float]]:
-    n, kmax, beta, sigma, budget = tasks[0][:5]
-    a = sample_tilted_matrix(n, sigma, beta, _stack_seeds(tasks))
+def _tilted_worker(
+    n: int, seeds: list, kmax: int, beta: float, sigma: np.ndarray, budget: float
+) -> list[list[float]]:
+    a = sample_tilted_matrix(n, sigma, beta, seeds)
     return cycle_series(a, kmax, budget=budget).values.tolist()
 
 
@@ -843,7 +827,7 @@ def _cycle_statistics_checks(
 
 
 def _cycle_plan(
-    config: ExperimentConfig, task_args, targets, mean_targets, mean_floor, var_rel
+    config: ExperimentConfig, size_args, targets, mean_targets, mean_floor, var_rel
 ) -> _Plan:
     """Plan of the plain and tilted cycle runs, whose workers return
     C_{n,1..kmax} per replicate."""
@@ -858,7 +842,7 @@ def _cycle_plan(
             f"cycle_{k}": values[:, k - 1] for k in range(1, kmax + 1)
         }
 
-    return _Plan(task_args, series_price, size_result, targets=targets)
+    return _Plan(size_args, series_price, size_result, targets=targets)
 
 
 def _cycles_plan(config: ExperimentConfig) -> _Plan:
@@ -908,11 +892,12 @@ def run_tilted(config: ExperimentConfig) -> ExperimentReport:
 # approx: cycles against Chebyshev spectral statistics
 
 
-def _approx_worker(tasks: list) -> list[tuple[list[float], list[float]]]:
+def _approx_worker(
+    n: int, seeds: list, kmax: int, budget: float
+) -> list[tuple[list[float], list[float]]]:
     """Per replicate: (C_{n,k} for k=3..kmax, Tr P_k(A/sqrt n) for k=3..kmax),
     both from one set of matrix products."""
-    n, kmax, budget = tasks[0][:3]
-    a = sample_gaussian_matrix(n, _stack_seeds(tasks), hollow=True)
+    a = sample_gaussian_matrix(n, seeds, hollow=True)
     ks = range(3, kmax + 1)
     series = cycle_series(a, kmax, budget=budget)
     return [
@@ -994,9 +979,10 @@ def run_approx(config: ExperimentConfig) -> ExperimentReport:
 # decomposition: log Z against its signed-cycle expansion
 
 
-def _decomposition_worker(tasks: list) -> list[tuple[float, float]]:
-    n, params, m, budget = tasks[0][:4]
-    a = sample_gaussian_matrix(n, _stack_seeds(tasks))
+def _decomposition_worker(
+    n: int, seeds: list, params: ModelParams, m: int, budget: float
+) -> list[tuple[float, float]]:
+    a = sample_gaussian_matrix(n, seeds)
     log_z = exact_log_partition(a, params)
     resid = decomposition_residual(a, params, m, log_z, cycle_budget=budget)
     return list(zip(resid.tolist(), (log_z - n * params.beta**2).tolist()))

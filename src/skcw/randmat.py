@@ -348,13 +348,16 @@ def save_matrix_text(a: np.ndarray, path) -> None:
 
 
 def load_matrix_text(path) -> np.ndarray:
-    """Inverse of ``save_matrix_text``."""
+    """Inverse of ``save_matrix_text``: a ValueError for text that is no
+    matrix ``check_matrix`` admits, an empty file included."""
     if hasattr(path, "read"):
         text = path.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty matrix file")
     n = int(lines[0])
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} data rows, found {len(lines) - 1}")
@@ -365,4 +368,4 @@ def load_matrix_text(path) -> np.ndarray:
             raise ValueError(f"row {i} has {len(row)} entries, expected {n - i}")
         a[i, i:] = row
         a[i:, i] = row
-    return a
+    return check_matrix(a)

@@ -32,7 +32,7 @@ def no_compute(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("computed before the command line was rejected")
 
-    monkeypatch.setattr(experiments, "_map_replicates", refuse)
+    monkeypatch.setattr(experiments, "_stacks", refuse)
     monkeypatch.setattr(experiments, "exact_centering", refuse)
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from skcw import cli, cycles, randmat
 from skcw import experiments as ex
 from skcw.gibbs import ModelParams
+from skcw.randmat import SeedSpec
 
 PARAMS = ModelParams(beta=0.25, J=1.0, Jprime=0.0, n=10)
 
@@ -374,7 +375,7 @@ def _record_fork_maps(monkeypatch, cores):
 
     def recording_fork_map(worker, stacks, workers):
         created.append(workers)
-        return list(map(worker, stacks))
+        return [worker(*stack) for stack in stacks]
 
     monkeypatch.setattr(ex, "_fork_map", recording_fork_map)
     monkeypatch.setattr(ex, "_usable_cores", lambda: cores)
@@ -503,49 +504,73 @@ def test_pool_workers_keep_freed_memory(monkeypatch):
 
 def test_one_map_per_run_in_grid_order(monkeypatch):
     seen = []
-    map_replicates = ex._map_replicates
+    stacks = ex._stacks
 
-    def spy(worker, tasks, workers):
-        seen.append(list(tasks))
-        return map_replicates(worker, tasks, workers)
+    def spy(config, size_args, workers):
+        seen.append(stacks(config, size_args, workers))
+        return seen[-1]
 
-    monkeypatch.setattr(ex, "_map_replicates", spy)
+    monkeypatch.setattr(ex, "_stacks", spy)
     cfg = ex.ExperimentConfig(
         kind="clt", params=PARAMS, replicates=3, master_seed=5, n_grid=(6, 8)
     )
     report = ex.run_clt(cfg)
     assert len(seen) == 1
-    assert [(t[0], t[-2], t[-1]) for t in seen[0]] == [
-        (n, 5, s * 2**32 + r) for s, n in enumerate((6, 8, 10)) for r in range(3)
+    assert [(stack[0], seed) for stack in seen[0] for seed in stack[1]] == [
+        (n, SeedSpec(5, s * 2**32 + r)) for s, n in enumerate((6, 8, 10)) for r in range(3)
     ]
     assert [r.n for r in report.results] == [6, 8, 10]
     assert all(r.summaries["n_fluct"].count == 3 for r in report.results)
 
 
 def test_stacks_cut_each_size_by_the_element_cap():
-    """Same-size tasks in order, each stack a list of at most
-    STACK_ELEMENTS // n^2 (and at least one) tasks; a size's stack lengths
-    differ by at most one, and their count is a multiple of the worker
-    count wherever the size has that many tasks."""
-    tasks = [(n, "x", 5, r) for n in (12, 20, 200) for r in range(150)]
-    tasks += [(300, "x", 5, r) for r in range(3)]
+    """Each stack is (n, seeds, *size args) with the seeds of consecutive
+    replicates in grid order, at most STACK_ELEMENTS // n^2 (and at least
+    one) of them; a size's stack lengths differ by at most one, and their
+    count is a multiple of the worker count wherever the size has that many
+    replicates."""
+    configs = [
+        ex.ExperimentConfig(
+            kind="cycles", params=ModelParams(beta=0.0, n=200), replicates=150,
+            master_seed=5, n_grid=(12, 20, 200),
+        ),
+        ex.ExperimentConfig(
+            kind="cycles", params=ModelParams(beta=0.0, n=300), replicates=3, master_seed=5,
+        ),
+    ]
+
+    def stacks_of(workers):
+        return [
+            stack
+            for cfg in configs
+            for stack in ex._stacks(cfg, [("x", 4)] * len(cfg.sizes), workers)
+        ]
+
+    seeds_in_grid_order = [
+        (n, SeedSpec(5, s * 2**32 + r))
+        for cfg in configs
+        for s, n in enumerate(cfg.sizes)
+        for r in range(cfg.replicates)
+    ]
     for workers in (1, 2, 3):
-        stacks = ex._stacks(tasks, workers)
-        assert all(isinstance(stack, list) for stack in stacks)
-        assert [task for stack in stacks for task in stack] == tasks
+        stacks = stacks_of(workers)
+        assert all(
+            type(n) is int and isinstance(seeds, list) and args == ["x", 4]
+            for n, seeds, *args in stacks
+        )
+        assert [(n, seed) for n, seeds, *_ in stacks for seed in seeds] == seeds_in_grid_order
         for n in (12, 20, 200, 300):
-            lengths = [len(s) for s in stacks if s[0][0] == n]
-            assert all({task[0] for task in s} == {n} for s in stacks if s[0][0] == n)
+            lengths = [len(s[1]) for s in stacks if s[0] == n]
             assert max(lengths) <= max(1, ex.STACK_ELEMENTS // n**2)
             assert max(lengths) - min(lengths) <= 1
             total = sum(lengths)
             assert len(lengths) % workers == 0 or len(lengths) == total
-    assert [len(s) for s in ex._stacks(tasks, 2) if s[0][0] == 12] == [75, 75]
-    assert [len(s) for s in ex._stacks(tasks, 3) if s[0][0] == 12] == [50, 50, 50]
-    assert [len(s) for s in ex._stacks(tasks, 1) if s[0][0] == 20] == [37, 38, 37, 38]
-    assert [len(s) for s in ex._stacks(tasks, 3) if s[0][0] == 20] == [25] * 6
-    assert {len(s) for s in ex._stacks(tasks, 2) if s[0][0] == 200} == {1}
-    assert [len(s) for s in ex._stacks(tasks, 2) if s[0][0] == 300] == [1, 1, 1]
+    assert [len(s[1]) for s in stacks_of(2) if s[0] == 12] == [75, 75]
+    assert [len(s[1]) for s in stacks_of(3) if s[0] == 12] == [50, 50, 50]
+    assert [len(s[1]) for s in stacks_of(1) if s[0] == 20] == [37, 38, 37, 38]
+    assert [len(s[1]) for s in stacks_of(3) if s[0] == 20] == [25] * 6
+    assert {len(s[1]) for s in stacks_of(2) if s[0] == 200} == {1}
+    assert [len(s[1]) for s in stacks_of(2) if s[0] == 300] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("kind, kwargs", [
@@ -590,13 +615,13 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     kept = []
     monkeypatch.setattr(ex, "keep_freed_memory", lambda: kept.append(os.getpid()))
 
-    def probe(stack):
+    def probe(n, seeds):
         assert kept == [os.getpid()]
         cycles._gram(np.ones((2, 200, 200)))
         return [_worker_threads()]
 
     def spy(worker, stacks, workers):
-        seen.extend(out for outs in fork_map(probe, [[None]] * 4, workers) for out in outs)
+        seen.extend(out for outs in fork_map(probe, [(200, [])] * 4, workers) for out in outs)
         return fork_map(worker, stacks, workers)
 
     monkeypatch.setattr(ex, "_fork_map", spy)
@@ -632,8 +657,8 @@ def test_a_worker_error_reaches_the_parent_with_its_type(monkeypatch, capsys):
     """A child's ValueError is raised in the parent as a ValueError, the CLI
     turns it into exit 1, and every child is reaped."""
 
-    def refusing_worker(tasks):
-        raise ValueError(f"stack at n={tasks[0][0]} refused")
+    def refusing_worker(n, seeds, *args):
+        raise ValueError(f"stack at n={n} refused")
 
     cfg = _two_worker_clt(monkeypatch, refusing_worker)
     with pytest.raises(ValueError, match="stack at n=8 refused"):
@@ -647,7 +672,7 @@ def test_a_worker_error_reaches_the_parent_with_its_type(monkeypatch, capsys):
 
 
 def test_a_worker_that_exits_without_writing_is_an_error(monkeypatch):
-    cfg = _two_worker_clt(monkeypatch, lambda tasks: os._exit(3))
+    cfg = _two_worker_clt(monkeypatch, lambda n, seeds, *args: os._exit(3))
     with pytest.raises(RuntimeError, match="exited without writing its outputs"):
         ex.run_clt(cfg)
     _assert_no_child_left()
@@ -657,9 +682,9 @@ def test_an_interrupted_run_kills_and_reaps_its_children(monkeypatch):
     """An interrupt while the parent waits kills the children at once
     instead of waiting out their work."""
 
-    def slow_worker(tasks):
+    def slow_worker(n, seeds, *args):
         time.sleep(60)
-        return [0.0] * len(tasks)
+        return [0.0] * len(seeds)
 
     def interrupt(signum, frame):
         raise KeyboardInterrupt

@@ -299,6 +299,11 @@ def test_matrix_text_validation(tmp_path):
         save_matrix_text(np.zeros((2, 3, 3)), io.StringIO())
     with pytest.raises(ValueError):
         load_matrix_text(io.StringIO("2\n1.0 2.0\n"))
+    with pytest.raises(ValueError, match="empty matrix file"):
+        load_matrix_text(io.StringIO(""))
+    for entry in ("nan", "inf"):
+        with pytest.raises(ValueError, match="must be finite"):
+            load_matrix_text(io.StringIO(f"2\n1 {entry}\n2\n"))
 
 
 def test_seedspec_derived_changes_master():
