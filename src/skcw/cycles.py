@@ -264,7 +264,6 @@ class CycleStack:
     Tr (A_hollow / sqrt n)^j, each (kmax,) for one matrix and (B, kmax)
     for a stack."""
 
-    n: int
     values: np.ndarray
     traces: np.ndarray
 
@@ -301,7 +300,7 @@ def cycle_series(a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET)
     values, traces = np.stack(values, axis=1), np.stack(traces, axis=1)
     if a.ndim == 2:
         values, traces = values[0], traces[0]
-    return CycleStack(n, values, traces)
+    return CycleStack(values, traces)
 
 
 def chebyshev_lss(a_hollow: np.ndarray, k: int) -> float:
@@ -312,22 +311,23 @@ def chebyshev_lss(a_hollow: np.ndarray, k: int) -> float:
     if np.any(np.diag(a_hollow) != 0.0):
         raise ValueError("matrix must have an exactly zero diagonal")
     traces = power_traces(a_hollow / np.sqrt(n), k)
-    return chebyshev_trace(traces, n, k)
+    return float(chebyshev_trace(traces, n, k))
 
 
-def chebyshev_trace(traces: np.ndarray, n: int, k: int) -> float:
+def chebyshev_trace(traces: np.ndarray, n: int, k: int):
     """Tr P_k(M) of an n x n matrix M from its power traces (Tr M, ..., Tr M^k).
 
     One set of traces serves every k up to its length, so callers that
-    need several k pay for the matrix products once.  Exact (rational)
-    traces give the exact value, rounded once.
+    need several k pay for the matrix products once.  A stack's traces,
+    transposed to (kmax, B), give B values, each by its matrix's operations
+    alone.  Exact (rational) traces give the exact value, unrounded.
     """
     coeffs = chebyshev_coeffs(k)
     value = coeffs[0] * n
     for j in range(1, k + 1):
         if coeffs[j]:
             value += coeffs[j] * traces[j - 1]
-    return float(value)
+    return value
 
 
 def exact_centering(n: int, k: int) -> float:
@@ -342,7 +342,7 @@ def exact_centering(n: int, k: int) -> float:
         raise ValueError(f"k must be positive, got {k}")
     if k % 2 == 1:
         return 0.0
-    return chebyshev_trace(walk_moments(n, k), n, k)
+    return float(chebyshev_trace(walk_moments(n, k), n, k))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ is drawn.  Replicate r at size index s uses stream_id = s * 2^32 + r under
 the configured master seed.  The unit of work is a stack: consecutive
 replicates of one size, at most ``STACK_ELEMENTS`` matrix entries, passed
 as ``worker(n, seeds, *size args)`` with one ``SeedSpec`` per replicate.
-A worker computes its matrices as one (B, n, n) array; every value is bit
-for bit what the replicate alone gives, so the stacking moves no report.
+A worker computes its matrices as one (B, n, n) array and returns one
+float array, a row per replicate, each value bit for bit what the replicate
+alone gives; the driver concatenates the arrays, and a size reads its rows.
 Each plan prices one replicate at size n in the operations of the cycle
 budget, and a run whose priced work does not pay for a second worker
 (``_worker_count``) computes in this process, as with ``threads=1``.  With
@@ -531,7 +532,7 @@ def _stacks(config: ExperimentConfig, size_args: list, workers: int) -> list[tup
 def _fork_map(worker: Callable, stacks: list, workers: int) -> list:
     """``[worker(*stack) for stack in stacks]`` in ``workers`` forked children.
 
-    Child w runs stacks w, w + workers, ... and pickles its outputs, or the
+    Child w runs stacks w, w + workers, ... and pickles its arrays, or the
     exception it raised, back through a pipe.  The parent reads every pipe,
     then raises the first child's exception with its own type, or
     RuntimeError for a child that exited without writing.  Every child is
@@ -578,7 +579,7 @@ def _fork_map(worker: Callable, stacks: list, workers: int) -> list:
 
 def _run_child(worker: Callable, stacks: list, write_fd: int) -> None:
     """The whole life of a forked child: run its stacks, write the pickled
-    (exception or None, outputs) pair to the pipe and leave by ``os._exit``,
+    (exception or None, arrays) pair to the pipe and leave by ``os._exit``,
     so it never returns into the parent's stack or runs its exit handlers."""
     try:
         try:
@@ -601,9 +602,9 @@ class _Plan:
     in every stack of size n; the driver calls it for every size before any
     replicate runs, so the per-size inputs (the ``ModelParams`` at n, the
     spin vector of length n) are built and checked there, once per size.
-    ``size_result(n, outputs)`` turns the worker outputs at size n into
-    (summaries, checks, raw samples), and ``cross_checks(results)`` compares
-    the sizes of a grid run.
+    ``size_result(n, outputs)`` turns the worker rows at size n, one per
+    replicate, into (summaries, checks, raw samples), and
+    ``cross_checks(results)`` compares the sizes of a grid run.
     ``price(n)`` is what one replicate at size n costs in the operations of
     the cycle budget, which ``_worker_count`` weighs against the price of a
     fork.
@@ -611,7 +612,7 @@ class _Plan:
 
     size_args: Callable[[int], tuple]
     price: Callable[[int], float]
-    size_result: Callable[[int, list], tuple[dict, list, dict]]
+    size_result: Callable[[int, np.ndarray], tuple[dict, list, dict]]
     cross_checks: Callable[[list], list] = lambda results: []
     targets: tuple[TargetValue, ...] = ()
 
@@ -646,10 +647,11 @@ def _drive(
     runs in this process, with the stacks and values of ``threads=1``; more
     run in forked children (``_fork_map``), started after every per-size
     input is checked and reaped before this returns, so the run's resource
-    usage covers them.  The whole run holds this process at
-    one OpenBLAS thread: the children inherit that count, so
-    ``set_blas_threads`` never has to call the setter in them, and the
-    setter would start a BLAS thread server there.
+    usage covers them.  Size s reads rows s * replicates to
+    (s + 1) * replicates of the stacks' concatenated arrays.  The whole run
+    holds this process at one OpenBLAS thread: the children inherit that
+    count, so ``set_blas_threads`` never has to call the setter in them,
+    and the setter would start a BLAS thread server there.
     """
     if config.kind != kind:
         raise ValueError(f"config kind is {config.kind!r}, expected {kind!r}")
@@ -665,10 +667,10 @@ def _drive(
     raw: dict = {}
     with one_blas_thread():
         if workers == 1:
-            per_stack = (worker(*stack) for stack in stacks)
+            per_stack = [worker(*stack) for stack in stacks]
         else:
             per_stack = _fork_map(worker, stacks, workers)
-        outputs = [output for stack in per_stack for output in stack]
+        outputs = np.concatenate(per_stack)
         reps = config.replicates
         for s, n in enumerate(config.sizes):
             summaries, checks, samples = plan.size_result(
@@ -696,9 +698,9 @@ def _drive(
 # clt: free-energy fluctuations
 
 
-def _clt_worker(n: int, seeds: list, params: ModelParams) -> list[float]:
+def _clt_worker(n: int, seeds: list, params: ModelParams) -> np.ndarray:
     a = sample_gaussian_matrix(n, seeds)
-    return (exact_log_partition(a, params) - n * params.beta**2).tolist()
+    return exact_log_partition(a, params) - n * params.beta**2
 
 
 def _clt_plan(config: ExperimentConfig) -> _Plan:
@@ -714,8 +716,7 @@ def _clt_plan(config: ExperimentConfig) -> _Plan:
             TargetValue("variance", t.variance, "-b^2 - log(1-4b^2)/2"),
         )
 
-    def size_result(n, outputs):
-        xs = np.array(outputs)
+    def size_result(n, xs):
         summ = SampleSummary.from_samples(xs)
         if t is None:
             checks = [
@@ -759,16 +760,16 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
 # cycles and tilted: signed-cycle laws
 
 
-def _cycles_worker(n: int, seeds: list, kmax: int, budget: float) -> list[list[float]]:
+def _cycles_worker(n: int, seeds: list, kmax: int, budget: float) -> np.ndarray:
     a = sample_gaussian_matrix(n, seeds)
-    return cycle_series(a, kmax, budget=budget).values.tolist()
+    return cycle_series(a, kmax, budget=budget).values
 
 
 def _tilted_worker(
     n: int, seeds: list, kmax: int, beta: float, sigma: np.ndarray, budget: float
-) -> list[list[float]]:
+) -> np.ndarray:
     a = sample_tilted_matrix(n, sigma, beta, seeds)
-    return cycle_series(a, kmax, budget=budget).values.tolist()
+    return cycle_series(a, kmax, budget=budget).values
 
 
 def _cycle_variance(k: int) -> float:
@@ -830,11 +831,10 @@ def _cycle_plan(
     config: ExperimentConfig, size_args, targets, mean_targets, mean_floor, var_rel
 ) -> _Plan:
     """Plan of the plain and tilted cycle runs, whose workers return
-    C_{n,1..kmax} per replicate."""
+    C_{n,1..kmax} in the columns of a replicate's row."""
     kmax = config.kmax
 
-    def size_result(n, outputs):
-        values = np.array(outputs)
+    def size_result(n, values):
         summaries, checks = _cycle_statistics_checks(
             values, n, kmax, mean_targets, mean_floor, var_rel
         )
@@ -892,33 +892,27 @@ def run_tilted(config: ExperimentConfig) -> ExperimentReport:
 # approx: cycles against Chebyshev spectral statistics
 
 
-def _approx_worker(
-    n: int, seeds: list, kmax: int, budget: float
-) -> list[tuple[list[float], list[float]]]:
-    """Per replicate: (C_{n,k} for k=3..kmax, Tr P_k(A/sqrt n) for k=3..kmax),
-    both from one set of matrix products."""
+def _approx_worker(n: int, seeds: list, kmax: int, budget: float) -> np.ndarray:
+    """Per replicate, one row: C_{n,1..kmax}, then Tr (A/sqrt n)^1..kmax for
+    the plan's Tr P_k, both from one set of matrix products."""
     a = sample_gaussian_matrix(n, seeds, hollow=True)
-    ks = range(3, kmax + 1)
     series = cycle_series(a, kmax, budget=budget)
-    return [
-        (values[2:], [chebyshev_trace(traces, n, k) for k in ks])
-        for values, traces in zip(series.values.tolist(), series.traces.tolist())
-    ]
+    return np.hstack([series.values, series.traces])
 
 
 def _approx_plan(config: ExperimentConfig) -> _Plan:
     kmax = config.kmax
 
     def size_result(n, outputs):
-        cyc = np.array([o[0] for o in outputs])
-        lss = np.array([o[1] for o in outputs])
+        traces = outputs[:, kmax:].T
         summaries = {}
         checks: list[Check] = []
         samples = {}
-        for i, k in enumerate(range(3, kmax + 1)):
-            res = cyc[:, i] - (lss[:, i] - exact_centering(n, k))
+        for k in range(3, kmax + 1):
+            cyc = outputs[:, k - 1]
+            res = cyc - (chebyshev_trace(traces, n, k) - exact_centering(n, k))
             samples[f"residual_{k}"] = res
-            summaries[f"cycle_{k}"] = SampleSummary.from_samples(cyc[:, i])
+            summaries[f"cycle_{k}"] = SampleSummary.from_samples(cyc)
             rsum = summaries[f"residual_{k}"] = SampleSummary.from_samples(res)
             if k == 3:
                 checks.append(
@@ -981,11 +975,12 @@ def run_approx(config: ExperimentConfig) -> ExperimentReport:
 
 def _decomposition_worker(
     n: int, seeds: list, params: ModelParams, m: int, budget: float
-) -> list[tuple[float, float]]:
+) -> np.ndarray:
+    """Per replicate, one row: the residual and n(F_n - beta^2)."""
     a = sample_gaussian_matrix(n, seeds)
     log_z = exact_log_partition(a, params)
     resid = decomposition_residual(a, params, m, log_z, cycle_budget=budget)
-    return list(zip(resid.tolist(), (log_z - n * params.beta**2).tolist()))
+    return np.column_stack([resid, log_z - n * params.beta**2])
 
 
 def _decomposition_plan(config: ExperimentConfig) -> _Plan:
@@ -993,8 +988,7 @@ def _decomposition_plan(config: ExperimentConfig) -> _Plan:
     degenerate = params.beta == 0.0
 
     def size_result(n, outputs):
-        res = np.array([o[0] for o in outputs])
-        fluct = np.array([o[1] for o in outputs])
+        res, fluct = outputs.T
         rsum = SampleSummary.from_samples(res)
         fsum = SampleSummary.from_samples(fluct)
         if degenerate:

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import skcw.cli  # noqa: F401  (loads every skcw module the tracer patches)
+from skcw import experiments
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -25,3 +26,11 @@ def test_every_tracer_target_resolves():
         if owner is None or inspect.getattr_static(owner, attr, None) is None:
             missing.append(f"{mod_name}.{path}")
     assert missing == []
+
+
+def test_every_kind_has_the_driver_names_the_tracer_finds():
+    """The tracer finds the driver layer by name, ``run_*`` and ``*_worker``,
+    and reports nothing when a kind's function goes by another name."""
+    for kind in experiments.KINDS:
+        assert callable(getattr(experiments, f"run_{kind}", None)), kind
+        assert callable(getattr(experiments, f"_{kind}_worker", None)), kind

@@ -229,7 +229,6 @@ def test_cycle_series_matches_individual_calls():
     the default bruteforce reads that entry as a float."""
     a = sample_gaussian_matrix(20, SeedSpec(13, 0))
     series = cycle_series(a, 5)
-    assert series.n == 20
     assert series.values.shape == series.traces.shape == (5,)
     assert series.values[0] == signed_cycle_c1(a)
     for k in range(2, 6):
@@ -301,12 +300,19 @@ def test_lss_hand_values():
 
 def test_chebyshev_trace_from_shared_traces_equals_lss_bit_for_bit():
     """One set of power traces up to k=5 serves k=3, 4, 5 exactly as the
-    per-k evaluation does."""
+    per-k evaluation does, and the transposed traces of a stack give, in
+    one call, each matrix's value bit for bit."""
     for n in (20, 50, 200):
         a = sample_gaussian_matrix(n, SeedSpec(31, n), hollow=True)
         traces = power_traces(a / math.sqrt(n), 5)
+        stack = cycle_series(
+            sample_gaussian_matrix(n, [SeedSpec(31, r) for r in range(3)], hollow=True), 5
+        )
         for k in (3, 4, 5):
             assert chebyshev_trace(traces, n, k) == chebyshev_lss(a, k)
+            rows = chebyshev_trace(stack.traces.T, n, k)
+            assert rows.shape == (3,)
+            assert rows.tolist() == [chebyshev_trace(t, n, k) for t in stack.traces]
 
 
 @pytest.mark.parametrize("n", [9, 12, 250])

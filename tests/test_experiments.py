@@ -573,6 +573,27 @@ def test_stacks_cut_each_size_by_the_element_cap():
     assert [len(s[1]) for s in stacks_of(2) if s[0] == 300] == [1, 1, 1]
 
 
+@pytest.mark.parametrize("kind", ex.KINDS)
+def test_a_worker_returns_one_float_row_per_replicate(kind):
+    """Each worker returns one float64 array for its stack, one row per
+    replicate, and each row is bit for bit the row of that replicate's
+    stack of one."""
+    cfg = ex.ExperimentConfig(
+        kind=kind, params=ModelParams(beta=0.2, n=8), replicates=3, master_seed=9,
+        kmax=4, m=3, sigma="random",
+    )
+    worker = getattr(ex, f"_{kind}_worker")
+    args = getattr(ex, f"_{kind}_plan")(cfg).size_args(8)
+    seeds = [SeedSpec(9, r) for r in range(3)]
+    rows = worker(8, seeds, *args)
+    assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
+    assert len(rows) == 3
+    for row, seed in zip(rows, seeds):
+        single = worker(8, [seed], *args)
+        assert single.shape == (1, *rows.shape[1:])
+        assert single[0].tobytes() == row.tobytes()
+
+
 @pytest.mark.parametrize("kind, kwargs", [
     ("clt", dict(params=ModelParams(beta=0.25, J=1.0, n=16))),
     ("decomposition", dict(params=ModelParams(beta=0.25, J=0.5, n=16), m=4)),
