@@ -33,6 +33,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -66,6 +67,9 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("formatter_class", _HelpFormatter)
         super().__init__(*args, **kwargs)
+        # a value, not a flag: every negative number float() reads, where
+        # argparse's own pattern takes -1 and -.5 but not -1e-3 or -inf
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -167,7 +167,8 @@ def _walk_sums(at: np.ndarray, kmax: int) -> tuple[list, list]:
     """
     with one_blas_thread():
         g = _gram(at) if kmax >= 3 else None
-        walks = [np.zeros(at.shape[:-2]), _inner(at, at) if g is None else _trace(g)]
+        walks = [np.zeros(at.shape[:-2]),
+                 _inner(at, at) if g is None else np.trace(g, axis1=-2, axis2=-1)]
         if kmax >= 5:
             ga = np.multiply(g, at)
             e = np.sum(ga, axis=-1)  # diag A^3, the row sums of G o A
@@ -183,7 +184,7 @@ def _walk_sums(at: np.ndarray, kmax: int) -> tuple[list, list]:
             cubes = _inner(aa, ga)  # <A o A, G o A>
             del aa, ga
             a4 = _gram(g)
-            walks += [_trace(a4), _inner(a4, at)]
+            walks += [np.trace(a4, axis1=-2, axis2=-1), _inner(a4, at)]
         elif kmax >= 4:
             walks.append(_inner(g, g))
     sums = walks[1:min(kmax, 3)]
@@ -213,11 +214,6 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     split across threads."""
     lead = x.shape[:-2]
     return (x.reshape(*lead, 1, -1) @ y.reshape(*lead, -1, 1))[..., 0, 0]
-
-
-def _trace(x: np.ndarray) -> np.ndarray:
-    """Trace of each matrix of ``x`` (over its last two axes)."""
-    return np.trace(x, axis1=-2, axis2=-1)
 
 
 def _dfs_cycle_sum(at: np.ndarray, k: int) -> float:

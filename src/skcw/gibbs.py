@@ -18,7 +18,9 @@ and log Z_n decomposes into signed cycles: the residual returned by
 
 Exact log partition functions are available for n up to the fixed
 enumeration bound ``ENUMERATION_MAX_N`` = 28, which ``check_enumeration``
-guards for every caller, via three interchangeable methods:
+guards for every caller.  As sigma_i^2 = 1, the diagonal of M adds beta
+Tr M to beta H at every state: it is added once, and three interchangeable
+methods enumerate the hollow M (at n = 1, the empty enumeration):
 
 * ``split`` (default) -- factored three-block enumeration.  Spin 0 is
   pinned by the global flip symmetry and the other n-1 spins form blocks
@@ -30,13 +32,10 @@ guards for every caller, via three interchangeable methods:
   matrix product ((X @ V) * Y).sum(1) on one BLAS thread.  This is the
   weighted-triangle reduction of R. Williams (TCS 2005): about
   3 * 2^(2(n-1)/3) exponentials and one 2^(n-1) multiply-add GEMM instead
-  of 2^(n-1) exponentials.  Each table's exponent, shift included, is one
-  product with an augmented factor (a column of shifts against a row of
-  ones), so no elementwise pass but the exponential touches a table
-  before the GEMM.  The block spin tables, their pair tables (s_i s_j per
-  row, so each block's quadratic term is one product) and the augmented
-  tables are cached per size, read-only.  A row whose sum underflows is
-  recomputed with its exact shift.  A stack of matrices (B, n, n) forms
+  of 2^(n-1) exponentials.  Each exponent, shift included, is one product
+  with a table cached per size, read-only, so no elementwise pass but the
+  exponential touches a table before the GEMM.  A row whose sum underflows
+  is recomputed with its exact shift.  A stack of matrices (B, n, n) forms
   its coefficients in one pass and its tables in sub-stacks whose X, V and
   Y hold at most ``_SPLIT_ELEMENTS`` elements, all sub-stacks writing into
   one set of work arrays, and each value is bit for bit that of its matrix
@@ -59,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycles import DEFAULT_CYCLE_BUDGET, cycle_series
-from .randmat import check_matrix, one_blas_thread
+from .randmat import check_matrix, hollowed, one_blas_thread
 
 ENUMERATION_MAX_N = 28
 # A row sum of the split kernel is a sum of the 2^(|u| + |w|) products
@@ -214,7 +213,7 @@ def _quadratic_forms(block: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 
 def _log_partition_split(m: np.ndarray, beta: float) -> np.ndarray:
-    """log Z of each matrix M of the stack ``m`` (B, n, n), n >= 2, by the
+    """log Z of each hollow matrix M of the stack ``m`` (B, n, n) by the
     three-block factored enumeration; spin 0 pinned to +1 by symmetry.
 
     With s = (a, u, w) over the blocks of ``_block_tables``, beta*H is
@@ -342,18 +341,17 @@ def _split_row_sums(n, h, b_uw2, q_u, q_w, work: list, sums: np.ndarray) -> None
 
 
 def _log_partition_gray(m: np.ndarray, beta: float) -> float:
-    """Gray-code traversal: one spin flip per step, O(n) field update,
-    online log-sum-exp with a running maximum."""
+    """Gray-code traversal of a hollow M: one spin flip per step, O(n)
+    field update, online log-sum-exp with a running maximum."""
     n = m.shape[0]
     sigma = np.ones(n)
     fields = m @ sigma
     energy = float(sigma @ fields)
     running_max = beta * energy
     running_sum = 1.0
-    diag = np.diag(m)
     for step in range(1, 1 << n):
         i = (step & -step).bit_length() - 1
-        energy += -4.0 * sigma[i] * (fields[i] - diag[i] * sigma[i])
+        energy -= 4.0 * sigma[i] * fields[i]
         fields -= 2.0 * sigma[i] * m[:, i]
         sigma[i] = -sigma[i]
         x = beta * energy
@@ -394,15 +392,17 @@ def exact_log_partition(a: np.ndarray, params: ModelParams, method: str = "split
     Refuses n beyond ``ENUMERATION_MAX_N`` (``check_enumeration``) rather
     than subsampling, and, for every method, a matrix that
     ``randmat.check_matrix`` refuses.  A stack is checked and builds M
-    once; ``split`` then runs on sub-stacks, the oracles matrix by matrix.
-    Every value equals that of its matrix alone, bit for bit.
+    once; the methods run on its hollow coupling (``split`` on sub-stacks,
+    the oracles matrix by matrix) and beta Tr M is added to each value,
+    bit for bit that of its matrix alone.
     """
     check_enumeration(params.n)
     m = interaction_matrix(check_matrix(a), params)
     stack = m if m.ndim == 3 else m[None]
-    if params.n == 1:
-        values = params.beta * stack[:, 0, 0]
-    elif method == "split":
+    # sigma_i^2 = 1: the diagonal adds beta Tr M at every state
+    constant = params.beta * np.trace(stack, axis1=1, axis2=2)
+    stack = hollowed(stack)
+    if method == "split":
         values = _log_partition_split(stack, params.beta)
     elif method == "gray":
         values = np.array([_log_partition_gray(mi, params.beta) for mi in stack])
@@ -412,6 +412,7 @@ def exact_log_partition(a: np.ndarray, params: ModelParams, method: str = "split
         values = np.array([_log_partition_naive(mi, params.beta) for mi in stack])
     else:
         raise ValueError(f"unknown method {method!r}")
+    values += constant
     return values if m.ndim == 3 else float(values[0])
 
 

@@ -252,11 +252,92 @@ def test_report_on_failing_verdicts_exits_two(tmp_path):
         pytest.param(["clt", "--n", "8", "--beta", "0.2", "--budget", "-1"],
                      "unrecognized arguments", id="argv26-operation budget -1"),
         (["cycles", "--n", "794", "--kmax", "2"], "operation budget"),
+        # (2 beta)^k overflows the statistics
+        (["tilted", "--n", "6", "--beta", "1e100", "--kmax", "4"], "beta=1e+100 with kmax=4"),
+        (["tilted", "--n", "6", "--beta", "1e50", "--kmax", "3"], "beta=1e+50 with kmax=3"),
     ],
 )
 def test_whole_grid_validated_before_any_compute(no_compute, capsys, argv, message):
     assert run(argv + ["--reps", "5"]) == EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+def test_huge_diagonal_coupling_runs_to_a_strict_json_report(capsys):
+    """J' enters log Z as the constant beta Tr M, so at J' = 1e100 the run
+    ends with a report; its verdicts may fail."""
+    code = run(["clt", "--n", "8", "--beta", "0.2", "--Jprime", "1e100", "--reps", "3"])
+    assert code in (EXIT_OK, EXIT_VERDICT)
+    data = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+    assert data["kind"] == "clt"
+
+
+@pytest.mark.parametrize("text", ["-1e-3", "-2.5E+1", "-.5", "-1", "-inf"])
+def test_a_negative_number_in_any_float_notation_is_a_value(text):
+    argv = ["clt", "--n", "4", "--beta", "0.2", "--J", text, "--Jprime", text]
+    for parser in (build_parser(), build_parser("clt")):
+        args = parser.parse_args(argv)
+        assert args.J == args.Jprime == float(text)
+
+
+def test_a_dash_word_after_a_flag_is_still_a_flag(capsys):
+    assert run(["clt", "--n", "4", "--beta", "0.2", "--J", "-x"]) == EXIT_USAGE
+    assert "argument --J: expected one argument" in capsys.readouterr().err
+
+
+# command lines at the edges of what the flags admit: sizes 1 to 3, beta 0,
+# kmax = n, negative values in every float notation, huge couplings and
+# tilts, every kind of budget, a repeated grid size and seeds outside
+# [0, 2^64); each runs to a report or is refused with one error line
+_EDGE_RUNS = [
+    "clt --n 1 --beta 0.2", "clt --n 2 --beta 0", "clt --n 3 --beta 0.2 --n-grid 1,2,3",
+    "decomposition --n 1 --beta 0.2 --m 1", "decomposition --n 3 --beta 0 --m 3",
+    "cycles --n 1 --kmax 1", "cycles --n 2 --kmax 2", "cycles --n 3 --kmax 3",
+    "tilted --n 1 --beta 0.2 --kmax 1", "tilted --n 3 --beta 0 --kmax 3",
+    "approx --n 3 --kmax 3", "approx --n 5 --kmax 5",
+    "clt --n 4 --beta 0.2 --J -1e-3", "clt --n 4 --beta 0.2 --Jprime -2.5E+1",
+    "clt --n 4 --beta 0.2 --J -.5", "clt --n 8 --beta 0.2 --Jprime 1e100",
+    "clt --n 8 --beta 0.2 --Jprime -1e100", "clt --n 8 --beta 0.2 --J -1e100",
+    "decomposition --n 8 --beta 0.2 --Jprime 1e100 --J -1e-3",
+    "tilted --n 6 --beta 1e40 --kmax 2", "tilted --n 6 --beta 1e40 --kmax 2 --reps 30",
+    "tilted --n 6 --beta 3e30 --kmax 3 --reps 30", "cycles --n 4 --budget inf",
+    "clt --n 4 --beta 0.2 --seed -1", "clt --n 4 --beta 0.2 --seed 18446744073709551616",
+    "tilted --n 4 --beta 0.2 --sigma random --seed -1",
+    "tilted --n 4 --beta 0.2 --sigma random --seed 18446744073709551616",
+]
+_EDGE_REFUSALS = [
+    "clt --n 4 --beta -1e-3", "clt --n 8 --beta 0.2 --J 1e100",
+    "tilted --n 6 --beta 1e100 --kmax 4", "tilted --n 6 --beta 1e50 --kmax 3",
+    "cycles --n 4 --budget 0", "cycles --n 4 --budget nan", "cycles --n 4 --budget -1e3",
+    "cycles --n 4 --n-grid 4,4", "clt --n 4 --beta 0.2 --n-grid 3,4,4",
+    "clt --n 0 --beta 0.2",
+]
+
+
+@pytest.mark.parametrize("line, refused", [(line, False) for line in _EDGE_RUNS]
+                         + [(line, True) for line in _EDGE_REFUSALS])
+def test_edge_case_command_lines_end_in_a_report_or_one_error(capsys, line, refused):
+    argv = shlex.split(line)
+    if "--reps" not in argv:
+        argv += ["--reps", "3"]
+    code = run(argv)  # an exception escaping main fails the test
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if refused:
+        assert code == EXIT_USAGE
+        assert len([ln for ln in err.splitlines() if ln.startswith("error:")]) == 1
+    else:
+        assert code in (EXIT_OK, EXIT_VERDICT), err
+        json.loads(out, parse_constant=refuse_constant)
+
+
+def test_a_constant_cycle_column_fails_its_correlation_check(capsys):
+    """Under a huge tilt C_{n,2} is constant to rounding: its correlation
+    with C_{n,1} is undefined, a failed check with no observed value."""
+    code = run(["tilted", "--n", "6", "--beta", "1e40", "--kmax", "2", "--reps", "3"])
+    assert code == EXIT_VERDICT
+    data = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+    corr = [c for c in data["results"][0]["checks"] if c["name"] == "corr_1_2"]
+    assert corr and corr[0]["observed"] is None and corr[0]["passed"] is False
 
 
 def test_infinite_budget_written_as_a_string_and_read_back(tmp_path, capsys):

@@ -3,6 +3,7 @@ convexity and gauge symmetries, limit-law targets."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,41 @@ def test_log_partition_n1():
     a = np.array([[0.4]])
     p = ModelParams(beta=0.25, J=0.0, Jprime=0.7, n=1)
     assert exact_log_partition(a, p) == pytest.approx(0.25 * (0.4 + 0.7))
+
+
+def brute_force_log_partition(a: np.ndarray, params: ModelParams) -> float:
+    """log-sum-exp of beta * hamiltonian over the hypercube, minus n log 2:
+    the full M, diagonal included, at every state, sharing no code with
+    the methods, which take beta Tr M out of the enumeration."""
+    energies = np.array([params.beta * hamiltonian(a, params, s) for s in spins_iter(params.n)])
+    top = float(energies.max())
+    return top + math.log(np.exp(energies - top).sum()) - params.n * math.log(2.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("J, Jprime", [(0.0, 0.0), (1.0, -0.7), (-2.0, 3.0), (0.5, 1e100)])
+def test_every_method_matches_the_brute_force_oracle(n, J, Jprime):
+    a = sample_gaussian_matrix(n, SeedSpec(47, n))
+    p = ModelParams(beta=0.3, J=J, Jprime=Jprime, n=n)
+    expect = brute_force_log_partition(a, p)
+    for method in ("split", "gray", "naive"):
+        assert exact_log_partition(a, p, method=method) == pytest.approx(expect, rel=1e-12)
+
+
+def test_huge_diagonal_coupling_gives_a_finite_log_partition():
+    """J' = 1e100 moves log Z by beta Tr M alone: every method, on one
+    matrix and on a stack, gives a finite value with no RuntimeWarning."""
+    a = sample_gaussian_matrix(8, SeedSpec(1, 0))
+    p = ModelParams(beta=0.2, J=0.0, Jprime=1e100, n=8)
+    stack = sample_gaussian_matrix(8, [SeedSpec(1, r) for r in range(3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [exact_log_partition(a, p, method=m) for m in ("split", "gray", "naive")]
+        stacked = exact_log_partition(stack, p)
+    assert all(math.isfinite(v) for v in values)
+    assert values == pytest.approx([brute_force_log_partition(a, p)] * 3, rel=1e-12)
+    assert stacked[0] == values[0]
+    assert stacked.tolist() == [exact_log_partition(m, p) for m in stack]
 
 
 def test_gauge_invariance_of_log_partition():
