@@ -319,8 +319,8 @@ def main(argv=None) -> int:
     }
     try:
         return commands.get(args.command, _cmd_experiment)(args)
-    except (ValueError, OverflowError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_USAGE
 
 

@@ -29,7 +29,8 @@ so k <= 2 takes no matrix product, k = 3 and 4 one Gram product and
 k = 5 two.  numpy sends a product of an array with its own transpose to
 BLAS syrk, which does half the multiply-adds of a general product.  Each
 inner product <X, Y> is one BLAS dot per matrix on one BLAS thread, and
-a trace is read from a diagonal wherever the product is formed anyway.
+each walk trace has one formula at every kmax, so the series at depth k
+is bit for bit the first k entries of the series at any deeper kmax.
 ``randmat.check_matrix`` is the one matrix check (square, finite, exactly
 symmetric) and ``check_cycle_budget`` the one compute guard of every
 series.  A stack of matrices (B, n, n) takes stacked products and
@@ -49,13 +50,12 @@ nested-loop oracle.
 The spectral side: C_{n,k} for k >= 3 is approximated by the centered
 linear spectral statistic Tr P_k(A_hollow / sqrt(n)) built from the
 doubled Chebyshev polynomial P_k.  Its power traces Tr A^j are the walk
-sums of the same products the closed forms use (Tr A^2 = S_2 = Tr G,
-Tr A^3 = S_3 = <G, A> = sum e, Tr A^4 = <G, G>, read as the trace of A^4
-where k = 5 forms it, and Tr A^5 = <A^4, A>), so every series returns
-them with the cycles.  For k = 3 the two sides agree identically.  The
-centering E Tr P_k is exact: zero for odd k by sign symmetry, and for
-even k the Chebyshev combination of the exact moments from
-``combinat.walk_moments``.  ``chebyshev_lss`` (from
+sums of the same products the closed forms use (Tr A^2 = S_2 = <A, A>,
+Tr A^3 = S_3 = <G, A>, Tr A^4 = <G, G> and Tr A^5 = <A^4, A>), so every
+series returns them with the cycles.  For k = 3 the two sides agree
+identically.  The centering E Tr P_k is exact: zero for odd k by sign
+symmetry, and for even k the Chebyshev combination of the exact moments
+from ``combinat.walk_moments``.  ``chebyshev_lss`` (from
 ``randmat.power_traces``) and ``lss_centering`` (its Monte Carlo mean) are
 the references the tests compare against.
 """
@@ -157,36 +157,31 @@ def _walk_sums(at: np.ndarray, kmax: int) -> tuple[list, list]:
     Returns the distinct-tuple cycle sums [S_2, ..., S_kmax] from the
     closed forms of the module docstring and the walk traces
     [Tr A, ..., Tr A^kmax].  Each entry has the shape of ``at`` without its
-    last two axes.  A trace is read where it costs least: Tr A^2 = <A, A>,
-    or the trace of G once G is formed; Tr A^3 = <G, A>, or the sum of
-    e = diag A^3 where k = 5 needs e; Tr A^4 = <G, G>, or the trace of A^4
-    where k = 5 forms it; Tr A^5 = <A^4, A>.  Every inner product is one
+    last two axes.  Each trace has one formula at every kmax: Tr A^2 =
+    <A, A>, Tr A^3 = <G, A>, Tr A^4 = <G, G> and Tr A^5 = <A^4, A>, and
+    depth k only adds what k needs, so the result at kmax is bit for bit
+    a prefix of the result at any deeper kmax.  Every inner product is one
     BLAS dot per matrix on one BLAS thread (``_inner``), and every other
     sum runs over the last axes in the order of one matrix's sum, so a
     stack's values are bit for bit those of its matrices alone.
     """
     with one_blas_thread():
-        g = _gram(at) if kmax >= 3 else None
-        walks = [np.zeros(at.shape[:-2]),
-                 _inner(at, at) if g is None else np.trace(g, axis1=-2, axis2=-1)]
-        if kmax >= 5:
-            ga = np.multiply(g, at)
-            e = np.sum(ga, axis=-1)  # diag A^3, the row sums of G o A
-            walks.append(np.sum(e, axis=-1))
-        elif kmax >= 3:
+        walks = [np.zeros(at.shape[:-2]), _inner(at, at)]
+        if kmax >= 3:
+            g = _gram(at)
             walks.append(_inner(g, at))
         if kmax >= 4:
+            walks.append(_inner(g, g))
             aa = np.multiply(at, at)
             fourth = _inner(aa, aa)  # sum a_ij^4
             d = np.diagonal(g, axis1=-2, axis2=-1)
             dd = np.sum(d * d, axis=-1)
         if kmax >= 5:
+            ga = np.multiply(g, at)
+            e = np.sum(ga, axis=-1)  # diag A^3, the row sums of G o A
             cubes = _inner(aa, ga)  # <A o A, G o A>
             del aa, ga
-            a4 = _gram(g)
-            walks += [np.trace(a4, axis1=-2, axis2=-1), _inner(a4, at)]
-        elif kmax >= 4:
-            walks.append(_inner(g, g))
+            walks.append(_inner(_gram(g), at))
     sums = walks[1:min(kmax, 3)]
     if kmax >= 4:
         sums.append(walks[3] - 2.0 * dd + fourth)

@@ -151,17 +151,37 @@ class ExperimentConfig:
 
         Every size of the grid is checked here, before any replicate is
         computed.  The hard bounds come first (sizes, regime,
-        ``check_enumeration``, kmax or m range, centering count), then
-        ``check_cycle_budget``, the one compute guard: its closed-form bound
-        on kmax or m, then the operation budget at the largest size.
+        ``check_enumeration``, energy scale, clt limit variance, kmax or m
+        range, centering count), then ``check_cycle_budget``, the one
+        compute guard: its closed-form bound on kmax or m, then the
+        operation budget at the largest size.
         """
         smallest, largest = self.sizes[0], self.sizes[-1]
         if smallest < 1:
             raise ValueError(f"sizes must be positive, got n={smallest}")
+        p = self.params
         if self.kind in ("clt", "decomposition"):
-            self.params.require_paramagnetic()
+            p.require_paramagnetic()
             check_enumeration(largest)
+            # |beta H| <= beta sum |M_ij|, whose J and J' parts are the energy
+            # scale beta (|J| (n-1) + |J'|): log Z, its residual and every
+            # kernel exponent stay within a few scales of zero.  A summary's
+            # variance sums the replicates' squared deviations, each below
+            # (2 scale)^2 (at scale 8e304 the samples agree but their mean
+            # rounds, and the squared rounding overflowed), so replicates
+            # times scale^2 stays within 1e307 and that sum within 4e307
+            scale = p.beta * abs(p.J) * (largest - 1) + p.beta * abs(p.Jprime)
+            if not self.replicates * scale * scale <= 1e307:
+                raise ValueError(
+                    f"{self.kind} needs the replicates times (beta (|J| (n-1) + |J'|))^2 "
+                    f"within 1e307, got beta={p.beta:g}, J={p.J:g}, J'={p.Jprime:g} "
+                    f"at n={largest} with {self.replicates} replicates")
         if self.kind == "clt":
+            # the KS test divides by the limit variance, about beta^2
+            if p.beta > 0 and not clt_targets(p).variance > 0:
+                raise ValueError(
+                    f"clt needs a positive limit variance, got 0 at beta={p.beta:g}, "
+                    f"J={p.J:g}, J'={p.Jprime:g}")
             return
         name = "m" if self.kind == "decomposition" else "kmax"
         depth = getattr(self, name)

@@ -286,8 +286,10 @@ def test_a_dash_word_after_a_flag_is_still_a_flag(capsys):
 
 # command lines at the edges of what the flags admit: sizes 1 to 3, beta 0,
 # kmax = n, negative values in every float notation, huge couplings and
-# tilts, every kind of budget, a repeated grid size and seeds outside
-# [0, 2^64); each runs to a report or is refused with one error line
+# tilts, every kind of budget, a repeated grid size, seeds outside
+# [0, 2^64), the largest energy scale clt admits at 2 and 25 replicates and
+# a beta whose limit variance rounds to 0; each runs to a report or is
+# refused with one error line before any replicate runs
 _EDGE_RUNS = [
     "clt --n 1 --beta 0.2", "clt --n 2 --beta 0", "clt --n 3 --beta 0.2 --n-grid 1,2,3",
     "decomposition --n 1 --beta 0.2 --m 1", "decomposition --n 3 --beta 0 --m 3",
@@ -303,6 +305,10 @@ _EDGE_RUNS = [
     "clt --n 4 --beta 0.2 --seed -1", "clt --n 4 --beta 0.2 --seed 18446744073709551616",
     "tilted --n 4 --beta 0.2 --sigma random --seed -1",
     "tilted --n 4 --beta 0.2 --sigma random --seed 18446744073709551616",
+    "clt --n 6 --beta 0.25 --J -1.788e153 --reps 2",
+    "clt --n 6 --beta 0.25 --Jprime 8.944e153 --reps 2",
+    "clt --n 6 --beta 0.25 --J -5.059e152 --reps 25",
+    "clt --n 6 --beta 0.25 --Jprime 2.529e153 --reps 25",
 ]
 _EDGE_REFUSALS = [
     "clt --n 4 --beta -1e-3", "clt --n 8 --beta 0.2 --J 1e100",
@@ -310,12 +316,17 @@ _EDGE_REFUSALS = [
     "cycles --n 4 --budget 0", "cycles --n 4 --budget nan", "cycles --n 4 --budget -1e3",
     "cycles --n 4 --n-grid 4,4", "clt --n 4 --beta 0.2 --n-grid 3,4,4",
     "clt --n 0 --beta 0.2",
+    "clt --n 6 --beta 0.2 --Jprime 1e308 --reps 25",
+    "decomposition --n 6 --beta 0.2 --Jprime 1e308 --reps 25 --m 4",
+    "clt --n 6 --beta 0.49 --J -1e308 --reps 25", "clt --n 6 --beta 1e-170 --reps 25",
 ]
 
 
 @pytest.mark.parametrize("line, refused", [(line, False) for line in _EDGE_RUNS]
                          + [(line, True) for line in _EDGE_REFUSALS])
-def test_edge_case_command_lines_end_in_a_report_or_one_error(capsys, line, refused):
+def test_edge_case_command_lines_end_in_a_report_or_one_error(request, capsys, line, refused):
+    if refused:
+        request.getfixturevalue("no_compute")  # refused before any replicate runs
     argv = shlex.split(line)
     if "--reps" not in argv:
         argv += ["--reps", "3"]
@@ -328,6 +339,25 @@ def test_edge_case_command_lines_end_in_a_report_or_one_error(capsys, line, refu
     else:
         assert code in (EXIT_OK, EXIT_VERDICT), err
         json.loads(out, parse_constant=refuse_constant)
+
+
+@pytest.mark.parametrize("argv, target, exc", [
+    (["clt", "--n", "4", "--beta", "0.2", "--reps", "3"], (experiments, "_stacks"),
+     MemoryError()),
+    (["sample", "--n", "4"], (randmat, "sample_gaussian_matrix"),
+     MemoryError("Unable to allocate 3.35 GiB")),
+])
+def test_a_memory_error_ends_in_one_error_line(monkeypatch, capsys, argv, target, exc):
+    """Running out of memory exits 1 with one error line, not a traceback."""
+
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(*target, out_of_memory)
+    assert run(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {str(exc) or 'out of memory'}\n"
 
 
 def test_a_constant_cycle_column_fails_its_correlation_check(capsys):

@@ -232,11 +232,9 @@ def test_cycle_series_matches_individual_calls():
     assert series.values.shape == series.traces.shape == (5,)
     assert series.values[0] == signed_cycle_c1(a)
     for k in range(2, 6):
-        assert series.values[k - 1] == pytest.approx(
-            signed_cycle_bruteforce(a, k), rel=1e-12
-        )
         value = signed_cycle_bruteforce(a, k)
-        assert type(value) is float and value == cycle_series(a, k).values[k - 1]
+        assert type(value) is float and value == series.values[k - 1]
+        assert value == cycle_series(a, k).values[k - 1]
     # the decomposition centers C_{n,2} by n - 1 and C_{n,3} not at all
     p = ModelParams(beta=0.2, n=20)
     steps = np.diff([decomposition_residual(a, p, m, 0.0) for m in (1, 2, 3)])
@@ -266,6 +264,22 @@ def test_stacked_cycle_series_equals_singles(n, hollow):
             assert single.values.tobytes() == one.values[0].tobytes()
             assert single.traces.tobytes() == one.traces[0].tobytes()
     assert signed_cycle_c1(a).tolist() == [signed_cycle_c1(m) for m in a]
+
+
+@pytest.mark.parametrize("n", [3, 12, 52, 200])
+def test_shallower_series_is_a_prefix_of_a_deeper_one(n):
+    """Each walk trace has one formula at every kmax, so the values and
+    traces at depth k are bit for bit the first k columns at any depth
+    K >= k, for a stack and for a single matrix, plain or hollow."""
+    top = min(n, 5)
+    for hollow in (False, True):
+        a = sample_gaussian_matrix(n, [SeedSpec(45, r) for r in range(3)], hollow=hollow)
+        for x in (a, a[0]):
+            series = [cycle_series(x, k) for k in range(1, top + 1)]
+            for k, shallow in enumerate(series, start=1):
+                for deep in series[k:]:
+                    assert shallow.values.tobytes() == deep.values[..., :k].tobytes()
+                    assert shallow.traces.tobytes() == deep.traces[..., :k].tobytes()
 
 
 def test_cycle_series_validation():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skcw import gibbs
+from skcw.cycles import cycle_series
 from skcw.gibbs import (
     ModelParams,
     check_enumeration,
@@ -543,6 +544,26 @@ def test_decomposition_residual_refuses_m_below_one():
     p = ModelParams(beta=0.2, n=6)
     with pytest.raises(ValueError, match="need 1 <= kmax <= n"):
         decomposition_residual(a, p, 0, exact_log_partition(a, p))
+
+
+@pytest.mark.parametrize("n", [9, 12, 40])
+def test_decomposition_residual_reads_one_value_per_cycle(n):
+    """At every m the residual is its docstring formula evaluated on the
+    C_{n,k} of the deepest series, bit for bit: a shallower series is a
+    prefix of a deeper one, so every m reads the same cycles."""
+    a = sample_gaussian_matrix(n, SeedSpec(48, 0))
+    p = ModelParams(beta=0.2, J=0.3, Jprime=-0.4, n=n)
+    log_z = 1.25  # any value: the residual only adds it
+    top = min(n, 5)
+    c = cycle_series(a, top).values
+    expected = (log_z + 0.5 * math.log1p(-2.0 * p.beta * p.J) - (n - 1) * p.beta**2
+                + p.beta * (p.J - p.Jprime) - p.beta * c[0])
+    for m in range(1, top + 1):
+        if m >= 2:
+            mu = (2.0 * p.beta) ** m
+            centered = c[m - 1] - (n - 1) if m == 2 else c[m - 1]
+            expected -= (2.0 * mu * centered - mu**2) / (4.0 * m)
+        assert decomposition_residual(a, p, m, log_z) == expected
 
 
 def test_decomposition_residual_is_small():
