@@ -11,7 +11,8 @@ size of the grid, and the driver every per-size input, before any sample
 is drawn.  Replicate r at size index s uses stream_id = s * 2^32 + r under
 the configured master seed.  The unit of work is a stack: consecutive
 replicates of one size, at most ``STACK_ELEMENTS`` matrix entries, passed
-as ``worker(n, seeds, *size args)`` with one ``SeedSpec`` per replicate.
+as ``worker(n, seed, count, *size args)``: the stack is the ``count``
+streams that start at ``seed``, the ``SeedSpec`` of its first replicate.
 A worker computes its matrices as one (B, n, n) array and returns one
 float array, a row per replicate, each value bit for bit what the replicate
 alone gives; the driver concatenates the arrays, and a size reads its rows.
@@ -528,25 +529,24 @@ def keep_freed_memory() -> None:
 
 
 def _stacks(config: ExperimentConfig, size_args: list, workers: int) -> list[tuple]:
-    """The work of a run in grid order, one ``(n, seeds, *args)`` tuple per
-    stack, where ``args`` are the size's entry of ``size_args`` and
-    ``seeds`` the ``SeedSpec`` of each of the stack's consecutive
-    replicates.  Each size is cut into stacks whose lengths differ by at
-    most one, each at most ``max(1, STACK_ELEMENTS // n^2)`` long, and whose
-    count is the least multiple of ``workers`` that allows it (one stack
-    per replicate where the size has fewer replicates than that), so stacks
-    dealt out in turn give every worker the same share of every size."""
+    """The work of a run in grid order, one ``(n, seed, count, *args)``
+    tuple per stack, where ``args`` are the size's entry of ``size_args``
+    and the stack's replicates are the ``count`` consecutive streams from
+    ``seed``, the one ``SeedSpec`` of its first replicate.  Each size is
+    cut into stacks whose lengths differ by at most one, each at most
+    ``max(1, STACK_ELEMENTS // n^2)`` long, and whose number is the least
+    multiple of ``workers`` that allows it (one stack per replicate where
+    the size has fewer replicates than that), so stacks dealt out in turn
+    give every worker the same share of every size."""
     total = config.replicates
     stacks = []
     for s, (n, args) in enumerate(zip(config.sizes, size_args)):
         cap = max(1, STACK_ELEMENTS // n**2)
-        count = min(total, workers * -(-total // (cap * workers)))
-        for i in range(count):
-            seeds = [
-                SeedSpec(config.master_seed, s * _STREAM_BLOCK + r)
-                for r in range(i * total // count, (i + 1) * total // count)
-            ]
-            stacks.append((n, seeds, *args))
+        cuts = min(total, workers * -(-total // (cap * workers)))
+        for i in range(cuts):
+            first = i * total // cuts
+            seed = SeedSpec(config.master_seed, s * _STREAM_BLOCK + first)
+            stacks.append((n, seed, (i + 1) * total // cuts - first, *args))
     return stacks
 
 
@@ -619,10 +619,11 @@ def _run_child(worker: Callable, stacks: list, write_fd: int) -> None:
 class _Plan:
     """What one experiment kind adds to the shared driver.
 
-    ``size_args(n)`` gives the worker arguments that follow ``(n, seeds)``
-    in every stack of size n; the driver calls it for every size before any
-    replicate runs, so the per-size inputs (the ``ModelParams`` at n, the
-    spin vector of length n) are built and checked there, once per size.
+    ``size_args(n)`` gives the worker arguments that follow
+    ``(n, seed, count)`` in every stack of size n; the driver calls it for
+    every size before any replicate runs, so the per-size inputs (the
+    ``ModelParams`` at n, the spin vector of length n) are built and checked
+    there, once per size.
     ``size_result(n, outputs)`` turns the worker rows at size n, one per
     replicate, into (summaries, checks, raw samples), and
     ``cross_checks(results)`` compares the sizes of a grid run.
@@ -719,8 +720,8 @@ def _drive(
 # clt: free-energy fluctuations
 
 
-def _clt_worker(n: int, seeds: list, params: ModelParams) -> np.ndarray:
-    a = sample_gaussian_matrix(n, seeds)
+def _clt_worker(n: int, seed: SeedSpec, count: int, params: ModelParams) -> np.ndarray:
+    a = sample_gaussian_matrix(n, seed, count=count)
     return exact_log_partition(a, params) - n * params.beta**2
 
 
@@ -781,15 +782,18 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
 # cycles and tilted: signed-cycle laws
 
 
-def _cycles_worker(n: int, seeds: list, kmax: int, budget: float) -> np.ndarray:
-    a = sample_gaussian_matrix(n, seeds)
+def _cycles_worker(
+    n: int, seed: SeedSpec, count: int, kmax: int, budget: float
+) -> np.ndarray:
+    a = sample_gaussian_matrix(n, seed, count=count)
     return cycle_series(a, kmax, budget=budget).values
 
 
 def _tilted_worker(
-    n: int, seeds: list, kmax: int, beta: float, sigma: np.ndarray, budget: float
+    n: int, seed: SeedSpec, count: int, kmax: int, beta: float, sigma: np.ndarray,
+    budget: float,
 ) -> np.ndarray:
-    a = sample_tilted_matrix(n, sigma, beta, seeds)
+    a = sample_tilted_matrix(n, sigma, beta, seed, count)
     return cycle_series(a, kmax, budget=budget).values
 
 
@@ -916,10 +920,12 @@ def run_tilted(config: ExperimentConfig) -> ExperimentReport:
 # approx: cycles against Chebyshev spectral statistics
 
 
-def _approx_worker(n: int, seeds: list, kmax: int, budget: float) -> np.ndarray:
+def _approx_worker(
+    n: int, seed: SeedSpec, count: int, kmax: int, budget: float
+) -> np.ndarray:
     """Per replicate, one row: C_{n,1..kmax}, then Tr (A/sqrt n)^1..kmax for
     the plan's Tr P_k, both from one set of matrix products."""
-    a = sample_gaussian_matrix(n, seeds, hollow=True)
+    a = sample_gaussian_matrix(n, seed, hollow=True, count=count)
     series = cycle_series(a, kmax, budget=budget)
     return np.hstack([series.values, series.traces])
 
@@ -998,10 +1004,10 @@ def run_approx(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _decomposition_worker(
-    n: int, seeds: list, params: ModelParams, m: int, budget: float
+    n: int, seed: SeedSpec, count: int, params: ModelParams, m: int, budget: float
 ) -> np.ndarray:
     """Per replicate, one row: the residual and n(F_n - beta^2)."""
-    a = sample_gaussian_matrix(n, seeds)
+    a = sample_gaussian_matrix(n, seed, count=count)
     log_z = exact_log_partition(a, params)
     resid = decomposition_residual(a, params, m, log_z, cycle_budget=budget)
     return np.column_stack([resid, log_z - n * params.beta**2])

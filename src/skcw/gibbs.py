@@ -81,6 +81,14 @@ _ROW_FLOOR = 1e-250
 # nothing from n = 24 on and raised the benchmark's peak RSS by 0.3 to
 # 0.9 MB
 _SPLIT_ELEMENTS = 1 << 16
+# The exponents of X, Y and V are at most 0, but a product and a sum round
+# the same terms in different orders.  A matrix's exponents are sums of at
+# most 11 terms no larger than twice its shifts |cu|_1, |cw|_1 and c, so
+# below a shift of 2^50 each rounds by at most a few units, harmless to
+# exp, and is left as it is; above it the rounding can exceed 1 and reach
+# exp's overflow at 709 (+16384 at a shift of 1.3e20), so those matrices'
+# exponents are clamped at 0.
+_CLAMP_SHIFT = 2.0**50
 
 
 @dataclass(frozen=True)
@@ -283,13 +291,17 @@ def _log_partition_split(m: np.ndarray, beta: float) -> np.ndarray:
         q_w = _quadratic_forms(bm[:, kw:, kw:], qw)
         c = q_u.max(axis=1) + q_w.max(axis=1) + np.abs(b_uw2).sum(axis=(1, 2))
         q_w -= c[:, None]
+        largest = np.maximum(np.maximum(su, sw).max(axis=1), c)
+        huge = (largest > _CLAMP_SHIFT)[:, None, None]
         left, right = work[:2]
         left[:, :, -1] = 1.0
         right[:, :-1] = aug_w
         sums = np.empty((b, rows_a))
         for i in range(0, b, step):
             j = min(b, i + step)
-            _split_row_sums(n, h[i:j], b_uw2[i:j], q_u[i:j], q_w[i:j], work, sums[i:j])
+            _split_row_sums(
+                n, h[i:j], b_uw2[i:j], q_u[i:j], q_w[i:j], huge[i:j], work, sums[i:j]
+            )
     shift = e_a + su + sw + c[:, None]
     row_log = shift + np.log(np.maximum(sums, _ROW_FLOOR))
     # X, Y and V are each at most 1 but may peak in different cells, so a
@@ -313,14 +325,17 @@ def _log_partition_split(m: np.ndarray, beta: float) -> np.ndarray:
     ])
 
 
-def _split_row_sums(n, h, b_uw2, q_u, q_w, work: list, sums: np.ndarray) -> None:
+def _split_row_sums(
+    n, h, b_uw2, q_u, q_w, huge: np.ndarray, work: list, sums: np.ndarray
+) -> None:
     """The row sums ((X @ V) * Y).sum(1) of one sub-stack at size n into
     ``sums``, from its coefficient rows ``h``, 2 B_uw, q_u and q_w - c (the
     docstring of ``_log_partition_split``), through the first len(h)
     matrices of the ``work`` arrays L, R, X, V and X @ V, whose shared
     column of ones in L and augmented w table in R are already written.
     Y is written into X's memory once X @ V has read X: it has rows_w <=
-    rows_u columns, so it fits."""
+    rows_u columns, so it fits.  ``huge``, a (len(h), 1, 1) mask, marks the
+    matrices whose exponents are clamped at 0 (``_CLAMP_SHIFT``)."""
     tu = _block_tables(n)[1]
     aug_u, aug_w = _augmented_tables(n)
     ku = tu.shape[1]
@@ -329,15 +344,23 @@ def _split_row_sums(n, h, b_uw2, q_u, q_w, work: list, sums: np.ndarray) -> None
     left[:, :, -2] = q_u
     right[:, -1] = q_w
     np.matmul(h[:, :, :ku + 1], aug_u, out=x)
-    np.exp(x, out=x)
+    _clamped_exp(x, huge)
     np.matmul(left, right, out=v)
-    np.exp(v, out=v)
+    _clamped_exp(v, huge)
     np.matmul(x, v, out=xv)
     y = x.reshape(-1)[:xv.size].reshape(xv.shape)
     np.matmul(h[:, :, ku + 1:], aug_w, out=y)
-    np.exp(y, out=y)
+    _clamped_exp(y, huge)
     xv *= y
     np.sum(xv, axis=2, out=sums)
+
+
+def _clamped_exp(exponents: np.ndarray, huge: np.ndarray) -> None:
+    """exp of a stack of exponents in place, those of the matrices that
+    ``huge`` marks first clamped at 0 (``_CLAMP_SHIFT``)."""
+    if huge.any():
+        np.minimum(exponents, 0.0, out=exponents, where=huge)
+    np.exp(exponents, out=exponents)
 
 
 def _log_partition_gray(m: np.ndarray, beta: float) -> float:

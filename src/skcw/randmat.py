@@ -12,11 +12,12 @@ Philox counter-based bit generator, and entries are drawn with numpy's
 ziggurat ``standard_normal`` in a pinned order (strict upper triangle
 row-major first, then the diagonal).  The same SeedSpec therefore yields
 bit-identical matrices regardless of scheduling or worker count, and
-distinct stream_ids yield independent streams.  A sequence of SeedSpecs
-samples a stack (B, n, n) whose every matrix is bit for bit the one its
-SeedSpec alone gives, so how replicates are grouped into stacks moves no
-value.  A stack costs one Philox and one state dict, re-keyed in place per
-stream, and one gather that places every stream's draws.
+distinct stream_ids yield independent streams.  A SeedSpec and a
+``count`` sample a stack (count, n, n) from the count consecutive streams
+that start at the SeedSpec's, each matrix bit for bit the one its stream
+alone gives, so how replicates are grouped into stacks moves no value.  A
+stack costs one Philox and one state dict, re-keyed in place per stream,
+and one gather that places every stream's draws.
 """
 
 from __future__ import annotations
@@ -132,25 +133,31 @@ class SeedSpec:
         return SeedSpec(_mix64(self.master_seed, salt), 0)
 
 
-def sample_gaussian_matrix(n: int, seed, hollow: bool = False) -> np.ndarray:
+def sample_gaussian_matrix(
+    n: int, seed: SeedSpec, hollow: bool = False, count: int | None = None
+) -> np.ndarray:
     """Symmetric n x n matrix with i.i.d. standard normal upper triangle.
 
     ``hollow=True`` sets the diagonal to exactly zero (the matrix entering
     the spectral statistics); otherwise the diagonal is standard normal.
 
-    ``seed`` is one ``SeedSpec``, or a sequence of them for a stack of
-    matrices, shape (len(seed), n, n).  Each stream's normals are drawn
-    into one row of a draw array, the strict upper triangle (row-major, the
-    order of ``np.triu_indices``) and then the diagonal, or a zero in its
-    place when hollow, and one gather through the cached ``_gather_index``
-    places every row, so every matrix of a stack is bit for bit the one
-    its ``SeedSpec`` alone gives.
+    With ``count=None`` one matrix (n, n) is drawn from the stream of
+    ``seed``; with a ``count`` of at least 1, a stack (count, n, n) from
+    the streams ``seed.stream_id``, ``seed.stream_id + 1``, ... of its
+    master seed.  Each stream's normals are drawn into one row of a draw
+    array, the strict upper triangle (row-major, the order of
+    ``np.triu_indices``) and then the diagonal, or a zero in its place when
+    hollow, and one gather through the cached ``_gather_index`` places
+    every row, so every matrix of a stack is bit for bit the one its stream
+    alone gives.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    seeds = [seed] if isinstance(seed, SeedSpec) else list(seed)
+    if count is not None and count < 1:
+        raise ValueError(f"count must be positive, got {count}")
+    rows = 1 if count is None else count
     upper = n * (n - 1) // 2
-    draws = np.empty((len(seeds), upper + 1 if hollow else upper + n))
+    draws = np.empty((rows, upper + 1 if hollow else upper + n))
     if hollow:
         draws[:, upper] = 0.0
     # one Philox per call, re-keyed per stream by writing the key of one
@@ -162,6 +169,7 @@ def sample_gaussian_matrix(n: int, seed, hollow: bool = False) -> np.ndarray:
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     rng = np.random.Generator(bits)
     key = np.zeros(2, dtype=np.uint64)
+    key[0] = seed.master_seed & _MASK64
     state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
@@ -170,13 +178,12 @@ def sample_gaussian_matrix(n: int, seed, hollow: bool = False) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for row, spec in zip(draws, seeds):
-        key[0] = spec.master_seed & _MASK64
-        key[1] = spec.stream_id & _MASK64
+    for stream, row in enumerate(draws, start=seed.stream_id):
+        key[1] = stream & _MASK64
         bits.state = state
         rng.standard_normal(out=row[:upper] if hollow else row)
-    a = np.take(draws, _gather_index(n, hollow), axis=1).reshape(len(seeds), n, n)
-    return a[0] if isinstance(seed, SeedSpec) else a
+    a = np.take(draws, _gather_index(n, hollow), axis=1).reshape(rows, n, n)
+    return a[0] if count is None else a
 
 
 # a run samples at the few sizes of its grid; the bound keeps a long-lived
@@ -200,21 +207,23 @@ def _gather_index(n: int, hollow: bool) -> np.ndarray:
     return index
 
 
-def sample_tilted_matrix(n: int, sigma: np.ndarray, beta: float, seed) -> np.ndarray:
+def sample_tilted_matrix(
+    n: int, sigma: np.ndarray, beta: float, seed: SeedSpec, count: int | None = None
+) -> np.ndarray:
     """Symmetric matrix with off-diagonal means 2*beta*sigma_i*sigma_j/sqrt(n).
 
     The noise is drawn exactly as in ``sample_gaussian_matrix`` (shared seed
     and beta=0 reproduce it bit for bit); the mean shift is added to the
     strict upper triangle and mirrored.  The diagonal is standard normal,
-    untouched by the tilt.  A sequence of ``SeedSpec`` gives a stack, each
-    matrix shifted alike.
+    untouched by the tilt.  A ``count`` gives a stack (count, n, n) of the
+    count consecutive streams from ``seed``, each matrix shifted alike.
     """
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     sigma = check_spins(sigma)
     if sigma.size != n:
         raise ValueError(f"sigma has length {sigma.size}, expected {n}")
-    a = sample_gaussian_matrix(n, seed, hollow=False)
+    a = sample_gaussian_matrix(n, seed, count=count)
     shift = (2.0 * beta / np.sqrt(n)) * np.outer(sigma, sigma)
     np.fill_diagonal(shift, 0.0)
     a += shift

@@ -287,9 +287,10 @@ def test_a_dash_word_after_a_flag_is_still_a_flag(capsys):
 # command lines at the edges of what the flags admit: sizes 1 to 3, beta 0,
 # kmax = n, negative values in every float notation, huge couplings and
 # tilts, every kind of budget, a repeated grid size, seeds outside
-# [0, 2^64), the largest energy scale clt admits at 2 and 25 replicates and
-# a beta whose limit variance rounds to 0; each runs to a report or is
-# refused with one error line before any replicate runs
+# [0, 2^64), the largest energy scale clt admits at 2 and 25 replicates, a
+# beta whose limit variance rounds to 0 and couplings whose shifts in the
+# split log Z kernel pass gibbs._CLAMP_SHIFT at n = 24 and 28; each runs to
+# a report or is refused with one error line before any replicate runs
 _EDGE_RUNS = [
     "clt --n 1 --beta 0.2", "clt --n 2 --beta 0", "clt --n 3 --beta 0.2 --n-grid 1,2,3",
     "decomposition --n 1 --beta 0.2 --m 1", "decomposition --n 3 --beta 0 --m 3",
@@ -309,6 +310,8 @@ _EDGE_RUNS = [
     "clt --n 6 --beta 0.25 --Jprime 8.944e153 --reps 2",
     "clt --n 6 --beta 0.25 --J -5.059e152 --reps 25",
     "clt --n 6 --beta 0.25 --Jprime 2.529e153 --reps 25",
+    "clt --n 24 --beta 0.2 --J -3.7e50 --reps 2", "clt --n 24 --beta 0.2 --J -1e100 --reps 2",
+    "clt --n 28 --beta 0.2 --J -1e20 --reps 2",
 ]
 _EDGE_REFUSALS = [
     "clt --n 4 --beta -1e-3", "clt --n 8 --beta 0.2 --J 1e100",

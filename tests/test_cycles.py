@@ -250,7 +250,7 @@ def test_stacked_cycle_series_equals_singles(n, hollow):
     every kmax from 1 to 5, on plain and hollow matrices: each row of the
     (B, kmax) arrays a run reads is the (kmax,) arrays of its matrix, and
     one matrix's arrays are row 0 of its one-element stack."""
-    a = sample_gaussian_matrix(n, [SeedSpec(44, r) for r in range(4)], hollow=hollow)
+    a = sample_gaussian_matrix(n, SeedSpec(44, 0), hollow=hollow, count=4)
     for kmax in range(1, min(n, 5) + 1):
         stacked = cycle_series(a, kmax)
         assert stacked.values.shape == stacked.traces.shape == (4, kmax)
@@ -273,7 +273,7 @@ def test_shallower_series_is_a_prefix_of_a_deeper_one(n):
     K >= k, for a stack and for a single matrix, plain or hollow."""
     top = min(n, 5)
     for hollow in (False, True):
-        a = sample_gaussian_matrix(n, [SeedSpec(45, r) for r in range(3)], hollow=hollow)
+        a = sample_gaussian_matrix(n, SeedSpec(45, 0), hollow=hollow, count=3)
         for x in (a, a[0]):
             series = [cycle_series(x, k) for k in range(1, top + 1)]
             for k, shallow in enumerate(series, start=1):
@@ -320,7 +320,7 @@ def test_chebyshev_trace_from_shared_traces_equals_lss_bit_for_bit():
         a = sample_gaussian_matrix(n, SeedSpec(31, n), hollow=True)
         traces = power_traces(a / math.sqrt(n), 5)
         stack = cycle_series(
-            sample_gaussian_matrix(n, [SeedSpec(31, r) for r in range(3)], hollow=True), 5
+            sample_gaussian_matrix(n, SeedSpec(31, 0), hollow=True, count=3), 5
         )
         for k in (3, 4, 5):
             assert chebyshev_trace(traces, n, k) == chebyshev_lss(a, k)
@@ -368,7 +368,7 @@ def test_gram_products_are_symmetric_and_equal_general_products():
     """x x^T of one matrix and of each matrix of a stack is exactly
     symmetric, the same bits for a matrix alone and in a stack, and equal
     to the general product to rounding."""
-    a = sample_gaussian_matrix(40, [SeedSpec(34, r) for r in range(3)], hollow=True)
+    a = sample_gaussian_matrix(40, SeedSpec(34, 0), hollow=True, count=3)
     g = cycles._gram(a)
     assert np.array_equal(g, g.swapaxes(1, 2))
     for m, gm in zip(a, g):

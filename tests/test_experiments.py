@@ -502,6 +502,15 @@ def test_pool_workers_keep_freed_memory(monkeypatch):
     assert len(calls) == 2
 
 
+def _replicate_seeds(stacks):
+    """(n, SeedSpec) of every replicate of ``stacks``, in their order."""
+    return [
+        (n, seed.stream(seed.stream_id + i))
+        for n, seed, count, *_ in stacks
+        for i in range(count)
+    ]
+
+
 def test_one_map_per_run_in_grid_order(monkeypatch):
     seen = []
     stacks = ex._stacks
@@ -516,7 +525,7 @@ def test_one_map_per_run_in_grid_order(monkeypatch):
     )
     report = ex.run_clt(cfg)
     assert len(seen) == 1
-    assert [(stack[0], seed) for stack in seen[0] for seed in stack[1]] == [
+    assert _replicate_seeds(seen[0]) == [
         (n, SeedSpec(5, s * 2**32 + r)) for s, n in enumerate((6, 8, 10)) for r in range(3)
     ]
     assert [r.n for r in report.results] == [6, 8, 10]
@@ -524,11 +533,11 @@ def test_one_map_per_run_in_grid_order(monkeypatch):
 
 
 def test_stacks_cut_each_size_by_the_element_cap():
-    """Each stack is (n, seeds, *size args) with the seeds of consecutive
-    replicates in grid order, at most STACK_ELEMENTS // n^2 (and at least
-    one) of them; a size's stack lengths differ by at most one, and their
-    count is a multiple of the worker count wherever the size has that many
-    replicates."""
+    """Each stack is (n, seed, count, *size args), the count consecutive
+    replicates from seed's stream in grid order, at most
+    STACK_ELEMENTS // n^2 (and at least one) of them; a size's stack lengths
+    differ by at most one, and their number is a multiple of the worker
+    count wherever the size has that many replicates."""
     configs = [
         ex.ExperimentConfig(
             kind="cycles", params=ModelParams(beta=0.0, n=200), replicates=150,
@@ -555,22 +564,46 @@ def test_stacks_cut_each_size_by_the_element_cap():
     for workers in (1, 2, 3):
         stacks = stacks_of(workers)
         assert all(
-            type(n) is int and isinstance(seeds, list) and args == ["x", 4]
-            for n, seeds, *args in stacks
+            type(n) is int and type(seed) is SeedSpec and type(count) is int
+            and args == ["x", 4]
+            for n, seed, count, *args in stacks
         )
-        assert [(n, seed) for n, seeds, *_ in stacks for seed in seeds] == seeds_in_grid_order
+        assert _replicate_seeds(stacks) == seeds_in_grid_order
         for n in (12, 20, 200, 300):
-            lengths = [len(s[1]) for s in stacks if s[0] == n]
+            lengths = [s[2] for s in stacks if s[0] == n]
             assert max(lengths) <= max(1, ex.STACK_ELEMENTS // n**2)
             assert max(lengths) - min(lengths) <= 1
             total = sum(lengths)
             assert len(lengths) % workers == 0 or len(lengths) == total
-    assert [len(s[1]) for s in stacks_of(2) if s[0] == 12] == [75, 75]
-    assert [len(s[1]) for s in stacks_of(3) if s[0] == 12] == [50, 50, 50]
-    assert [len(s[1]) for s in stacks_of(1) if s[0] == 20] == [37, 38, 37, 38]
-    assert [len(s[1]) for s in stacks_of(3) if s[0] == 20] == [25] * 6
-    assert {len(s[1]) for s in stacks_of(2) if s[0] == 200} == {1}
-    assert [len(s[1]) for s in stacks_of(2) if s[0] == 300] == [1, 1, 1]
+    assert [s[2] for s in stacks_of(2) if s[0] == 12] == [75, 75]
+    assert [s[2] for s in stacks_of(3) if s[0] == 12] == [50, 50, 50]
+    assert [s[2] for s in stacks_of(1) if s[0] == 20] == [37, 38, 37, 38]
+    assert [s[2] for s in stacks_of(3) if s[0] == 20] == [25] * 6
+    assert {s[2] for s in stacks_of(2) if s[0] == 200} == {1}
+    assert [s[2] for s in stacks_of(2) if s[0] == 300] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_million_replicates_make_stream_range_stacks(workers):
+    """A stack holds one SeedSpec, its first replicate's, and an int count,
+    not an object per replicate: the stacks of each size tile the streams
+    s * 2^32 + 0 .. R - 1 in grid order, their lengths within one."""
+    reps = 10**6
+    cfg = ex.ExperimentConfig(
+        kind="clt", params=ModelParams(beta=0.2, n=8), replicates=reps, master_seed=5,
+        n_grid=(4, 6),
+    )
+    stacks = ex._stacks(cfg, [(None,)] * len(cfg.sizes), workers)
+    assert [n for n, *_ in stacks] == sorted(n for n, *_ in stacks)
+    for s, n in enumerate(cfg.sizes):
+        ranges = [(seed, count) for m, seed, count, *_ in stacks if m == n]
+        assert all(type(seed) is SeedSpec and type(count) is int for seed, count in ranges)
+        assert {seed.master_seed for seed, _ in ranges} == {5}
+        counts = [count for _, count in ranges]
+        starts = [seed.stream_id - s * 2**32 for seed, _ in ranges]
+        assert starts == list(itertools.accumulate(counts[:-1], initial=0))
+        assert sum(counts) == reps
+        assert max(counts) - min(counts) <= 1
 
 
 @pytest.mark.parametrize("kind", ex.KINDS)
@@ -584,12 +617,11 @@ def test_a_worker_returns_one_float_row_per_replicate(kind):
     )
     worker = getattr(ex, f"_{kind}_worker")
     args = getattr(ex, f"_{kind}_plan")(cfg).size_args(8)
-    seeds = [SeedSpec(9, r) for r in range(3)]
-    rows = worker(8, seeds, *args)
+    rows = worker(8, SeedSpec(9, 0), 3, *args)
     assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
     assert len(rows) == 3
-    for row, seed in zip(rows, seeds):
-        single = worker(8, [seed], *args)
+    for r, row in enumerate(rows):
+        single = worker(8, SeedSpec(9, r), 1, *args)
         assert single.shape == (1, *rows.shape[1:])
         assert single[0].tobytes() == row.tobytes()
 
@@ -678,7 +710,7 @@ def test_a_worker_error_reaches_the_parent_with_its_type(monkeypatch, capsys):
     """A child's ValueError is raised in the parent as a ValueError, the CLI
     turns it into exit 1, and every child is reaped."""
 
-    def refusing_worker(n, seeds, *args):
+    def refusing_worker(n, seed, count, *args):
         raise ValueError(f"stack at n={n} refused")
 
     cfg = _two_worker_clt(monkeypatch, refusing_worker)
@@ -693,7 +725,7 @@ def test_a_worker_error_reaches_the_parent_with_its_type(monkeypatch, capsys):
 
 
 def test_a_worker_that_exits_without_writing_is_an_error(monkeypatch):
-    cfg = _two_worker_clt(monkeypatch, lambda n, seeds, *args: os._exit(3))
+    cfg = _two_worker_clt(monkeypatch, lambda n, seed, count, *args: os._exit(3))
     with pytest.raises(RuntimeError, match="exited without writing its outputs"):
         ex.run_clt(cfg)
     _assert_no_child_left()
@@ -703,9 +735,9 @@ def test_an_interrupted_run_kills_and_reaps_its_children(monkeypatch):
     """An interrupt while the parent waits kills the children at once
     instead of waiting out their work."""
 
-    def slow_worker(n, seeds, *args):
+    def slow_worker(n, seed, count, *args):
         time.sleep(60)
-        return [0.0] * len(seeds)
+        return [0.0] * count
 
     def interrupt(signum, frame):
         raise KeyboardInterrupt

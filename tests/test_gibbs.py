@@ -202,7 +202,7 @@ def test_stacked_log_partition_equals_singles(n):
     """A stack's log Z values are bit for bit those of its matrices alone,
     at every block shape up to the enumeration bound, the empty blocks of
     n = 2 and 3 included."""
-    a = sample_gaussian_matrix(n, [SeedSpec(40, r) for r in range(3)])
+    a = sample_gaussian_matrix(n, SeedSpec(40, 0), count=3)
     p = ModelParams(beta=0.3, J=0.5, Jprime=0.1, n=n)
     stacked = exact_log_partition(a, p)
     assert stacked.shape == (3,)
@@ -212,7 +212,7 @@ def test_stacked_log_partition_equals_singles(n):
 def test_stacked_log_partition_is_independent_of_the_sub_stacks(monkeypatch):
     """The split kernel's sub-stacks, down to one matrix each, leave every
     value unchanged."""
-    a = sample_gaussian_matrix(16, [SeedSpec(41, r) for r in range(25)])
+    a = sample_gaussian_matrix(16, SeedSpec(41, 0), count=25)
     p = ModelParams(beta=0.25, J=1.0, Jprime=0.0, n=16)
     whole = exact_log_partition(a, p)
     monkeypatch.setattr(gibbs, "_SPLIT_ELEMENTS", 1)
@@ -225,7 +225,7 @@ def test_short_last_sub_stack_equals_singles(monkeypatch, n, count, cut):
     """The sub-stacks share work arrays sized for the longest; a shorter
     last one writes only their leading matrices, and every value is still
     its matrix's own."""
-    a = sample_gaussian_matrix(n, [SeedSpec(44, r) for r in range(count)])
+    a = sample_gaussian_matrix(n, SeedSpec(44, 0), count=count)
     p = ModelParams(beta=0.25, J=1.0, Jprime=0.1, n=n)
     lengths = []
     row_sums = gibbs._split_row_sums
@@ -245,8 +245,7 @@ def test_stacked_underflow_fallback_is_per_matrix_and_row(n):
     """One matrix far outside the paramagnetic regime, whose rows need the
     exact-shift fallback, stacked between ordinary ones: every value equals
     its matrix's own, and the scaled one still agrees with the Gray code."""
-    seeds = [SeedSpec(42, r) for r in range(4)]
-    a = sample_gaussian_matrix(n, seeds)
+    a = sample_gaussian_matrix(n, SeedSpec(42, 0), count=4)
     a[2] *= 1000.0
     p = ModelParams(beta=0.25, J=1.0, Jprime=0.2, n=n)
     stacked = exact_log_partition(a, p)
@@ -255,7 +254,7 @@ def test_stacked_underflow_fallback_is_per_matrix_and_row(n):
 
 
 def test_stacked_oracles_and_decomposition_equal_singles():
-    a = sample_gaussian_matrix(8, [SeedSpec(43, r) for r in range(3)])
+    a = sample_gaussian_matrix(8, SeedSpec(43, 0), count=3)
     p = ModelParams(beta=0.3, J=0.5, Jprime=0.1, n=8)
     for method in ("gray", "naive"):
         stacked = exact_log_partition(a, p, method=method)
@@ -292,12 +291,45 @@ def test_every_method_matches_the_brute_force_oracle(n, J, Jprime):
         assert exact_log_partition(a, p, method=method) == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("n, J", [(14, -1e100), (14, 3.7e50), (20, 3.7e50)])
+def test_huge_couplings_give_a_finite_split_log_partition(n, J):
+    """Past gibbs._CLAMP_SHIFT the split kernel clamps its exponents, which
+    overflow exp in V unclamped at n = 20, J = 3.7e50: every value is
+    finite, raises no RuntimeWarning, equals its matrix's alone and, at
+    n = 14, agrees with the Gray code."""
+    a = sample_gaussian_matrix(n, SeedSpec(50, n), count=2)
+    p = ModelParams(beta=0.2, J=J, n=n)
+    stacked = exact_log_partition(a, p)
+    assert np.isfinite(stacked).all()
+    assert stacked.tolist() == [exact_log_partition(m, p) for m in a]
+    if n == 14:
+        gray = [exact_log_partition(m, p, method="gray") for m in a]
+        assert stacked.tolist() == pytest.approx(gray, rel=1e-12)
+
+
+@pytest.mark.parametrize("split_elements", [gibbs._SPLIT_ELEMENTS, 1])
+def test_a_clamped_matrix_in_a_stack_is_its_own(monkeypatch, split_elements):
+    """A matrix whose V exponents overflow unclamped (a shift of 1e20 on
+    every entry at n = 20), stacked between ordinary ones in one sub-stack
+    or in three: its value is finite and its own, and the others keep the
+    bits they have without it."""
+    monkeypatch.setattr(gibbs, "_SPLIT_ELEMENTS", split_elements)
+    a = sample_gaussian_matrix(20, SeedSpec(51, 0), count=3)
+    p = ModelParams(beta=0.25, J=1.0, Jprime=0.1, n=20)
+    plain = exact_log_partition(a[[0, 2]], p)
+    a[1] += 1e20
+    stacked = exact_log_partition(a, p)
+    assert stacked[[0, 2]].tobytes() == plain.tobytes()
+    assert math.isfinite(stacked[1])
+    assert stacked[1] == exact_log_partition(a[1], p)
+
+
 def test_huge_diagonal_coupling_gives_a_finite_log_partition():
     """J' = 1e100 moves log Z by beta Tr M alone: every method, on one
     matrix and on a stack, gives a finite value with no RuntimeWarning."""
     a = sample_gaussian_matrix(8, SeedSpec(1, 0))
     p = ModelParams(beta=0.2, J=0.0, Jprime=1e100, n=8)
-    stack = sample_gaussian_matrix(8, [SeedSpec(1, r) for r in range(3)])
+    stack = sample_gaussian_matrix(8, SeedSpec(1, 0), count=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = [exact_log_partition(a, p, method=m) for m in ("split", "gray", "naive")]

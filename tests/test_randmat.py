@@ -66,31 +66,44 @@ def test_gather_index_is_cached_read_only(hollow):
     want += want.T
     if not hollow:
         want[np.diag_indices(9)] = rng.standard_normal(9)
-    got = sample_gaussian_matrix(9, [SEED, SEED], hollow=hollow)
+    got = sample_gaussian_matrix(9, SEED, hollow=hollow, count=2)
     assert got.flags.c_contiguous
-    assert got[0].tobytes() == got[1].tobytes() == want.tobytes()
+    assert got[0].tobytes() == want.tobytes()
     assert sample_gaussian_matrix(9, SEED, hollow=hollow).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_a_stack_of_no_streams_is_refused(count):
+    with pytest.raises(ValueError, match="count must be positive"):
+        sample_gaussian_matrix(4, SEED, count=count)
+    with pytest.raises(ValueError, match="count must be positive"):
+        sample_gaussian_matrix(4, SEED, hollow=True, count=count)
+    with pytest.raises(ValueError, match="count must be positive"):
+        sample_tilted_matrix(4, np.ones(4), 0.2, SEED, count=count)
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 40])
 def test_stacked_sampling_equals_singles(n):
-    """Each matrix of a plain, hollow or tilted stack is bit for bit the one
-    its seed alone gives, and the plain one holds the seed's own generator
-    draws: the upper triangle row-major, then the diagonal."""
-    seeds = [SEED.stream(r) for r in (0, 7, 3)]
+    """Row i of a plain, hollow or tilted stack of 3 from a seed is bit for
+    bit the matrix of stream seed.stream_id + i alone, the stream ids
+    wrapping at 2^64 as the Philox key does, and the plain one holds the
+    stream's own generator draws: the upper triangle row-major, then the
+    diagonal."""
     sigma = alternating_spins(n)
-    for hollow in (False, True):
-        stack = sample_gaussian_matrix(n, seeds, hollow=hollow)
-        assert stack.shape == (3, n, n)
+    for first in (7, 3 * 2**32 + 17, 2**64 - 2):
+        seeds = [SEED.stream(first + i) for i in range(3)]
+        for hollow in (False, True):
+            stack = sample_gaussian_matrix(n, seeds[0], hollow=hollow, count=3)
+            assert stack.shape == (3, n, n)
+            for a, seed in zip(stack, seeds):
+                assert a.tobytes() == sample_gaussian_matrix(n, seed, hollow=hollow).tobytes()
+        stack = sample_tilted_matrix(n, sigma, 0.3, seeds[0], count=3)
         for a, seed in zip(stack, seeds):
-            assert a.tobytes() == sample_gaussian_matrix(n, seed, hollow=hollow).tobytes()
-    stack = sample_tilted_matrix(n, sigma, 0.3, seeds)
-    for a, seed in zip(stack, seeds):
-        assert a.tobytes() == sample_tilted_matrix(n, sigma, 0.3, seed).tobytes()
-        draws = seed.generator().standard_normal(n * (n + 1) // 2)
-        plain = sample_gaussian_matrix(n, seed)
-        assert np.array_equal(plain[np.triu_indices(n, 1)], draws[: n * (n - 1) // 2])
-        assert np.array_equal(np.diag(plain), draws[n * (n - 1) // 2:])
+            assert a.tobytes() == sample_tilted_matrix(n, sigma, 0.3, seed).tobytes()
+            draws = seed.generator().standard_normal(n * (n + 1) // 2)
+            plain = sample_gaussian_matrix(n, seed)
+            assert np.array_equal(plain[np.triu_indices(n, 1)], draws[: n * (n - 1) // 2])
+            assert np.array_equal(np.diag(plain), draws[n * (n - 1) // 2:])
 
 
 def test_pooled_moments_large_matrix():
@@ -268,7 +281,7 @@ def test_check_matrix_returns_float_square_matrices():
     ints = np.array([[1, 2], [2, 0]])
     assert check_matrix(ints).dtype == float
     assert check_matrix(ints).tolist() == ints.tolist()
-    stack = sample_gaussian_matrix(4, [SEED, SEED.stream(1)])
+    stack = sample_gaussian_matrix(4, SEED, count=2)
     assert check_matrix(stack) is stack
     for shape in ((3,), (3, 4), (2, 3, 4), (1, 2, 3, 3)):
         with pytest.raises(ValueError, match="matrix must be square"):
