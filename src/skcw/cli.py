@@ -4,7 +4,8 @@ Subcommands: identities, sample, free-energy, cycles, clt, tilted, approx,
 decomposition, report.  Reports are emitted as strict JSON (stable key
 order, schema_version 1, no NaN or Infinity) to --out or standard output;
 --format csv, which needs --out, also writes the raw samples to
-<out>.csv, one row per replicate.
+<out>.csv, one row per replicate.  An --out (or <out>.csv) that cannot be
+written is refused before any work is done.
 The five experiment subcommands share one path: their flags become an
 ``ExperimentConfig``, which validates the whole --n-grid before any
 replicate runs, and ``experiments.run_<subcommand>`` produces the report
@@ -169,7 +170,7 @@ def _add_experiment_parser(sub, kind: str) -> None:
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes, at most one per replicate and "
                         "per usable core, each with one BLAS thread; a run "
-                        "priced below 2^28 operations, or one worker, "
+                        "priced below 2^32 operations, or one worker, "
                         "computes in this process")
     p.add_argument("--out", type=str, default=None, help="report path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json",
@@ -218,6 +219,23 @@ def _emit_raw_csv(report: ExperimentReport, path: str) -> None:
                 )
 
 
+def _check_writable(path: str) -> None:
+    """Refuse, before any work and without creating it, an output file that
+    cannot be written: a directory, a path whose parent directory is missing
+    or not writable, or an existing file that is not writable."""
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path!r}: it is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ValueError(f"cannot write {path!r}: no directory {parent!r}")
+    if os.path.exists(path):
+        writable = os.access(path, os.W_OK)
+    else:
+        writable = os.access(parent, os.W_OK | os.X_OK)
+    if not writable:
+        raise ValueError(f"cannot write {path!r}: permission denied")
+
+
 def _report_exit(report: ExperimentReport, args) -> int:
     _emit(report.to_dict(), args.out)
     if args.format == "csv":
@@ -242,8 +260,10 @@ def _make_config(args) -> ExperimentConfig:
 
 
 def _cmd_experiment(args) -> int:
-    if args.format == "csv" and not args.out:
-        raise ValueError("--format csv needs --out; the samples go to <out>.csv")
+    if args.format == "csv":
+        if not args.out:
+            raise ValueError("--format csv needs --out; the samples go to <out>.csv")
+        _check_writable(args.out + ".csv")
     report = getattr(experiments, f"run_{args.command}")(_make_config(args))
     return _report_exit(report, args)
 
@@ -318,6 +338,8 @@ def main(argv=None) -> int:
         "report": _cmd_report,
     }
     try:
+        if getattr(args, "out", None):
+            _check_writable(args.out)
         return commands.get(args.command, _cmd_experiment)(args)
     except (ValueError, OverflowError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")

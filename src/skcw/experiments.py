@@ -18,9 +18,11 @@ float array, a row per replicate, each value bit for bit what the replicate
 alone gives; the driver concatenates the arrays, and a size reads its rows.
 Each plan prices one replicate at size n in the operations of the cycle
 budget, and a run whose priced work does not pay for a second worker
-(``_worker_count``) computes in this process, as with ``threads=1``.  With
-more than one worker the stacks run in forked children (``_fork_map``),
-each size cut so that every child gets the same share of it.
+(``_worker_count``: below 2^32 operations, which takes in every benchmark
+line and criterion 8 but not criteria 4-7) computes in this process, as
+with ``threads=1``.  With more than one worker the stacks run in forked
+children (``_fork_map``), each size cut so that every child gets the same
+share of it.
 
 Every comparison is recorded as a named check carrying the rule, the
 observed value, the target and the tolerance; a report is never a bare
@@ -99,15 +101,28 @@ _STREAM_BLOCK = 1 << 32
 # stacked product runs slower than one matrix at a time
 STACK_ELEMENTS = 1 << 14
 # a run forks only when its priced work (replicates times the grid's summed
-# ``_Plan.price``) reaches two of these.  Each forked child costs about
-# 13 ms of CPU and 1.2e3 to 1.5e3 minor faults beyond its share, so on a
-# 2-core VM a second worker lost below 2^28 (clt grid 12..24 at 20
-# replicates, 1.8e8; decomposition 12..20 at 200, 1.2e8; approx 50..200 at
-# 5 and 10, 0.9e8 and 1.8e8) and won or tied above it (the same lines at
-# 40 and 60 clt, 500 decomposition and 20 approx replicates, 2.9e8 to
-# 5.4e8).  Only one worker against two was measured, so a run that forks
-# gets its ``threads`` as before, capped by replicates and usable cores
-FORK_OPERATIONS = 1 << 27
+# ``_Plan.price``) reaches two of these.  Each forked child costs 11-16 ms
+# of CPU beyond its share, and on the 2-vCPU VM two children often take
+# turns on what behaves like one CPU.  A sweep of one worker against two
+# (wall ms of ``cli.main``, medians of 16 alternating fresh-process pairs
+# over ten minutes, with the pairs two workers won; priced work in brackets):
+#   decomposition 12..20, 200 replicates (1.2e8)    44 /   73   0/16
+#   clt 12..24, 20 (1.8e8)                          36 /   58   0/16
+#   decomposition 12..20, 500 (2.9e8, criterion 8)  91 /  125   1/16
+#   approx 50..200, 40 (7.3e8)                      90 /  120   2/16
+#   cycles 150, 150 (1.0e9)                        100 /  123   1/16
+#   decomposition 12..20, 2000 (1.2e9)             254 /  290   2/16
+#   tilted 150, 300 (2.0e9)                        172 /  203   1/16
+#   clt 12..24, 250 (2.2e9)                        190 /  226   2/16
+#   approx 50..200, 160 (2.9e9)                    260 /  286   3/16
+#   cycles 150, 1000 (6.8e9, criterion 4)          496 /  531   3/16
+#   clt 12..24, 1000 (8.9e9, criterion 7)          685 /  684   8/16
+#   approx 50..200, 500 (9.1e9, criterion 6)       767 /  595  15/16
+#   tilted 150, 2000 (1.35e10, criterion 5)       1043 /  634  16/16
+# Two workers lost every line below 4e9, so the bar is 2^32 (4.3e9), under
+# criterion 4.  Only one worker against two was measured, so a run that
+# forks gets its ``threads`` as before, capped by replicates and usable cores
+FORK_OPERATIONS = 1 << 31
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +656,8 @@ class _Plan:
 
 def _worker_count(config: ExperimentConfig, plan: _Plan) -> int:
     """Workers of a run: one if its priced work is below two
-    ``FORK_OPERATIONS``, which do not pay for a second worker; otherwise
+    ``FORK_OPERATIONS`` (2^32), which did not pay for a second worker in the
+    one-against-two sweep of that constant's comment; otherwise
     ``threads``, never more than replicates or usable cores."""
     work = config.replicates * sum(plan.price(n) for n in config.sizes)
     if work < 2 * FORK_OPERATIONS:

@@ -322,6 +322,11 @@ _EDGE_REFUSALS = [
     "clt --n 6 --beta 0.2 --Jprime 1e308 --reps 25",
     "decomposition --n 6 --beta 0.2 --Jprime 1e308 --reps 25 --m 4",
     "clt --n 6 --beta 0.49 --J -1e308 --reps 25", "clt --n 6 --beta 1e-170 --reps 25",
+    # an --out that cannot be written: refused before the run, not after it
+    "clt --n 24 --beta 0.25 --reps 1000 --out /nonexistent/x.json",
+    "clt --n 24 --beta 0.25 --reps 1000 --out /",
+    "cycles --n 4 --kmax 3 --format csv --out /nonexistent/x.json",
+    "approx --n 4 --kmax 3 --format csv --out /",
 ]
 
 
@@ -421,6 +426,71 @@ def test_tilted_grid_builds_spins_per_size(tmp_path, sigma):
             "--reps", "20", "--kmax", "3", "--sigma", sigma, "--out", str(out)]
     assert run(argv) in (EXIT_OK, EXIT_VERDICT)
     assert [r["n"] for r in json.loads(out.read_text())["results"]] == [10, 20]
+
+
+@pytest.mark.parametrize("out, make", [
+    ("sub", "dir"), ("missing/r.json", None), ("file/r.json", "file"),
+    ("r.json", "csv dir"),
+])
+def test_an_unwritable_out_is_refused_before_any_replicate(
+    no_compute, tmp_path, capsys, out, make
+):
+    """A directory, a missing or non-directory parent, or a directory at
+    <out>.csv: one error line, exit 1, and no file is created."""
+    if make == "dir":
+        (tmp_path / out).mkdir()
+    elif make == "file":
+        (tmp_path / "file").write_text("")
+    elif make == "csv dir":
+        (tmp_path / "r.json.csv").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["clt", "--n", "24", "--beta", "0.25", "--out", str(tmp_path / out),
+            "--format", "csv"]
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write ")
+    assert len(captured.err.splitlines()) == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["identities"], (experiments, "run_identities")),
+    (["sample", "--n", "4"], (randmat, "sample_gaussian_matrix")),
+    (["free-energy", "--n", "4", "--beta", "0.2"], (randmat, "sample_gaussian_matrix")),
+])
+def test_every_subcommand_refuses_an_unwritable_out_before_its_work(
+    monkeypatch, tmp_path, capsys, argv, target
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the command line was rejected")
+
+    monkeypatch.setattr(*target, refuse)
+    assert run([*argv, "--out", str(tmp_path / "missing" / "x")]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("exists", [False, True])
+def test_an_out_without_write_permission_is_refused(no_compute, tmp_path, monkeypatch,
+                                                    capsys, exists):
+    """The permission asked of a new file is its directory's, of an existing
+    file its own (root passes every such check, so it is simulated)."""
+    out = tmp_path / "r.json"
+    if exists:
+        out.write_text("old")
+    asked = []
+
+    def denied(path, mode):
+        asked.append((path, mode))
+        return False
+
+    monkeypatch.setattr(os, "access", denied)
+    assert run(["clt", "--n", "4", "--beta", "0.2", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {str(out)!r}: permission denied\n"
+    assert asked == [(str(out), os.W_OK) if exists else (str(tmp_path), os.W_OK | os.X_OK)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["r.json"] if exists else [])
 
 
 def test_csv_without_out_is_usage_error(no_compute, capsys):

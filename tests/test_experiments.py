@@ -407,9 +407,20 @@ APPROX_GRID_LINE = ["approx", "--n", "200", "--n-grid", "50,100,200", "--kmax", 
                     "--reps", "40", "--centering-reps", "300", "--threads", "2"]
 CRITERION_8_LINE = ["decomposition", "--n", "16", "--n-grid", "12,16,20", "--beta",
                     "0.25", "--J", "0.5", "--m", "4", "--reps", "500", "--threads", "2"]
-# priced only, never run: 2^27 operations per replicate
+# priced only, never run: 2^27 and 2e9 operations per replicate
 CLT_N28_LINE = ["clt", "--n", "28", "--beta", "0.25", "--J", "1", "--reps", "20",
                 "--threads", "2"]
+CYCLES_N1000_LINE = ["cycles", "--n", "1000", "--kmax", "4", "--budget", "inf",
+                     "--reps", "20", "--threads", "2"]
+# priced only: acceptance criteria 4-7 at --threads 2
+CRITERIA_4_TO_7_LINES = (
+    ["cycles", "--n", "150", "--kmax", "4", "--reps", "1000", "--threads", "2"],
+    ["tilted", "--n", "150", "--beta", "0.4", "--kmax", "3", "--reps", "2000",
+     "--threads", "2"],
+    ["approx", "--n", "200", "--n-grid", "50,100,200", "--kmax", "5", "--reps", "500",
+     "--centering-reps", "1500", "--threads", "2"],
+    [*CLT_GRID_LINE[:-3], "1000", "--threads", "2"],
+)
 
 
 def _config(argv):
@@ -421,10 +432,9 @@ def _workers(argv):
     return ex._worker_count(cfg, getattr(ex, f"_{cfg.kind}_plan")(cfg))
 
 
-def test_a_run_too_small_to_fork_computes_in_this_process(monkeypatch, tmp_path):
-    """The benchmark's clt line at --threads 2 is priced below two workers:
-    it never forks, and its report is that of --threads 1 apart from the
-    echoed threads and the time stamp."""
+def _reports_at_one_and_two_threads_without_a_fork(monkeypatch, tmp_path, line):
+    """The line's reports at --threads 1 and 2 with two usable cores, the
+    echoed threads and the time stamp dropped; a fork fails the test."""
     monkeypatch.setattr(ex, "_usable_cores", lambda: 2)
 
     def no_fork(worker, stacks, workers):
@@ -434,14 +444,34 @@ def test_a_run_too_small_to_fork_computes_in_this_process(monkeypatch, tmp_path)
     reports = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}.json"
-        argv = [*CLT_GRID_LINE[:-1], threads, "--raw-samples", "--out", str(out)]
+        argv = [*line[:-1], threads, "--raw-samples", "--out", str(out)]
         assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_VERDICT)
         report = json.loads(out.read_text())
         assert report["config"].pop("threads") == int(threads)
         report.pop("generated_at")
         reports.append(report)
+    return reports
+
+
+def test_a_run_too_small_to_fork_computes_in_this_process(monkeypatch, tmp_path):
+    """The benchmark's clt line at --threads 2 is priced below two workers:
+    it never forks, and its report is that of --threads 1 apart from the
+    echoed threads and the time stamp."""
+    reports = _reports_at_one_and_two_threads_without_a_fork(
+        monkeypatch, tmp_path, CLT_GRID_LINE
+    )
     assert reports[0] == reports[1]
     assert reports[0]["raw_samples"]["24"]["n_fluct"]
+
+
+def test_the_approx_benchmark_line_computes_in_this_process(monkeypatch, tmp_path):
+    """The benchmark's approx line (7.3e8 operations) at --threads 2 never
+    forks either, and gives the report of --threads 1."""
+    reports = _reports_at_one_and_two_threads_without_a_fork(
+        monkeypatch, tmp_path, APPROX_GRID_LINE
+    )
+    assert reports[0] == reports[1]
+    assert reports[0]["raw_samples"]["200"]["residual_5"]
 
 
 def test_worker_count_follows_the_priced_rule(monkeypatch):
@@ -450,7 +480,8 @@ def test_worker_count_follows_the_priced_rule(monkeypatch):
     summed price: 2^(n-1) per log Z and 2 n^3 per cycle series."""
     counts = set()
     for line, reps, (threads, cores) in itertools.product(
-        (CLT_GRID_LINE, APPROX_GRID_LINE, CRITERION_8_LINE, CLT_N28_LINE),
+        (CLT_GRID_LINE, APPROX_GRID_LINE, CRITERION_8_LINE, CLT_N28_LINE,
+         CYCLES_N1000_LINE),
         (2, 5, 10, 20, 31, 40, 200, 500, 1000),
         ((1, 2), (2, 2), (2, 8), (8, 8), (64, 4)),
     ):
@@ -458,7 +489,7 @@ def test_worker_count_follows_the_priced_rule(monkeypatch):
         argv = [*line[:-1], str(threads)]
         argv[argv.index("--reps") + 1] = str(reps)
         cfg = _config(argv)
-        log_z, series = {"clt": (1, 0), "approx": (0, 1), "decomposition": (1, 1)}[cfg.kind]
+        log_z, series = {"clt": (1, 0), "decomposition": (1, 1)}.get(cfg.kind, (0, 1))
         work = reps * sum(log_z * 2 ** (n - 1) + series * 2 * n**3 for n in cfg.sizes)
         expected = 1 if work < 2 * ex.FORK_OPERATIONS else min(threads, reps, cores)
         assert _workers(argv) == expected, argv
@@ -468,12 +499,14 @@ def test_worker_count_follows_the_priced_rule(monkeypatch):
 
 
 def test_two_cores_fork_the_runs_that_pay_for_it(monkeypatch):
-    """With two usable cores the clt benchmark line (1.8e8 operations)
-    computes in this process, while the approx benchmark line (7.3e8) and
-    acceptance criterion 8's config (2.9e8) fork two workers."""
+    """With two usable cores the clt and approx benchmark lines (1.8e8 and
+    7.3e8 operations) and acceptance criterion 8's config (2.9e8) compute
+    in this process, while criteria 4-7 (6.75e9 to 1.35e10) fork two
+    workers."""
     monkeypatch.setattr(ex, "_usable_cores", lambda: 2)
     lines = (CLT_GRID_LINE, APPROX_GRID_LINE, CRITERION_8_LINE)
-    assert [_workers(argv) for argv in lines] == [1, 2, 2]
+    assert [_workers(argv) for argv in lines] == [1, 1, 1]
+    assert [_workers(argv) for argv in CRITERIA_4_TO_7_LINES] == [2, 2, 2, 2]
 
 
 def test_usable_cores_falls_back_to_the_cpu_count(monkeypatch):
