@@ -16,7 +16,9 @@ quantities:
   matrix; its entries are odd-degree Chebyshev coefficients.
 * ``walk_moment_poly(j)`` / ``walk_moments(n, jmax)`` -- the exact finite-n
   moments E Tr (A/sqrt n)^j of the hollow Gaussian ensemble, from the
-  closed-walk shapes whose edges are all traversed an even number of times.
+  closed-walk shapes whose edges are all traversed an even number of times;
+  ``walk_numerators(n, jmax)`` gives their integer numerators over n^(j/2),
+  without the ``fractions`` module.
 
 Supported bounds are enforced up front (``OverflowError``) so that callers
 never trigger runaway computations; Python integers themselves do not wrap.
@@ -27,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 GEN_COEFF_MAX_M = 60
@@ -206,9 +207,7 @@ def parity_identity_check(m: int, r: int) -> bool:
         raise ValueError(f"need 1 <= r <= m, got m={m}, r={r}")
     if (m - r) % 2 == 1:
         raise ValueError(f"m={m} and r={r} must have the same parity")
-    lhs = Fraction(gen_coeff(m, r) * m, r)
-    rhs = Fraction(math.comb(m, (m + r) // 2))
-    return lhs == rhs
+    return gen_coeff(m, r) * m == r * math.comb(m, (m + r) // 2)
 
 
 def _binomial_matrix(k: int) -> LowerTriangularIntMatrix:
@@ -321,14 +320,21 @@ def walk_moment_poly(j: int) -> IntPoly:
     return IntPoly.from_list(numerator)
 
 
-def walk_moments(n: int, jmax: int) -> list[Fraction]:
-    """[E Tr (A/sqrt n)^j for j = 1..jmax] of the n x n hollow Gaussian
-    ensemble, exactly; see ``walk_moment_poly``."""
+def walk_numerators(n: int, jmax: int) -> list[int]:
+    """[N_j(n) for j = 1..jmax], the integers n^(j/2) E Tr (A/sqrt n)^j of
+    the n x n hollow Gaussian ensemble (0 for odd j); see
+    ``walk_moment_poly``."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    out = []
-    for j in range(1, jmax + 1):
-        poly = walk_moment_poly(j)
-        value = sum(c * n**d for d, c in enumerate(poly.coeffs))
-        out.append(Fraction(value, n ** (j // 2)))
-    return out
+    return [sum(c * n**d for d, c in enumerate(walk_moment_poly(j).coeffs))
+            for j in range(1, jmax + 1)]
+
+
+def walk_moments(n: int, jmax: int) -> list:
+    """[E Tr (A/sqrt n)^j for j = 1..jmax] of the n x n hollow Gaussian
+    ensemble, as exact Fractions.  ``fractions`` is imported here, so that
+    importing this module does not load it."""
+    from fractions import Fraction
+
+    return [Fraction(value, n ** (j // 2))
+            for j, value in enumerate(walk_numerators(n, jmax), start=1)]

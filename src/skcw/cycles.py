@@ -55,7 +55,7 @@ Tr A^3 = S_3 = <G, A>, Tr A^4 = <G, G> and Tr A^5 = <A^4, A>), so every
 series returns them with the cycles.  For k = 3 the two sides agree
 identically.  The centering E Tr P_k is exact: zero for odd k by sign
 symmetry, and for even k the Chebyshev combination of the exact moments
-from ``combinat.walk_moments``.  ``chebyshev_lss`` (from
+from ``combinat.walk_numerators``.  ``chebyshev_lss`` (from
 ``randmat.power_traces``) and ``lss_centering`` (its Monte Carlo mean) are
 the references the tests compare against.
 """
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import chebyshev_coeffs, walk_moments
+from .combinat import chebyshev_coeffs, walk_numerators
 from .randmat import (
     SeedSpec,
     check_matrix,
@@ -325,15 +325,23 @@ def exact_centering(n: int, k: int) -> float:
     """E[Tr P_k(A_hollow / sqrt(n))] for the n x n hollow Gaussian ensemble.
 
     The Chebyshev combination of the exact moments E Tr (A_hollow/sqrt n)^j
-    (``combinat.walk_moments``), evaluated in rationals and rounded once.
-    Zero for odd k (P_k is odd and the ensemble is sign symmetric); even k
-    up to ``combinat.WALK_MOMENT_MAX_J``.
+    = N_j(n) / n^(j/2) (``combinat.walk_numerators``), summed in integers
+    over n^(k/2) and rounded once by the division.  Zero for odd k (P_k is
+    odd and the ensemble is sign symmetric); even k up to
+    ``combinat.WALK_MOMENT_MAX_J``.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if k % 2 == 1:
         return 0.0
-    return float(chebyshev_trace(walk_moments(n, k), n, k))
+    # n^(k/2) E Tr P_k; the odd moments are zero
+    half = k // 2
+    coeffs = chebyshev_coeffs(k)
+    num = coeffs[0] * n ** (half + 1) + sum(
+        coeffs[j] * value * n ** (half - j // 2)
+        for j, value in enumerate(walk_numerators(n, k), start=1)
+    )
+    return num / n**half
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,23 @@
 """Replicated Monte Carlo experiments, statistics and machine-readable reports.
 
 The five experiments (clt, cycles, tilted, approx, decomposition) share
-one driver, ``_drive``.  An ``ExperimentConfig`` is the one input of every
-run; the report echoes what its kind reads of it (``KIND_FIELDS``), so a
-report re-runs from its ``config`` block.  Each ``run_*`` names its
-module-level ``*_worker`` and a ``_Plan`` with what differs: the per-size
-worker arguments, a per-size builder of summaries, checks and raw samples,
-the cross-size checks and the targets.  ``ExperimentConfig`` checks every
-size of the grid, and the driver every per-size input, before any sample
-is drawn.  Replicate r at size index s uses stream_id = s * 2^32 + r under
-the configured master seed.  The unit of work is a stack: consecutive
-replicates of one size, at most ``STACK_ELEMENTS`` matrix entries, passed
-as ``worker(n, seed, count, *size args)``: the stack is the ``count``
-streams that start at ``seed``, the ``SeedSpec`` of its first replicate.
-A worker computes its matrices as one (B, n, n) array and returns one
-float array, a row per replicate, each value bit for bit what the replicate
-alone gives; the driver concatenates the arrays, and a size reads its rows.
-Each plan prices one replicate at size n in the operations of the cycle
-budget, and a run whose priced work does not pay for a second worker
-(``_worker_count``: below 2^32 operations, which takes in every benchmark
-line and criterion 8 but not criteria 4-7) computes in this process, as
-with ``threads=1``.  With more than one worker the stacks run in forked
+one driver, ``_drive``, and one worker, ``_observation_worker``.  An
+``ExperimentConfig`` is the one input of every run, checked with every
+size of its grid before any sample is drawn; the report echoes what its
+kind reads of it (``KIND_FIELDS``), so a report re-runs from it.  Each
+kind names the columns it reads of every matrix (``KIND_COLUMNS``), and
+its ``_Plan`` gives its sampler, a per-size builder of summaries, checks
+and raw samples that takes the columns by name, the cross-size checks and
+the targets.  Replicate r at size index s uses stream_id = s * 2^32 + r
+under the master seed.  The unit of work is a stack, the ``count``
+consecutive streams of one size from ``seed`` (at most ``STACK_ELEMENTS``
+matrix entries): ``_observation_worker(n, seed, count, *size args)``
+samples it as one (B, n, n) array, computes log Z and the cycle series
+once each where a column reads them, and returns one float array, a row
+per replicate, each value bit for bit what the replicate alone gives.  A
+run whose priced work does not pay for a second worker (``_worker_count``:
+below 2^32 operations, every benchmark line and criterion 8 but not
+criteria 4-7) computes in this process; otherwise the stacks run in forked
 children (``_fork_map``), each size cut so that every child gets the same
 share of it.
 
@@ -87,6 +84,27 @@ KIND_FIELDS = {
     "decomposition": ("beta", "J", "Jprime", "m", "cycle_budget"),
 }
 KINDS = tuple(KIND_FIELDS)
+# the columns ``_observation_worker`` computes of every matrix of each kind,
+# in row order: one value per matrix (``n_fluct``, log Z - n beta^2;
+# ``residual``, the decomposition residual at m), or one per k = 1..depth for
+# the ``SERIES_COLUMNS`` (``cycles``, C_{n,k}; ``traces``, Tr (A_hollow/sqrt n)^k)
+KIND_COLUMNS = {
+    "clt": ("n_fluct",),
+    "cycles": ("cycles",),
+    "tilted": ("cycles",),
+    "approx": ("cycles", "traces"),
+    "decomposition": ("residual", "n_fluct"),
+}
+SERIES_COLUMNS = ("cycles", "traces")
+# the most values a run may store: replicates times sizes times the row width
+# of its kind's columns (``_row_dtype``).  A run holds each value several
+# times over: the stacks' arrays, a sorted copy and a Python float per sample
+# in ``ks_test``, and under --raw-samples a Python float and its JSON text.
+# ``clt --n 2 --raw-samples`` peaked at 50 MB of RSS with 10^5 replicates and
+# 141 MB with 10^6, about 100 bytes per value, so a run at the cap stays
+# near 500 MB.  The largest run of the acceptance suite stores 15000 values
+# (criterion 6), and the largest config of the tests 3e6, built but not run
+MAX_STORED_VALUES = 1 << 22
 # spin vectors of the tilted law: name -> builder(n, seed)
 _SPIN_VECTORS = {
     "ones": lambda n, seed: all_ones_spins(n),
@@ -161,6 +179,14 @@ class ExperimentConfig:
                 raise ValueError("n_grid must be strictly increasing")
             object.__setattr__(self, "n_grid", grid)
         self._check_sizes()
+        width = _row_dtype(self).itemsize // 8
+        stored = self.replicates * len(self.sizes) * width
+        if stored > MAX_STORED_VALUES:
+            raise ValueError(
+                f"{self.kind} would store {self.replicates} replicates x "
+                f"{len(self.sizes)} sizes x {width} columns = {stored} values, above "
+                f"the cap of {MAX_STORED_VALUES}; at most "
+                f"{MAX_STORED_VALUES // (len(self.sizes) * width)} replicates fit")
 
     def _check_sizes(self) -> None:
         """Reject a configuration that would fail partway through its run.
@@ -200,7 +226,7 @@ class ExperimentConfig:
                     f"J={p.J:g}, J'={p.Jprime:g}")
             return
         name = "m" if self.kind == "decomposition" else "kmax"
-        depth = getattr(self, name)
+        depth = self.depth
         low = 3 if self.kind == "approx" else 1
         if not low <= depth <= smallest:
             raise ValueError(
@@ -221,6 +247,11 @@ class ExperimentConfig:
             raise ValueError(f"tilted needs (2 beta)^{power} below 1e308, got "
                              f"beta={self.params.beta:g} with kmax={depth}")
         check_cycle_budget(largest, depth, self.cycle_budget)
+
+    @property
+    def depth(self) -> int:
+        """The depth of the cycles the kind reads: m for decomposition, else kmax."""
+        return self.m if self.kind == "decomposition" else self.kmax
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -573,7 +604,8 @@ def _fork_map(worker: Callable, stacks: list, workers: int) -> list:
     then raises the first child's exception with its own type, or
     RuntimeError for a child that exited without writing.  Every child is
     reaped before this returns or raises, and killed first when the parent
-    stops reading early (an interrupt).  The worker is not pickled, so the
+    stops reading early (an interrupt).  The worker, which the driver passes
+    as ``_observation_worker`` for every kind, is not pickled, so the
     children run the very object passed in.
     """
     children = []  # (pid, read end of its pipe)
@@ -634,24 +666,63 @@ def _run_child(worker: Callable, stacks: list, write_fd: int) -> None:
 class _Plan:
     """What one experiment kind adds to the shared driver.
 
-    ``size_args(n)`` gives the worker arguments that follow
-    ``(n, seed, count)`` in every stack of size n; the driver calls it for
-    every size before any replicate runs, so the per-size inputs (the
-    ``ModelParams`` at n, the spin vector of length n) are built and checked
-    there, once per size.
-    ``size_result(n, outputs)`` turns the worker rows at size n, one per
-    replicate, into (summaries, checks, raw samples), and
-    ``cross_checks(results)`` compares the sizes of a grid run.
+    Its sampler draws the Gaussian ensemble, hollow if ``hollow``, or tilts
+    it by beta along the spin vector ``spins(n)``.  ``size_result(n,
+    **columns)`` takes the kind's columns (``KIND_COLUMNS``) at size n by
+    name, a row per replicate, and returns (summaries, checks, raw
+    samples); ``cross_checks(results)`` compares the sizes of a grid run.
     ``price(n)`` is what one replicate at size n costs in the operations of
-    the cycle budget, which ``_worker_count`` weighs against the price of a
-    fork.
+    the cycle budget, which ``_worker_count`` weighs against a fork's price.
     """
 
-    size_args: Callable[[int], tuple]
     price: Callable[[int], float]
-    size_result: Callable[[int, np.ndarray], tuple[dict, list, dict]]
+    size_result: Callable[..., tuple[dict, list, dict]]
     cross_checks: Callable[[list], list] = lambda results: []
     targets: tuple[TargetValue, ...] = ()
+    hollow: bool = False
+    spins: Callable[[int], np.ndarray] | None = None
+
+
+def _size_args(config: ExperimentConfig, plan: _Plan) -> list[tuple]:
+    """The worker arguments after ``(n, seed, count)`` at each size, built
+    and checked before any replicate runs."""
+    return [
+        (KIND_COLUMNS[config.kind], replace(config.params, n=n), config.depth,
+         config.cycle_budget, plan.hollow, None if plan.spins is None else plan.spins(n))
+        for n in config.sizes
+    ]
+
+
+def _observation_worker(
+    n: int, seed: SeedSpec, count: int, columns: tuple[str, ...], params: ModelParams,
+    depth: int, budget: float, hollow: bool, spins: np.ndarray | None,
+) -> np.ndarray:
+    """One row of ``columns`` per matrix of the stack, drawn from the
+    Gaussian ensemble (hollow if ``hollow``) or tilted by ``params.beta``
+    along ``spins``.  log Z and the cycle series are computed once, where a
+    column reads them; each value is bit for bit that of its matrix alone."""
+    if spins is None:
+        a = sample_gaussian_matrix(n, seed, hollow=hollow, count=count)
+    else:
+        a = sample_tilted_matrix(n, spins, params.beta, seed, count)
+    values = {}
+    if "n_fluct" in columns or "residual" in columns:
+        log_z = exact_log_partition(a, params)
+        values["n_fluct"] = log_z - n * params.beta**2
+        if "residual" in columns:
+            values["residual"] = decomposition_residual(
+                a, params, depth, log_z, cycle_budget=budget)
+    if any(name in SERIES_COLUMNS for name in columns):
+        series = cycle_series(a, depth, budget=budget)
+        values.update(cycles=series.values, traces=series.traces)
+    return np.column_stack([values[name] for name in columns])
+
+
+def _row_dtype(config: ExperimentConfig) -> np.dtype:
+    """A worker row with a field per column of the kind, a float or a series
+    of ``depth``: a field of the rows' view is a view of that column."""
+    return np.dtype([(name, float, (config.depth,)) if name in SERIES_COLUMNS
+                     else (name, float) for name in KIND_COLUMNS[config.kind]])
 
 
 def _worker_count(config: ExperimentConfig, plan: _Plan) -> int:
@@ -666,37 +737,35 @@ def _worker_count(config: ExperimentConfig, plan: _Plan) -> int:
 
 
 def _drive(
-    config: ExperimentConfig,
-    kind: str,
-    worker: Callable,
-    plan_for: Callable[[ExperimentConfig], _Plan],
+    config: ExperimentConfig, kind: str, plan_for: Callable[[ExperimentConfig], _Plan]
 ) -> ExperimentReport:
     """Run every replicate of every size and assemble the report.
 
     The kind is checked before ``plan_for`` builds the plan, so a plan never
-    sees another kind's config.  Each ``run_*`` passes its worker by its
-    module-level name at call time, so a wrapper installed under the name
-    (the perfbench tracer) is what runs, in this process or in a child.
+    sees another kind's config.  Every kind runs ``_observation_worker``,
+    looked up by its module-level name at call time, so a wrapper installed
+    under the name (the perfbench tracer) is what runs, in this process or
+    in a child.
 
     The stacks of every size, in grid order (``_stacks``), go through one
-    map, ``worker(*stack)`` per stack, over ``_worker_count`` workers:
-    one if the run's priced work does not pay for a second, otherwise
-    ``threads``, never more than replicates or usable cores.  One worker
-    runs in this process, with the stacks and values of ``threads=1``; more
-    run in forked children (``_fork_map``), started after every per-size
-    input is checked and reaped before this returns, so the run's resource
-    usage covers them.  Size s reads rows s * replicates to
-    (s + 1) * replicates of the stacks' concatenated arrays.  The whole run
-    holds this process at one OpenBLAS thread: the children inherit that
-    count, so ``set_blas_threads`` never has to call the setter in them,
-    and the setter would start a BLAS thread server there.
+    map, ``_observation_worker(*stack)`` per stack, over ``_worker_count``
+    workers: one if the run's priced work does not pay for a second,
+    otherwise ``threads``, never more than replicates or usable cores.  One
+    worker runs in this process, with the stacks and values of
+    ``threads=1``; more run in forked children (``_fork_map``), started
+    after every per-size input is checked and reaped before this returns,
+    so the run's resource usage covers them.  Size s reads rows
+    s * replicates to (s + 1) * replicates of the stacks' concatenated
+    arrays, each of the kind's columns by name (``_row_dtype``).  The
+    whole run holds this process at one OpenBLAS thread: the children
+    inherit that count, so ``set_blas_threads`` never has to call the
+    setter in them, and the setter would start a BLAS thread server there.
     """
     if config.kind != kind:
         raise ValueError(f"config kind is {config.kind!r}, expected {kind!r}")
     plan = plan_for(config)
-    size_args = [plan.size_args(n) for n in config.sizes]
     workers = _worker_count(config, plan)
-    stacks = _stacks(config, size_args, workers)
+    stacks = _stacks(config, _size_args(config, plan), workers)
     # numpy imports numpy.random on first use; imported here, before the map,
     # forked workers inherit it instead of each paying 14-18 ms, and a
     # serial run's sampling time does not include the import
@@ -705,14 +774,13 @@ def _drive(
     raw: dict = {}
     with one_blas_thread():
         if workers == 1:
-            per_stack = [worker(*stack) for stack in stacks]
+            per_stack = [_observation_worker(*stack) for stack in stacks]
         else:
-            per_stack = _fork_map(worker, stacks, workers)
-        outputs = np.concatenate(per_stack)
-        reps = config.replicates
-        for s, n in enumerate(config.sizes):
+            per_stack = _fork_map(_observation_worker, stacks, workers)
+        rows = np.concatenate(per_stack).view(_row_dtype(config))
+        for n, size in zip(config.sizes, rows.reshape(len(config.sizes), -1)):
             summaries, checks, samples = plan.size_result(
-                n, outputs[s * reps:(s + 1) * reps]
+                n, **{name: size[name] for name in size.dtype.names}
             )
             results.append(SizeResult(n=n, summaries=summaries, checks=tuple(checks)))
             if config.keep_raw:
@@ -736,11 +804,6 @@ def _drive(
 # clt: free-energy fluctuations
 
 
-def _clt_worker(n: int, seed: SeedSpec, count: int, params: ModelParams) -> np.ndarray:
-    a = sample_gaussian_matrix(n, seed, count=count)
-    return exact_log_partition(a, params) - n * params.beta**2
-
-
 def _clt_plan(config: ExperimentConfig) -> _Plan:
     params = config.params
     if params.beta == 0.0:
@@ -754,21 +817,21 @@ def _clt_plan(config: ExperimentConfig) -> _Plan:
             TargetValue("variance", t.variance, "-b^2 - log(1-4b^2)/2"),
         )
 
-    def size_result(n, xs):
-        summ = SampleSummary.from_samples(xs)
+    def size_result(n, n_fluct):
+        summ = SampleSummary.from_samples(n_fluct)
         if t is None:
             checks = [
                 _check_abs(
                     "degenerate_zero_beta",
                     "beta = 0 forces every sample to equal 0 exactly",
-                    float(np.max(np.abs(xs))), 0.0, 0.0,
+                    float(np.max(np.abs(n_fluct))), 0.0, 0.0,
                 )
             ]
         else:
             checks = _normal_law_checks(
-                "clt", "n(F_n - beta^2)", xs, summ, t.mean, t.variance, 0.03, 0.20
+                "clt", "n(F_n - beta^2)", n_fluct, summ, t.mean, t.variance, 0.03, 0.20
             )
-        return {"n_fluct": summ}, checks, {"n_fluct": xs}
+        return {"n_fluct": summ}, checks, {"n_fluct": n_fluct}
 
     def cross_checks(results):
         if t is None:
@@ -783,34 +846,16 @@ def _clt_plan(config: ExperimentConfig) -> _Plan:
             )
         ]
 
-    return _Plan(
-        lambda n: (replace(params, n=n),), log_partition_price, size_result,
-        cross_checks, targets,
-    )
+    return _Plan(log_partition_price, size_result, cross_checks, targets)
 
 
 def run_clt(config: ExperimentConfig) -> ExperimentReport:
     """Free-energy fluctuation law: n (F_n - beta^2) vs Normal(f1, alpha1)."""
-    return _drive(config, "clt", _clt_worker, _clt_plan)
+    return _drive(config, "clt", _clt_plan)
 
 
 # ---------------------------------------------------------------------------
 # cycles and tilted: signed-cycle laws
-
-
-def _cycles_worker(
-    n: int, seed: SeedSpec, count: int, kmax: int, budget: float
-) -> np.ndarray:
-    a = sample_gaussian_matrix(n, seed, count=count)
-    return cycle_series(a, kmax, budget=budget).values
-
-
-def _tilted_worker(
-    n: int, seed: SeedSpec, count: int, kmax: int, beta: float, sigma: np.ndarray,
-    budget: float,
-) -> np.ndarray:
-    a = sample_tilted_matrix(n, sigma, beta, seed, count)
-    return cycle_series(a, kmax, budget=budget).values
 
 
 def _cycle_variance(k: int) -> float:
@@ -872,27 +917,26 @@ def _cycle_statistics_checks(
 
 
 def _cycle_plan(
-    config: ExperimentConfig, size_args, targets, mean_targets, mean_floor, var_rel
+    config: ExperimentConfig, targets, mean_targets, mean_floor, var_rel, spins=None
 ) -> _Plan:
-    """Plan of the plain and tilted cycle runs, whose workers return
-    C_{n,1..kmax} in the columns of a replicate's row."""
+    """Plan of the plain and tilted cycle runs, which read C_{n,1..kmax},
+    the ``cycles`` column."""
     kmax = config.kmax
 
-    def size_result(n, values):
+    def size_result(n, cycles):
         summaries, checks = _cycle_statistics_checks(
-            values, n, kmax, mean_targets, mean_floor, var_rel
+            cycles, n, kmax, mean_targets, mean_floor, var_rel
         )
         return summaries, checks, {
-            f"cycle_{k}": values[:, k - 1] for k in range(1, kmax + 1)
+            f"cycle_{k}": cycles[:, k - 1] for k in range(1, kmax + 1)
         }
 
-    return _Plan(size_args, series_price, size_result, targets=targets)
+    return _Plan(series_price, size_result, targets=targets, spins=spins)
 
 
 def _cycles_plan(config: ExperimentConfig) -> _Plan:
     return _cycle_plan(
         config,
-        lambda n: (config.kmax, config.cycle_budget),
         targets=tuple(
             TargetValue(f"variance_{k}", _cycle_variance(k), "2k (k>=2), 1 (k=1)")
             for k in range(1, config.kmax + 1)
@@ -904,7 +948,7 @@ def _cycles_plan(config: ExperimentConfig) -> _Plan:
 def run_cycles(config: ExperimentConfig) -> ExperimentReport:
     """Signed-cycle law under the null ensemble: centered C_{n,k} are
     asymptotically independent Normal(0, 2k), independent of C_{n,1}."""
-    return _drive(config, "cycles", _cycles_worker, _cycles_plan)
+    return _drive(config, "cycles", _cycles_plan)
 
 
 def _tilted_plan(config: ExperimentConfig) -> _Plan:
@@ -915,13 +959,12 @@ def _tilted_plan(config: ExperimentConfig) -> _Plan:
     mean_targets = {k: (2.0 * beta) ** k for k in range(2, config.kmax + 1)}
     return _cycle_plan(
         config,
-        lambda n: (config.kmax, beta, _SPIN_VECTORS[config.sigma](n, seed),
-                   config.cycle_budget),
         targets=tuple(
             TargetValue(f"mean_{k}", mean_targets[k], "(2 beta)^k")
             for k in range(2, config.kmax + 1)
         ),
         mean_targets=mean_targets, mean_floor=0.15, var_rel=0.15,
+        spins=lambda n: _SPIN_VECTORS[config.sigma](n, seed),
     )
 
 
@@ -929,34 +972,23 @@ def run_tilted(config: ExperimentConfig) -> ExperimentReport:
     """Cycle law under the tilted ensemble: centered C_{n,k} shift to
     (2 beta)^k with unchanged variance 2k, for any fixed spin vector;
     ``config.sigma`` names the vector built at each size."""
-    return _drive(config, "tilted", _tilted_worker, _tilted_plan)
+    return _drive(config, "tilted", _tilted_plan)
 
 
 # ---------------------------------------------------------------------------
 # approx: cycles against Chebyshev spectral statistics
 
 
-def _approx_worker(
-    n: int, seed: SeedSpec, count: int, kmax: int, budget: float
-) -> np.ndarray:
-    """Per replicate, one row: C_{n,1..kmax}, then Tr (A/sqrt n)^1..kmax for
-    the plan's Tr P_k, both from one set of matrix products."""
-    a = sample_gaussian_matrix(n, seed, hollow=True, count=count)
-    series = cycle_series(a, kmax, budget=budget)
-    return np.hstack([series.values, series.traces])
-
-
 def _approx_plan(config: ExperimentConfig) -> _Plan:
     kmax = config.kmax
 
-    def size_result(n, outputs):
-        traces = outputs[:, kmax:].T
+    def size_result(n, cycles, traces):
         summaries = {}
         checks: list[Check] = []
         samples = {}
         for k in range(3, kmax + 1):
-            cyc = outputs[:, k - 1]
-            res = cyc - (chebyshev_trace(traces, n, k) - exact_centering(n, k))
+            cyc = cycles[:, k - 1]
+            res = cyc - (chebyshev_trace(traces.T, n, k) - exact_centering(n, k))
             samples[f"residual_{k}"] = res
             summaries[f"cycle_{k}"] = SampleSummary.from_samples(cyc)
             rsum = summaries[f"residual_{k}"] = SampleSummary.from_samples(res)
@@ -1001,9 +1033,7 @@ def _approx_plan(config: ExperimentConfig) -> _Plan:
             for k in range(4, kmax + 1)
         ]
 
-    return _Plan(
-        lambda n: (kmax, config.cycle_budget), series_price, size_result, cross_checks
-    )
+    return _Plan(series_price, size_result, cross_checks, hollow=True)
 
 
 def run_approx(config: ExperimentConfig) -> ExperimentReport:
@@ -1012,36 +1042,25 @@ def run_approx(config: ExperimentConfig) -> ExperimentReport:
     the shrink across sizes.  The centering E Tr P_k is exact
     (``cycles.exact_centering``); ``config.centering_replicates`` is
     validated and echoed but draws no samples."""
-    return _drive(config, "approx", _approx_worker, _approx_plan)
+    return _drive(config, "approx", _approx_plan)
 
 
 # ---------------------------------------------------------------------------
 # decomposition: log Z against its signed-cycle expansion
 
 
-def _decomposition_worker(
-    n: int, seed: SeedSpec, count: int, params: ModelParams, m: int, budget: float
-) -> np.ndarray:
-    """Per replicate, one row: the residual and n(F_n - beta^2)."""
-    a = sample_gaussian_matrix(n, seed, count=count)
-    log_z = exact_log_partition(a, params)
-    resid = decomposition_residual(a, params, m, log_z, cycle_budget=budget)
-    return np.column_stack([resid, log_z - n * params.beta**2])
-
-
 def _decomposition_plan(config: ExperimentConfig) -> _Plan:
     params = config.params
     degenerate = params.beta == 0.0
 
-    def size_result(n, outputs):
-        res, fluct = outputs.T
-        rsum = SampleSummary.from_samples(res)
-        fsum = SampleSummary.from_samples(fluct)
+    def size_result(n, residual, n_fluct):
+        rsum = SampleSummary.from_samples(residual)
+        fsum = SampleSummary.from_samples(n_fluct)
         if degenerate:
             check = _check_abs(
                 "degenerate_zero_beta",
                 "beta = 0 forces every residual to equal 0 exactly",
-                float(np.max(np.abs(res))), 0.0, 0.0,
+                float(np.max(np.abs(residual))), 0.0, 0.0,
             )
         else:
             check = Check(
@@ -1053,7 +1072,7 @@ def _decomposition_plan(config: ExperimentConfig) -> _Plan:
                 passed=bool(rsum.variance < fsum.variance),
             )
         summaries = {"residual": rsum, "n_fluct": fsum}
-        return summaries, [check], {"residual": res, "n_fluct": fluct}
+        return summaries, [check], {"residual": residual, "n_fluct": n_fluct}
 
     def cross_checks(results):
         if degenerate:
@@ -1068,16 +1087,14 @@ def _decomposition_plan(config: ExperimentConfig) -> _Plan:
         ]
 
     return _Plan(
-        lambda n: (replace(params, n=n), config.m, config.cycle_budget),
-        lambda n: log_partition_price(n) + series_price(n),
-        size_result, cross_checks,
+        lambda n: log_partition_price(n) + series_price(n), size_result, cross_checks
     )
 
 
 def run_decomposition(config: ExperimentConfig) -> ExperimentReport:
     """Signed-cycle decomposition of log Z: the truncated expansion explains
     most of the free-energy fluctuation and its residual shrinks with n."""
-    return _drive(config, "decomposition", _decomposition_worker, _decomposition_plan)
+    return _drive(config, "decomposition", _decomposition_plan)
 
 
 def run_identities(max_k: int = combinat.CANCELLATION_MAX_K) -> ExperimentReport:

@@ -327,6 +327,9 @@ _EDGE_REFUSALS = [
     "clt --n 24 --beta 0.25 --reps 1000 --out /",
     "cycles --n 4 --kmax 3 --format csv --out /nonexistent/x.json",
     "approx --n 4 --kmax 3 --format csv --out /",
+    # more stored values than experiments.MAX_STORED_VALUES
+    "clt --n 4 --beta 0.2 --reps 50000000", "approx --n 5 --kmax 5 --reps 1000000000",
+    "cycles --n 4 --kmax 4 --n-grid 2,3 --reps 500000",
 ]
 
 
@@ -366,6 +369,25 @@ def test_a_memory_error_ends_in_one_error_line(monkeypatch, capsys, argv, target
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {str(exc) or 'out of memory'}\n"
+
+
+def test_a_run_beyond_the_stored_values_cap_is_refused_under_a_memory_limit():
+    """Under a 1.5 GB address-space limit this line once computed for four
+    minutes and then ran out of memory in its KS test; now it is refused
+    before any replicate, in one error line that names the replicates."""
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000,) * 2); "
+        "from skcw.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(experiments.__file__).resolve().parents[1]))
+    argv = ["clt", "--n", "4", "--beta", "0.2", "--reps", "50000000"]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: clt would store 50000000 replicates x 1 sizes x 1 columns")
+    assert f"at most {experiments.MAX_STORED_VALUES} replicates fit" in line
 
 
 def test_a_constant_cycle_column_fails_its_correlation_check(capsys):
@@ -611,6 +633,16 @@ def test_the_cli_process_starts_one_blas_thread_unless_told(blas_threads, expect
     assert int(blas) == expected
     if sys.platform.startswith("linux"):
         assert int(os_threads) == expected
+
+
+def test_importing_the_cli_loads_neither_fractions_nor_decimal():
+    """The exact centering sums in integers, so only ``walk_moments``, which
+    the tests call, imports ``fractions`` (and with it ``decimal``)."""
+    code = (
+        "import sys, skcw.cli; "
+        "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))"
+    )
+    assert _fresh_interpreter(code).strip() == "[]"
 
 
 def test_importing_the_cli_after_numpy_leaves_the_environment_alone():

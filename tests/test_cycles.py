@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skcw import cycles
+from skcw import combinat, cycles
 from skcw.cycles import (
     _walk_sums,
     chebyshev_lss,
@@ -485,6 +485,15 @@ def test_exact_centering_at_k4_is_one_plus_one_over_n(n):
     patterns, so E Tr(A/sqrt n)^4 = (n-1)(2n-1)/n, and the P_4 = x^4-4x^2+2
     combination leaves 1 + 1/n."""
     assert exact_centering(n, 4) == float(Fraction(n + 1, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 50, 100, 200, 1000, 12345])
+def test_exact_centering_is_the_rounded_rational_centering(n):
+    """The integer sum over n^(k/2) rounds once, as the Chebyshev
+    combination of the Fraction moments does: the same float at every k."""
+    for k in range(1, combinat.WALK_MOMENT_MAX_J + 1):
+        exact = chebyshev_trace(combinat.walk_moments(n, k), n, k)
+        assert exact_centering(n, k) == float(exact), k
 
 
 def test_exact_centering_odd_is_zero_and_even_is_bounded():

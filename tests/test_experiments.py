@@ -641,22 +641,59 @@ def test_a_million_replicates_make_stream_range_stacks(workers):
 
 @pytest.mark.parametrize("kind", ex.KINDS)
 def test_a_worker_returns_one_float_row_per_replicate(kind):
-    """Each worker returns one float64 array for its stack, one row per
-    replicate, and each row is bit for bit the row of that replicate's
-    stack of one."""
+    """The worker returns one float64 array for each kind's stack, one row
+    of the kind's columns per replicate, and each row is bit for bit the
+    row of that replicate's stack of one."""
     cfg = ex.ExperimentConfig(
         kind=kind, params=ModelParams(beta=0.2, n=8), replicates=3, master_seed=9,
         kmax=4, m=3, sigma="random",
     )
-    worker = getattr(ex, f"_{kind}_worker")
-    args = getattr(ex, f"_{kind}_plan")(cfg).size_args(8)
+    worker = ex._observation_worker
+    [args] = ex._size_args(cfg, getattr(ex, f"_{kind}_plan")(cfg))
     rows = worker(8, SeedSpec(9, 0), 3, *args)
     assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
-    assert len(rows) == 3
+    assert rows.shape == (3, {"clt": 1, "decomposition": 2, "approx": 8}.get(kind, 4))
     for r, row in enumerate(rows):
         single = worker(8, SeedSpec(9, r), 1, *args)
         assert single.shape == (1, *rows.shape[1:])
         assert single[0].tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("kind", ex.KINDS)
+def test_a_column_has_the_same_bits_alone_and_in_every_kinds_set(kind):
+    """Under each kind's sampler, each column the worker computes is bit
+    for bit the same whether it is asked for alone or in any kind's set."""
+    cfg = ex.ExperimentConfig(
+        kind=kind, params=ModelParams(beta=0.2, J=0.5, n=8), replicates=5, master_seed=4,
+        kmax=4, m=4, sigma="random",
+    )
+    [(_, *args)] = ex._size_args(cfg, getattr(ex, f"_{kind}_plan")(cfg))
+    depth = args[1]
+
+    def columns(names):
+        rows = ex._observation_worker(8, SeedSpec(4, 7), 5, names, *args)
+        widths = [depth if name in ex.SERIES_COLUMNS else 1 for name in names]
+        assert rows.shape == (5, sum(widths))
+        return zip(names, np.split(rows, np.cumsum(widths)[:-1], axis=1))
+
+    alone = {name: dict(columns((name,)))[name] for name in ("n_fluct", "residual",
+                                                             "cycles", "traces")}
+    for names in ex.KIND_COLUMNS.values():
+        for name, values in columns(names):
+            assert values.tobytes() == alone[name].tobytes(), (names, name)
+
+
+@pytest.mark.parametrize("kind, width", [("clt", 1), ("tilted", 3), ("approx", 6),
+                                         ("decomposition", 2)])
+def test_a_config_stores_at_most_the_cap(kind, width):
+    """Replicates times sizes times the kind's row width (kmax or m = 3)
+    may reach ``MAX_STORED_VALUES``, and one replicate more is refused."""
+    cap = ex.MAX_STORED_VALUES
+    kwargs = dict(kind=kind, params=ModelParams(beta=0.2, n=4), master_seed=1, kmax=3, m=3,
+                  n_grid=(3,))
+    ex.ExperimentConfig(replicates=cap // (2 * width), **kwargs)
+    with pytest.raises(ValueError, match=f"{cap // (2 * width) + 1} replicates x 2 sizes"):
+        ex.ExperimentConfig(replicates=cap // (2 * width) + 1, **kwargs)
 
 
 @pytest.mark.parametrize("kind, kwargs", [
@@ -731,7 +768,7 @@ def _assert_no_child_left():
 def _two_worker_clt(monkeypatch, worker):
     """A clt config that forks two workers running ``worker``: the fork is
     priced at one operation, so the worker never runs in this process."""
-    monkeypatch.setattr(ex, "_clt_worker", worker)
+    monkeypatch.setattr(ex, "_observation_worker", worker)
     monkeypatch.setattr(ex, "_usable_cores", lambda: 2)
     monkeypatch.setattr(ex, "FORK_OPERATIONS", 1)
     return ex.ExperimentConfig(
