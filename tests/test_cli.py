@@ -86,6 +86,21 @@ def test_help_shows_each_flags_real_default(capsys, kind):
         assert "(default: 1000000000.0)" in text
 
 
+HELP_TEXT = Path(__file__).resolve().parent / "data" / "help_text.json"
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="argparse lays help out differently from Python 3.13 on")
+@pytest.mark.parametrize("command", ["skcw", *experiments.KINDS])
+def test_help_text_is_the_stored_text(monkeypatch, capsys, command):
+    """``skcw --help`` and each experiment subcommand's ``--help`` print the
+    stored text, at an 80-column terminal."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command == "skcw" else [command, "--help"]
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == json.loads(HELP_TEXT.read_text())[command]
+
+
 def test_clt_small_run_and_report_round_trip(tmp_path, capsys):
     out = tmp_path / "clt.json"
     argv = [
@@ -313,29 +328,73 @@ _EDGE_RUNS = [
     "clt --n 24 --beta 0.2 --J -3.7e50 --reps 2", "clt --n 24 --beta 0.2 --J -1e100 --reps 2",
     "clt --n 28 --beta 0.2 --J -1e20 --reps 2",
 ]
+# each refused line with the one error line it prints
 _EDGE_REFUSALS = [
-    "clt --n 4 --beta -1e-3", "clt --n 8 --beta 0.2 --J 1e100",
-    "tilted --n 6 --beta 1e100 --kmax 4", "tilted --n 6 --beta 1e50 --kmax 3",
-    "cycles --n 4 --budget 0", "cycles --n 4 --budget nan", "cycles --n 4 --budget -1e3",
-    "cycles --n 4 --n-grid 4,4", "clt --n 4 --beta 0.2 --n-grid 3,4,4",
-    "clt --n 0 --beta 0.2",
-    "clt --n 6 --beta 0.2 --Jprime 1e308 --reps 25",
-    "decomposition --n 6 --beta 0.2 --Jprime 1e308 --reps 25 --m 4",
-    "clt --n 6 --beta 0.49 --J -1e308 --reps 25", "clt --n 6 --beta 1e-170 --reps 25",
+    ("clt --n 4 --beta -1e-3", "beta must be nonnegative, got -0.001"),
+    ("clt --n 8 --beta 0.2 --J 1e100",
+     "parameters beta=0.2, J=1e+100 violate the paramagnetic regime "
+     "(need beta < 1/2 and beta*J < 1/2)"),
+    ("tilted --n 6 --beta 1e100 --kmax 4",
+     "tilted needs (2 beta)^14 below 1e308, got beta=1e+100 with kmax=4"),
+    ("tilted --n 6 --beta 1e50 --kmax 3",
+     "tilted needs (2 beta)^10 below 1e308, got beta=1e+50 with kmax=3"),
+    ("cycles --n 4 --budget 0", "2*n^3 = 128 is not within the operation budget 0"),
+    ("cycles --n 4 --budget nan", "the operation budget nan is not >= 0"),
+    ("cycles --n 4 --budget -1e3", "the operation budget -1e+03 is not >= 0"),
+    ("cycles --n 4 --n-grid 4,4", "n_grid must be strictly increasing"),
+    ("clt --n 4 --beta 0.2 --n-grid 3,4,4", "n_grid must be strictly increasing"),
+    ("clt --n 0 --beta 0.2", "n must be positive, got 0"),
+    ("clt --n 6 --beta 0.2 --Jprime 1e308 --reps 25",
+     "clt needs the replicates times (beta (|J| (n-1) + |J'|))^2 within 1e307, "
+     "got beta=0.2, J=0, J'=1e+308 at n=6 with 25 replicates"),
+    ("decomposition --n 6 --beta 0.2 --Jprime 1e308 --reps 25 --m 4",
+     "decomposition needs the replicates times (beta (|J| (n-1) + |J'|))^2 within "
+     "1e307, got beta=0.2, J=0, J'=1e+308 at n=6 with 25 replicates"),
+    ("clt --n 6 --beta 0.49 --J -1e308 --reps 25",
+     "clt needs the replicates times (beta (|J| (n-1) + |J'|))^2 within 1e307, "
+     "got beta=0.49, J=-1e+308, J'=0 at n=6 with 25 replicates"),
+    ("clt --n 6 --beta 1e-170 --reps 25",
+     "clt needs a positive limit variance, got 0 at beta=1e-170, J=0, J'=0"),
     # an --out that cannot be written: refused before the run, not after it
-    "clt --n 24 --beta 0.25 --reps 1000 --out /nonexistent/x.json",
-    "clt --n 24 --beta 0.25 --reps 1000 --out /",
-    "cycles --n 4 --kmax 3 --format csv --out /nonexistent/x.json",
-    "approx --n 4 --kmax 3 --format csv --out /",
+    ("clt --n 24 --beta 0.25 --reps 1000 --out /nonexistent/x.json",
+     "cannot write '/nonexistent/x.json': no directory '/nonexistent'"),
+    ("clt --n 24 --beta 0.25 --reps 1000 --out /", "cannot write '/': it is a directory"),
+    ("cycles --n 4 --kmax 3 --format csv --out /nonexistent/x.json",
+     "cannot write '/nonexistent/x.json': no directory '/nonexistent'"),
+    ("approx --n 4 --kmax 3 --format csv --out /", "cannot write '/': it is a directory"),
     # more stored values than experiments.MAX_STORED_VALUES
-    "clt --n 4 --beta 0.2 --reps 50000000", "approx --n 5 --kmax 5 --reps 1000000000",
-    "cycles --n 4 --kmax 4 --n-grid 2,3 --reps 500000",
+    ("clt --n 4 --beta 0.2 --reps 50000000",
+     "clt would store 50000000 replicates x 1 sizes x 1 columns = 50000000 values, "
+     "above the cap of 4194304; at most 4194304 replicates fit"),
+    ("approx --n 5 --kmax 5 --reps 1000000000",
+     "approx would store 1000000000 replicates x 1 sizes x 10 columns = 10000000000 "
+     "values, above the cap of 4194304; at most 419430 replicates fit"),
+    ("cycles --n 4 --kmax 2 --n-grid 2,3 --reps 800000",
+     "cycles would store 800000 replicates x 3 sizes x 2 columns = 4800000 values, "
+     "above the cap of 4194304; at most 699050 replicates fit"),
+    # a kmax above the grid's smallest size is refused before the cap is priced
+    ("cycles --n 4 --kmax 4 --n-grid 2,3 --reps 500000",
+     "cycles needs 1 <= kmax <= n at every size, got kmax=4 with smallest n=2"),
+    # the remaining refusals of ExperimentConfig: regime, enumeration bound,
+    # depth range, centering count and closed-form bound
+    ("clt --n 4 --beta 0.5",
+     "parameters beta=0.5, J=0.0 violate the paramagnetic regime "
+     "(need beta < 1/2 and beta*J < 1/2)"),
+    ("clt --n 29 --beta 0.2", "n=29 exceeds the enumeration bound 28"),
+    ("approx --n 5 --kmax 2",
+     "approx needs 3 <= kmax <= n at every size, got kmax=2 with smallest n=5"),
+    ("approx --n 5 --kmax 3 --centering-reps 0",
+     "need at least 1 centering replicate, got 0"),
+    ("decomposition --n 4 --beta 0.2 --m 5",
+     "decomposition needs 1 <= m <= n at every size, got m=5 with smallest n=4"),
+    ("cycles --n 8 --kmax 6", "k=6 exceeds the closed-form bound 5"),
 ]
 
 
-@pytest.mark.parametrize("line, refused", [(line, False) for line in _EDGE_RUNS]
-                         + [(line, True) for line in _EDGE_REFUSALS])
+@pytest.mark.parametrize("line, refused", [(line, None) for line in _EDGE_RUNS]
+                         + _EDGE_REFUSALS)
 def test_edge_case_command_lines_end_in_a_report_or_one_error(request, capsys, line, refused):
+    """A line runs to a report, or exits 1 with its one error line."""
     if refused:
         request.getfixturevalue("no_compute")  # refused before any replicate runs
     argv = shlex.split(line)
@@ -346,7 +405,8 @@ def test_edge_case_command_lines_end_in_a_report_or_one_error(request, capsys, l
     assert "Traceback" not in err
     if refused:
         assert code == EXIT_USAGE
-        assert len([ln for ln in err.splitlines() if ln.startswith("error:")]) == 1
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+            f"error: {refused}"]
     else:
         assert code in (EXIT_OK, EXIT_VERDICT), err
         json.loads(out, parse_constant=refuse_constant)
