@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -287,6 +288,13 @@ def _cmd_sample(args) -> int:
 
 def _cmd_free_energy(args) -> int:
     params = ModelParams(beta=args.beta, J=args.J, Jprime=args.Jprime, n=args.n)
+    try:
+        mean_field = args.n * args.beta**2
+    except OverflowError:
+        mean_field = math.inf
+    if mean_field == math.inf:
+        raise ValueError(f"free-energy needs n beta^2 below 1.8e308, got beta={args.beta:g} "
+                         f"at n={args.n}")
     a = randmat.sample_gaussian_matrix(args.n, randmat.SeedSpec(args.seed, args.stream))
     log_z = gibbs.exact_log_partition(a, params)
     payload = {
@@ -296,7 +304,7 @@ def _cmd_free_energy(args) -> int:
                    "Jprime": args.Jprime, "seed": args.seed, "stream": args.stream},
         "log_partition": log_z,
         "free_energy": log_z / args.n,
-        "n_fluct": log_z - args.n * args.beta**2,
+        "n_fluct": log_z - mean_field,
     }
     if params.paramagnetic and args.beta > 0:
         t = gibbs.clt_targets(params)

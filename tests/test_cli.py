@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skcw import combinat, experiments, randmat
+from skcw import combinat, experiments, gibbs, randmat
 from skcw.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, build_parser, main
 from skcw.gibbs import ModelParams
 from skcw.randmat import load_matrix_text
@@ -27,13 +27,14 @@ def refuse_constant(name):
 
 @pytest.fixture
 def no_compute(monkeypatch):
-    """Fail the test if any replicate or centering is computed."""
+    """Fail the test if any replicate, centering or free-energy log Z is computed."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("computed before the command line was rejected")
 
     monkeypatch.setattr(experiments, "_stacks", refuse)
     monkeypatch.setattr(experiments, "exact_centering", refuse)
+    monkeypatch.setattr(gibbs, "exact_log_partition", refuse)
 
 
 def test_identities_exits_zero(tmp_path):
@@ -388,6 +389,11 @@ _EDGE_REFUSALS = [
     ("decomposition --n 4 --beta 0.2 --m 5",
      "decomposition needs 1 <= m <= n at every size, got m=5 with smallest n=4"),
     ("cycles --n 8 --kmax 6", "k=6 exceeds the closed-form bound 5"),
+    # n beta^2 beyond the float range: refused before log Z is enumerated
+    ("free-energy --n 24 --beta 1e200",
+     "free-energy needs n beta^2 below 1.8e308, got beta=1e+200 at n=24"),
+    ("free-energy --n 4 --beta 1e154 --J 1",
+     "free-energy needs n beta^2 below 1.8e308, got beta=1e+154 at n=4"),
 ]
 
 
@@ -398,7 +404,7 @@ def test_edge_case_command_lines_end_in_a_report_or_one_error(request, capsys, l
     if refused:
         request.getfixturevalue("no_compute")  # refused before any replicate runs
     argv = shlex.split(line)
-    if "--reps" not in argv:
+    if argv[0] in experiments.KINDS and "--reps" not in argv:
         argv += ["--reps", "3"]
     code = run(argv)  # an exception escaping main fails the test
     out, err = capsys.readouterr()
