@@ -9,8 +9,9 @@ written is refused before any work is done.
 The five experiment subcommands share one path: their flags become an
 ``ExperimentConfig``, which validates the whole --n-grid before any
 replicate runs, and ``experiments.run_<subcommand>`` produces the report
-from that config alone.  ``experiments.KIND_FIELDS`` names the inputs each
-kind reads: besides the inputs of every run, a subcommand takes flags for
+from that config alone.  Each subcommand is built from its kind's row of
+``experiments.KIND_TABLE``: its help, its flag defaults and the inputs it
+reads.  Besides the inputs of every run, a subcommand takes flags for
 those alone, and its report's ``config`` block echoes those alone.  An
 experiment run builds the parser of its own subcommand only; its help and
 usage errors are the same bytes as with every subcommand built.
@@ -79,8 +80,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# the flag of each config field an experiment kind may read
-# (experiments.KIND_FIELDS), stored under the field's name
+# the flag of each config field an experiment kind may read (the ``fields``
+# of its row of experiments.KIND_TABLE), stored under the field's name
 _FIELD_FLAGS = {
     "beta": ("--beta", dict(type=float, required=True, help="inverse temperature")),
     "J": ("--J", dict(type=float, default=0.0, help="uniform coupling")),
@@ -98,16 +99,6 @@ _FIELD_FLAGS = {
         "accepted (>= 1) and echoed in the report; the centering is exact, so no "
         "centering samples are drawn"))),
 }
-
-# help and flag defaults of each experiment subcommand
-_SUBCOMMANDS = {
-    "clt": ("free-energy fluctuation experiment", {}),
-    "cycles": ("signed-cycle statistics under the null law", {"kmax": 4}),
-    "tilted": ("signed-cycle statistics under the tilt", {"kmax": 3}),
-    "approx": ("cycle vs spectral-statistic residuals", {"kmax": 5}),
-    "decomposition": ("cycle decomposition of log Z", {}),
-}
-
 
 def _add_field_flags(p, fields):
     for field in fields:
@@ -161,8 +152,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _add_experiment_parser(sub, kind: str) -> None:
-    help_text, defaults = _SUBCOMMANDS[kind]
-    p = sub.add_parser(kind, help=help_text)
+    row = experiments.KIND_TABLE[kind]
+    p = sub.add_parser(kind, help=row.help)
     p.add_argument("--n", type=int, required=True, help="system size")
     p.add_argument("--reps", type=int, default=1000, help="Monte Carlo replicates")
     p.add_argument("--seed", type=int, default=1, help="master seed")
@@ -178,8 +169,8 @@ def _add_experiment_parser(sub, kind: str) -> None:
                    help="csv also writes raw samples to <out>.csv (needs --out)")
     p.add_argument("--raw-samples", action="store_true",
                    help="keep per-replicate samples in the report")
-    _add_field_flags(p, experiments.KIND_FIELDS[kind])
-    p.set_defaults(**defaults)
+    _add_field_flags(p, row.fields)
+    p.set_defaults(**row.flag_defaults)
 
 
 def _parse_grid(text):
@@ -246,7 +237,7 @@ def _report_exit(report: ExperimentReport, args) -> int:
 
 def _make_config(args) -> ExperimentConfig:
     # the fields the kind reads, each flag defaulting to the config's default
-    read = {f: getattr(args, f) for f in experiments.KIND_FIELDS[args.command]}
+    read = {f: getattr(args, f) for f in experiments.KIND_TABLE[args.command].fields}
     params = {f: read.pop(f) for f in ("beta", "J", "Jprime") if f in read}
     return ExperimentConfig(
         kind=args.command,

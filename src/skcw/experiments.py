@@ -1,20 +1,22 @@
 """Replicated Monte Carlo experiments, statistics and machine-readable reports.
 
 The five experiments (clt, cycles, tilted, approx, decomposition) share
-one driver, ``_drive``, and one worker, ``_observation_worker``.  An
-``ExperimentConfig`` is the one input of every run, checked with every
-size of its grid before any sample is drawn; the report echoes what its
-kind reads of it (``KIND_FIELDS``), so a report re-runs from it.  Each
-kind names the columns it reads of every matrix (``KIND_COLUMNS``), and
-its ``_Plan`` gives its sampler, a per-size builder of summaries, checks
+one driver, ``_drive``, and one worker, ``_observation_worker``.  Each kind
+is one ``Kind`` row of ``KIND_TABLE`` (its help and flag defaults, fields,
+columns, plan builder and own refusals), so a new kind is one row and one
+plan.  An ``ExperimentConfig`` is the one input of every run, checked with
+every size of its grid before any sample is drawn; the report echoes the
+fields its kind reads, so a report re-runs from it.  Which of log Z and a
+cycle series the kind's columns need (``_needs``) decides what the worker
+computes, what a run is priced at and which shared refusals it meets.  The
+kind's ``_Plan`` gives its sampler, a per-size builder of summaries, checks
 and raw samples that takes the columns by name, the cross-size checks and
 the targets.  Replicate r at size index s uses stream_id = s * 2^32 + r
 under the master seed.  The unit of work is a stack, the ``count``
 consecutive streams of one size from ``seed`` (at most ``STACK_ELEMENTS``
 matrix entries): ``_observation_worker(n, seed, count, *size args)``
-samples it as one (B, n, n) array, computes log Z and the cycle series
-once each where a column reads them, and returns one float array, a row
-per replicate, each value bit for bit what the replicate alone gives.  A
+samples it as one (B, n, n) array and returns one float array, a row per
+replicate, each value bit for bit what the replicate alone gives.  A
 run whose priced work does not pay for a second worker (``_worker_count``:
 below 2^32 operations, every benchmark line and criterion 8 but not
 criteria 4-7) computes in this process; otherwise the stacks run in forked
@@ -41,7 +43,7 @@ import os
 import pickle
 import signal
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,28 +75,13 @@ from .randmat import (
 )
 
 SCHEMA_VERSION = 1
-# the inputs each kind's run reads besides params.n and the fields no kind
-# lists (replicates, master_seed, n_grid, threads, keep_raw): the CLI offers,
-# and the report echoes, only these
-KIND_FIELDS = {
-    "clt": ("beta", "J", "Jprime"),
-    "cycles": ("kmax", "cycle_budget"),
-    "tilted": ("beta", "kmax", "cycle_budget", "sigma"),
-    "approx": ("kmax", "cycle_budget", "centering_replicates"),
-    "decomposition": ("beta", "J", "Jprime", "m", "cycle_budget"),
-}
-KINDS = tuple(KIND_FIELDS)
-# the columns ``_observation_worker`` computes of every matrix of each kind,
-# in row order: one value per matrix (``n_fluct``, log Z - n beta^2;
-# ``residual``, the decomposition residual at m), or one per k = 1..depth for
-# the ``SERIES_COLUMNS`` (``cycles``, C_{n,k}; ``traces``, Tr (A_hollow/sqrt n)^k)
-KIND_COLUMNS = {
-    "clt": ("n_fluct",),
-    "cycles": ("cycles",),
-    "tilted": ("cycles",),
-    "approx": ("cycles", "traces"),
-    "decomposition": ("residual", "n_fluct"),
-}
+# the columns ``_observation_worker`` computes of a matrix, each with what it
+# needs of the matrix, (log Z, its cycle series at the run's depth): one
+# value per matrix (``n_fluct``, log Z - n beta^2; ``residual``, the
+# decomposition residual at m), or one per k = 1..depth for the
+# ``SERIES_COLUMNS`` (``cycles``, C_{n,k}; ``traces``, Tr (A_hollow/sqrt n)^k)
+_COLUMN_NEEDS = {"n_fluct": (True, False), "residual": (True, True),
+                 "cycles": (False, True), "traces": (False, True)}
 SERIES_COLUMNS = ("cycles", "traces")
 # the most values a run may store: replicates times sizes times the row width
 # of its kind's columns (``_row_dtype``).  A run holds each value several
@@ -118,10 +105,10 @@ _STREAM_BLOCK = 1 << 32
 # 113 matrices at n = 12, 40 at n = 20, and one from n = 91 on, where a
 # stacked product runs slower than one matrix at a time
 STACK_ELEMENTS = 1 << 14
-# a run forks only when its priced work (replicates times the grid's summed
-# ``_Plan.price``) reaches two of these.  Each forked child costs 11-16 ms
-# of CPU beyond its share, and on the 2-vCPU VM two children often take
-# turns on what behaves like one CPU.  A sweep of one worker against two
+# a run forks only when its priced work (``_worker_count``: replicates
+# times the grid's summed price) reaches two of these.  Each forked child
+# costs 11-16 ms of CPU beyond its share, and on the 2-vCPU VM two children
+# often take turns on what behaves like one CPU.  A sweep of one worker against two
 # (wall ms of ``cli.main``, medians of 16 alternating fresh-process pairs
 # over ten minutes, with the pairs two workers won; priced work in brackets):
 #   decomposition 12..20, 200 replicates (1.2e8)    44 /   73   0/16
@@ -145,6 +132,29 @@ FORK_OPERATIONS = 1 << 31
 
 # ---------------------------------------------------------------------------
 # configuration and report structure
+
+
+def _needs(columns: Sequence[str]) -> tuple[bool, bool]:
+    """Whether ``columns`` of a matrix need (its log Z, its cycle series):
+    the one rule of what a run computes, is priced at and is refused for."""
+    return tuple(any(_COLUMN_NEEDS[c][i] for c in columns) for i in (0, 1))
+
+
+class Kind(NamedTuple):
+    """One experiment kind, declared once: its row of ``KIND_TABLE``."""
+
+    help: str  # of its subcommand
+    # the config fields its run reads besides params.n and those of every run
+    # (replicates, master_seed, n_grid, threads, keep_raw): the CLI offers,
+    # and the report echoes, only these
+    fields: tuple[str, ...]
+    columns: tuple[str, ...]  # what the worker computes of every matrix, in row order
+    plan: Callable[[ExperimentConfig], _Plan]
+    # raises for a config its own bounds refuse, after those of its columns' needs
+    refusals: Callable[[ExperimentConfig], None] = lambda config: None
+    flag_defaults: dict = {}  # of its subcommand, where they differ from the config's
+    depth: str = "kmax"  # the config field of its cycle series' depth
+    least_depth: int = 1
 
 
 @dataclass(frozen=True)
@@ -192,17 +202,19 @@ class ExperimentConfig:
         """Reject a configuration that would fail partway through its run.
 
         Every size of the grid is checked here, before any replicate is
-        computed.  The hard bounds come first (sizes, regime,
-        ``check_enumeration``, energy scale, clt limit variance, kmax or m
-        range, centering count), then ``check_cycle_budget``, the one
-        compute guard: its closed-form bound on kmax or m, then the
-        operation budget at the largest size.
+        computed.  The sizes come first, then for log Z the regime,
+        ``check_enumeration`` and the energy scale, for a series the depth
+        range, then the row's own refusals, and last, for a series,
+        ``check_cycle_budget``, the one compute guard: its closed-form bound
+        on the depth, then the operation budget at the largest size.
         """
         smallest, largest = self.sizes[0], self.sizes[-1]
         if smallest < 1:
             raise ValueError(f"sizes must be positive, got n={smallest}")
+        row = KIND_TABLE[self.kind]
+        log_z, series = _needs(row.columns)
         p = self.params
-        if self.kind in ("clt", "decomposition"):
+        if log_z:
             p.require_paramagnetic()
             check_enumeration(largest)
             # |beta H| <= beta sum |M_ij|, whose J and J' parts are the energy
@@ -218,40 +230,19 @@ class ExperimentConfig:
                     f"{self.kind} needs the replicates times (beta (|J| (n-1) + |J'|))^2 "
                     f"within 1e307, got beta={p.beta:g}, J={p.J:g}, J'={p.Jprime:g} "
                     f"at n={largest} with {self.replicates} replicates")
-        if self.kind == "clt":
-            # the KS test divides by the limit variance, about beta^2
-            if p.beta > 0 and not clt_targets(p).variance > 0:
-                raise ValueError(
-                    f"clt needs a positive limit variance, got 0 at beta={p.beta:g}, "
-                    f"J={p.J:g}, J'={p.Jprime:g}")
-            return
-        name = "m" if self.kind == "decomposition" else "kmax"
-        depth = self.depth
-        low = 3 if self.kind == "approx" else 1
-        if not low <= depth <= smallest:
+        if series and not row.least_depth <= self.depth <= smallest:
             raise ValueError(
-                f"{self.kind} needs {low} <= {name} <= n at every size, got "
-                f"{name}={depth} with smallest n={smallest}"
+                f"{self.kind} needs {row.least_depth} <= {row.depth} <= n at every size, "
+                f"got {row.depth}={self.depth} with smallest n={smallest}"
             )
-        if self.kind == "approx":
-            # accepted and echoed for existing command lines; the centering
-            # is exact, so no sample is drawn from it
-            if self.centering_replicates is not None and self.centering_replicates < 1:
-                raise ValueError(
-                    f"need at least 1 centering replicate, got {self.centering_replicates}"
-                )
-        # the tilted statistics square C_{n,k}, which is near (2 beta)^k, and
-        # from kmax = 3 on multiply the variances of C_{n,kmax-1} and C_{n,kmax}
-        power = 2 * depth if depth < 3 else 4 * depth - 2
-        if self.kind == "tilted" and power * math.log10(max(2 * self.params.beta, 1)) >= 308:
-            raise ValueError(f"tilted needs (2 beta)^{power} below 1e308, got "
-                             f"beta={self.params.beta:g} with kmax={depth}")
-        check_cycle_budget(largest, depth, self.cycle_budget)
+        row.refusals(self)
+        if series:
+            check_cycle_budget(largest, self.depth, self.cycle_budget)
 
     @property
     def depth(self) -> int:
         """The depth of the cycles the kind reads: m for decomposition, else kmax."""
-        return self.m if self.kind == "decomposition" else self.kmax
+        return getattr(self, KIND_TABLE[self.kind].depth)
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -391,10 +382,10 @@ class ExperimentReport:
 
 def _config_echo(config: ExperimentConfig) -> dict:
     """The config as a report echoes it, in strict JSON: only the inputs its
-    kind reads (``KIND_FIELDS``), the grid as a list and an infinite budget
-    as the string ``"inf"``."""
-    read = KIND_FIELDS[config.kind]
-    unread = {f for row in KIND_FIELDS.values() for f in row if f not in read}
+    kind reads (its row's ``fields``), the grid as a list and an infinite
+    budget as the string ``"inf"``."""
+    read = KIND_TABLE[config.kind].fields
+    unread = {f for row in KIND_TABLE.values() for f in row.fields if f not in read}
     d = {k: v for k, v in asdict(config).items() if k not in unread}
     d["params"] = {k: v for k, v in d["params"].items() if k not in unread}
     d["n_grid"] = list(config.n_grid) if config.n_grid else None
@@ -668,14 +659,11 @@ class _Plan:
 
     Its sampler draws the Gaussian ensemble, hollow if ``hollow``, or tilts
     it by beta along the spin vector ``spins(n)``.  ``size_result(n,
-    **columns)`` takes the kind's columns (``KIND_COLUMNS``) at size n by
-    name, a row per replicate, and returns (summaries, checks, raw
+    **columns)`` takes the kind's columns (its row's ``columns``) at size n
+    by name, a row per replicate, and returns (summaries, checks, raw
     samples); ``cross_checks(results)`` compares the sizes of a grid run.
-    ``price(n)`` is what one replicate at size n costs in the operations of
-    the cycle budget, which ``_worker_count`` weighs against a fork's price.
     """
 
-    price: Callable[[int], float]
     size_result: Callable[..., tuple[dict, list, dict]]
     cross_checks: Callable[[list], list] = lambda results: []
     targets: tuple[TargetValue, ...] = ()
@@ -687,7 +675,7 @@ def _size_args(config: ExperimentConfig, plan: _Plan) -> list[tuple]:
     """The worker arguments after ``(n, seed, count)`` at each size, built
     and checked before any replicate runs."""
     return [
-        (KIND_COLUMNS[config.kind], replace(config.params, n=n), config.depth,
+        (KIND_TABLE[config.kind].columns, replace(config.params, n=n), config.depth,
          config.cycle_budget, plan.hollow, None if plan.spins is None else plan.spins(n))
         for n in config.sizes
     ]
@@ -700,21 +688,22 @@ def _observation_worker(
     """One row of ``columns`` per matrix of the stack, drawn from the
     Gaussian ensemble (hollow if ``hollow``) or tilted by ``params.beta``
     along ``spins``.  log Z and the cycle series are computed once, where a
-    column reads them; each value is bit for bit that of its matrix alone."""
+    column needs them; each value is bit for bit that of its matrix alone."""
     if spins is None:
         a = sample_gaussian_matrix(n, seed, hollow=hollow, count=count)
     else:
         a = sample_tilted_matrix(n, spins, params.beta, seed, count)
+    needs_log_z, needs_series = _needs(columns)
     values = {}
-    if "n_fluct" in columns or "residual" in columns:
+    if needs_log_z:
         log_z = exact_log_partition(a, params)
         values["n_fluct"] = log_z - n * params.beta**2
-        if "residual" in columns:
-            values["residual"] = decomposition_residual(
-                a, params, depth, log_z, cycle_budget=budget)
-    if any(name in SERIES_COLUMNS for name in columns):
+    if needs_series:
         series = cycle_series(a, depth, budget=budget)
         values.update(cycles=series.values, traces=series.traces)
+    if "residual" in columns:
+        values["residual"] = decomposition_residual(
+            a, params, depth, log_z, cycles=series.values)
     return np.column_stack([values[name] for name in columns])
 
 
@@ -722,27 +711,30 @@ def _row_dtype(config: ExperimentConfig) -> np.dtype:
     """A worker row with a field per column of the kind, a float or a series
     of ``depth``: a field of the rows' view is a view of that column."""
     return np.dtype([(name, float, (config.depth,)) if name in SERIES_COLUMNS
-                     else (name, float) for name in KIND_COLUMNS[config.kind]])
+                     else (name, float) for name in KIND_TABLE[config.kind].columns])
 
 
-def _worker_count(config: ExperimentConfig, plan: _Plan) -> int:
+def _worker_count(config: ExperimentConfig) -> int:
     """Workers of a run: one if its priced work is below two
     ``FORK_OPERATIONS`` (2^32), which did not pay for a second worker in the
     one-against-two sweep of that constant's comment; otherwise
-    ``threads``, never more than replicates or usable cores."""
-    work = config.replicates * sum(plan.price(n) for n in config.sizes)
+    ``threads``, never more than replicates or usable cores.  The work is
+    priced by what the columns need: 2^(n-1) operations per log Z and
+    2 n^3 per cycle series."""
+    log_z, series = _needs(KIND_TABLE[config.kind].columns)
+    work = config.replicates * sum(
+        (log_partition_price(n) if log_z else 0) + (series_price(n) if series else 0)
+        for n in config.sizes)
     if work < 2 * FORK_OPERATIONS:
         return 1
     return min(config.threads, config.replicates, _usable_cores())
 
 
-def _drive(
-    config: ExperimentConfig, kind: str, plan_for: Callable[[ExperimentConfig], _Plan]
-) -> ExperimentReport:
+def _drive(config: ExperimentConfig, kind: str) -> ExperimentReport:
     """Run every replicate of every size and assemble the report.
 
-    The kind is checked before ``plan_for`` builds the plan, so a plan never
-    sees another kind's config.  Every kind runs ``_observation_worker``,
+    The kind is checked before its row's ``plan`` builds the plan, so a
+    plan never sees another kind's config.  Every kind runs ``_observation_worker``,
     looked up by its module-level name at call time, so a wrapper installed
     under the name (the perfbench tracer) is what runs, in this process or
     in a child.
@@ -763,8 +755,8 @@ def _drive(
     """
     if config.kind != kind:
         raise ValueError(f"config kind is {config.kind!r}, expected {kind!r}")
-    plan = plan_for(config)
-    workers = _worker_count(config, plan)
+    plan = KIND_TABLE[kind].plan(config)
+    workers = _worker_count(config)
     stacks = _stacks(config, _size_args(config, plan), workers)
     # numpy imports numpy.random on first use; imported here, before the map,
     # forked workers inherit it instead of each paying 14-18 ms, and a
@@ -846,12 +838,21 @@ def _clt_plan(config: ExperimentConfig) -> _Plan:
             )
         ]
 
-    return _Plan(log_partition_price, size_result, cross_checks, targets)
+    return _Plan(size_result, cross_checks, targets)
+
+
+def _clt_refusals(config: ExperimentConfig) -> None:
+    # the KS test divides by the limit variance, about beta^2
+    p = config.params
+    if p.beta > 0 and not clt_targets(p).variance > 0:
+        raise ValueError(
+            f"clt needs a positive limit variance, got 0 at beta={p.beta:g}, "
+            f"J={p.J:g}, J'={p.Jprime:g}")
 
 
 def run_clt(config: ExperimentConfig) -> ExperimentReport:
     """Free-energy fluctuation law: n (F_n - beta^2) vs Normal(f1, alpha1)."""
-    return _drive(config, "clt", _clt_plan)
+    return _drive(config, "clt")
 
 
 # ---------------------------------------------------------------------------
@@ -931,7 +932,7 @@ def _cycle_plan(
             f"cycle_{k}": cycles[:, k - 1] for k in range(1, kmax + 1)
         }
 
-    return _Plan(series_price, size_result, targets=targets, spins=spins)
+    return _Plan(size_result, targets=targets, spins=spins)
 
 
 def _cycles_plan(config: ExperimentConfig) -> _Plan:
@@ -948,7 +949,7 @@ def _cycles_plan(config: ExperimentConfig) -> _Plan:
 def run_cycles(config: ExperimentConfig) -> ExperimentReport:
     """Signed-cycle law under the null ensemble: centered C_{n,k} are
     asymptotically independent Normal(0, 2k), independent of C_{n,1}."""
-    return _drive(config, "cycles", _cycles_plan)
+    return _drive(config, "cycles")
 
 
 def _tilted_plan(config: ExperimentConfig) -> _Plan:
@@ -968,11 +969,21 @@ def _tilted_plan(config: ExperimentConfig) -> _Plan:
     )
 
 
+def _tilted_refusals(config: ExperimentConfig) -> None:
+    # the tilted statistics square C_{n,k}, which is near (2 beta)^k, and
+    # from kmax = 3 on multiply the variances of C_{n,kmax-1} and C_{n,kmax}
+    kmax, beta = config.kmax, config.params.beta
+    power = 2 * kmax if kmax < 3 else 4 * kmax - 2
+    if power * math.log10(max(2 * beta, 1)) >= 308:
+        raise ValueError(f"tilted needs (2 beta)^{power} below 1e308, got "
+                         f"beta={beta:g} with kmax={kmax}")
+
+
 def run_tilted(config: ExperimentConfig) -> ExperimentReport:
     """Cycle law under the tilted ensemble: centered C_{n,k} shift to
     (2 beta)^k with unchanged variance 2k, for any fixed spin vector;
     ``config.sigma`` names the vector built at each size."""
-    return _drive(config, "tilted", _tilted_plan)
+    return _drive(config, "tilted")
 
 
 # ---------------------------------------------------------------------------
@@ -1033,7 +1044,15 @@ def _approx_plan(config: ExperimentConfig) -> _Plan:
             for k in range(4, kmax + 1)
         ]
 
-    return _Plan(series_price, size_result, cross_checks, hollow=True)
+    return _Plan(size_result, cross_checks, hollow=True)
+
+
+def _approx_refusals(config: ExperimentConfig) -> None:
+    # accepted and echoed for existing command lines; the centering is
+    # exact, so no sample is drawn from it
+    if config.centering_replicates is not None and config.centering_replicates < 1:
+        raise ValueError(
+            f"need at least 1 centering replicate, got {config.centering_replicates}")
 
 
 def run_approx(config: ExperimentConfig) -> ExperimentReport:
@@ -1042,7 +1061,7 @@ def run_approx(config: ExperimentConfig) -> ExperimentReport:
     the shrink across sizes.  The centering E Tr P_k is exact
     (``cycles.exact_centering``); ``config.centering_replicates`` is
     validated and echoed but draws no samples."""
-    return _drive(config, "approx", _approx_plan)
+    return _drive(config, "approx")
 
 
 # ---------------------------------------------------------------------------
@@ -1086,15 +1105,34 @@ def _decomposition_plan(config: ExperimentConfig) -> _Plan:
             )
         ]
 
-    return _Plan(
-        lambda n: log_partition_price(n) + series_price(n), size_result, cross_checks
-    )
+    return _Plan(size_result, cross_checks)
 
 
 def run_decomposition(config: ExperimentConfig) -> ExperimentReport:
     """Signed-cycle decomposition of log Z: the truncated expansion explains
     most of the free-energy fluctuation and its residual shrinks with n."""
-    return _drive(config, "decomposition", _decomposition_plan)
+    return _drive(config, "decomposition")
+
+
+# ---------------------------------------------------------------------------
+# the experiment kinds, one row each, in the order the command line lists them
+
+KIND_TABLE = {
+    "clt": Kind("free-energy fluctuation experiment", ("beta", "J", "Jprime"),
+                ("n_fluct",), _clt_plan, _clt_refusals),
+    "cycles": Kind("signed-cycle statistics under the null law", ("kmax", "cycle_budget"),
+                   ("cycles",), _cycles_plan, flag_defaults={"kmax": 4}),
+    "tilted": Kind("signed-cycle statistics under the tilt",
+                   ("beta", "kmax", "cycle_budget", "sigma"), ("cycles",), _tilted_plan,
+                   _tilted_refusals, {"kmax": 3}),
+    "approx": Kind("cycle vs spectral-statistic residuals",
+                   ("kmax", "cycle_budget", "centering_replicates"), ("cycles", "traces"),
+                   _approx_plan, _approx_refusals, {"kmax": 5}, least_depth=3),
+    "decomposition": Kind("cycle decomposition of log Z",
+                          ("beta", "J", "Jprime", "m", "cycle_budget"),
+                          ("residual", "n_fluct"), _decomposition_plan, depth="m"),
+}
+KINDS = tuple(KIND_TABLE)
 
 
 def run_identities(max_k: int = combinat.CANCELLATION_MAX_K) -> ExperimentReport:

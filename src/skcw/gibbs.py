@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import DEFAULT_CYCLE_BUDGET, cycle_series
+from .cycles import cycle_series
 from .randmat import check_matrix, hollowed, one_blas_thread
 
 ENUMERATION_MAX_N = 28
@@ -502,7 +502,7 @@ def decomposition_residual(
     params: ModelParams,
     m: int,
     log_z,
-    cycle_budget: float = DEFAULT_CYCLE_BUDGET,
+    cycles=None,
 ):
     """Residual of the signed-cycle decomposition of log Z_n, truncated at m:
 
@@ -512,14 +512,17 @@ def decomposition_residual(
 
     ``log_z`` is log Z_n(beta) of ``a``, which the caller has evaluated
     (``exact_log_partition``).  The cycles come from ``cycle_series``, so
-    1 <= m <= 5 and ``a`` passes its matrix check.  For a stack (B, n, n),
-    ``log_z`` holds the B values and the B residuals are returned as an
-    array.
+    1 <= m <= 5 and ``a`` passes its matrix check, unless the caller passes
+    the ``values`` of the series of ``a`` at depth m as ``cycles``.
+    For a stack (B, n, n), ``log_z`` holds the B values and the B residuals
+    are returned as an array.
     """
     n = params.n
     beta = params.beta
+    if cycles is None:
+        cycles = cycle_series(a, m).values
     # cycles[k - 1] holds C_{n,k} of the matrix, or of every matrix
-    cycles = cycle_series(a, m, budget=cycle_budget).values.T
+    cycles = cycles.T
     residual = (
         log_z
         + 0.5 * math.log1p(-2.0 * beta * params.J)

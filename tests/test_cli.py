@@ -83,7 +83,7 @@ def test_help_shows_each_flags_real_default(capsys, kind):
     assert run([kind, "--help"]) == EXIT_OK
     text = " ".join(capsys.readouterr().out.split())
     assert "(default: None)" not in text
-    if "cycle_budget" in experiments.KIND_FIELDS[kind]:
+    if "cycle_budget" in experiments.KIND_TABLE[kind].fields:
         assert "(default: 1000000000.0)" in text
 
 

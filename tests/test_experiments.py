@@ -429,7 +429,7 @@ def _config(argv):
 
 def _workers(argv):
     cfg = _config(argv)
-    return ex._worker_count(cfg, getattr(ex, f"_{cfg.kind}_plan")(cfg))
+    return ex._worker_count(cfg)
 
 
 def _reports_at_one_and_two_threads_without_a_fork(monkeypatch, tmp_path, line):
@@ -649,7 +649,7 @@ def test_a_worker_returns_one_float_row_per_replicate(kind):
         kmax=4, m=3, sigma="random",
     )
     worker = ex._observation_worker
-    [args] = ex._size_args(cfg, getattr(ex, f"_{kind}_plan")(cfg))
+    [args] = ex._size_args(cfg, ex.KIND_TABLE[kind].plan(cfg))
     rows = worker(8, SeedSpec(9, 0), 3, *args)
     assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
     assert rows.shape == (3, {"clt": 1, "decomposition": 2, "approx": 8}.get(kind, 4))
@@ -667,7 +667,7 @@ def test_a_column_has_the_same_bits_alone_and_in_every_kinds_set(kind):
         kind=kind, params=ModelParams(beta=0.2, J=0.5, n=8), replicates=5, master_seed=4,
         kmax=4, m=4, sigma="random",
     )
-    [(_, *args)] = ex._size_args(cfg, getattr(ex, f"_{kind}_plan")(cfg))
+    [(_, *args)] = ex._size_args(cfg, ex.KIND_TABLE[kind].plan(cfg))
     depth = args[1]
 
     def columns(names):
@@ -678,7 +678,7 @@ def test_a_column_has_the_same_bits_alone_and_in_every_kinds_set(kind):
 
     alone = {name: dict(columns((name,)))[name] for name in ("n_fluct", "residual",
                                                              "cycles", "traces")}
-    for names in ex.KIND_COLUMNS.values():
+    for names in (row.columns for row in ex.KIND_TABLE.values()):
         for name, values in columns(names):
             assert values.tobytes() == alone[name].tobytes(), (names, name)
 
