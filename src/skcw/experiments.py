@@ -16,8 +16,8 @@ under the master seed.  The unit of work is a stack, the ``count``
 consecutive streams of one size from ``seed`` (at most ``STACK_ELEMENTS``
 matrix entries): ``_observation_worker(n, seed, count, *size args)``
 samples it as one (B, n, n) array and returns one float array, a row per
-replicate, each value bit for bit what the replicate alone gives.  A
-run whose priced work does not pay for a second worker (``_worker_count``:
+replicate, each value bit for bit what the replicate alone gives, which
+the driver writes into its rows of the run's one array.  A run whose priced work does not pay for a second worker (``_worker_count``:
 below 2^32 operations, every benchmark line and criterion 8 but not
 criteria 4-7) computes in this process; otherwise the stacks run in forked
 children (``_fork_map``), each size cut so that every child gets the same
@@ -85,8 +85,8 @@ _COLUMN_NEEDS = {"n_fluct": (True, False), "residual": (True, True),
 SERIES_COLUMNS = ("cycles", "traces")
 # the most values a run may store: replicates times sizes times the row width
 # of its kind's columns (``_row_dtype``).  A run holds each value several
-# times over: the stacks' arrays, a sorted copy and a Python float per sample
-# in ``ks_test``, and under --raw-samples a Python float and its JSON text.
+# times over: the run's array, a sorted copy and a Python float per sample in
+# ``ks_test``, and under --raw-samples a Python float and its JSON text.
 # ``clt --n 2 --raw-samples`` peaked at 50 MB of RSS with 10^5 replicates and
 # 141 MB with 10^6, about 100 bytes per value, so a run at the cap stays
 # near 500 MB.  The largest run of the acceptance suite stores 15000 values
@@ -587,17 +587,20 @@ def _stacks(config: ExperimentConfig, size_args: list, workers: int) -> list[tup
     return stacks
 
 
-def _fork_map(worker: Callable, stacks: list, workers: int) -> list:
-    """``[worker(*stack) for stack in stacks]`` in ``workers`` forked children.
+def _fork_map(worker: Callable, stacks: list, workers: int,
+              store: Callable[[int, np.ndarray], None]) -> None:
+    """``store(i, worker(*stacks[i]))`` for every stack, the workers run in
+    ``workers`` forked children.
 
     Child w runs stacks w, w + workers, ... and pickles its arrays, or the
     exception it raised, back through a pipe.  The parent reads every pipe,
-    then raises the first child's exception with its own type, or
-    RuntimeError for a child that exited without writing.  Every child is
-    reaped before this returns or raises, and killed first when the parent
-    stops reading early (an interrupt).  The worker, which the driver passes
-    as ``_observation_worker`` for every kind, is not pickled, so the
-    children run the very object passed in.
+    then takes the children in turn: it raises a child's exception with its
+    own type, or RuntimeError for a child that exited without writing, or
+    unpickles the child's arrays into ``store`` and drops its bytes.  Every
+    child is reaped before this stores, returns or raises, and killed first
+    when the parent stops reading early (an interrupt).  The worker, which
+    the driver passes as ``_observation_worker`` for every kind, is not
+    pickled, so the children run the very object passed in.
     """
     children = []  # (pid, read end of its pipe)
     read_all = False
@@ -625,15 +628,15 @@ def _fork_map(worker: Callable, stacks: list, workers: int) -> list:
             if not read_all:
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    outputs = [None] * len(stacks)
-    for w, payload in enumerate(payloads):
+    for w in range(workers):
+        payload, payloads[w] = payloads[w], None
         if not payload:
             raise RuntimeError(f"forked worker {w} exited without writing its outputs")
         error, results = pickle.loads(payload)
         if error is not None:
             raise error
-        outputs[w::workers] = results
-    return outputs
+        for i, values in zip(range(w, len(stacks), workers), results):
+            store(i, values)
 
 
 def _run_child(worker: Callable, stacks: list, write_fd: int) -> None:
@@ -746,10 +749,11 @@ def _drive(config: ExperimentConfig, kind: str) -> ExperimentReport:
     worker runs in this process, with the stacks and values of
     ``threads=1``; more run in forked children (``_fork_map``), started
     after every per-size input is checked and reaped before this returns,
-    so the run's resource usage covers them.  Size s reads rows
-    s * replicates to (s + 1) * replicates of the stacks' concatenated
-    arrays, each of the kind's columns by name (``_row_dtype``).  The
-    whole run holds this process at one OpenBLAS thread: the children
+    so the run's resource usage covers them.  Each stack's array is written
+    into its rows of the run's one array as it comes, with no list of the
+    stacks' arrays and no copy of them all.  Size s reads rows
+    s * replicates to (s + 1) * replicates, each of the kind's columns by
+    name (``_row_dtype``).  The whole run holds this process at one OpenBLAS thread: the children
     inherit that count, so ``set_blas_threads`` never has to call the
     setter in them, and the setter would start a BLAS thread server there.
     """
@@ -762,14 +766,24 @@ def _drive(config: ExperimentConfig, kind: str) -> ExperimentReport:
     # forked workers inherit it instead of each paying 14-18 ms, and a
     # serial run's sampling time does not include the import
     import numpy.random  # noqa: F401
+    dtype = _row_dtype(config)
+    flat = np.empty((config.replicates * len(config.sizes), dtype.itemsize // 8))
+    starts = [0]  # stack i's rows of flat are starts[i] to starts[i + 1]
+    for _, _, count, *_ in stacks:
+        starts.append(starts[-1] + count)
+
+    def store(i, stack_rows):
+        flat[starts[i]:starts[i + 1]] = stack_rows
+
     results = []
     raw: dict = {}
     with one_blas_thread():
         if workers == 1:
-            per_stack = [_observation_worker(*stack) for stack in stacks]
+            for i, stack in enumerate(stacks):
+                store(i, _observation_worker(*stack))
         else:
-            per_stack = _fork_map(_observation_worker, stacks, workers)
-        rows = np.concatenate(per_stack).view(_row_dtype(config))
+            _fork_map(_observation_worker, stacks, workers, store)
+        rows = flat.view(dtype)
         for n, size in zip(config.sizes, rows.reshape(len(config.sizes), -1)):
             summaries, checks, samples = plan.size_result(
                 n, **{name: size[name] for name in size.dtype.names}

@@ -373,9 +373,10 @@ def _record_fork_maps(monkeypatch, cores):
     created = []
     monkeypatch.setattr(ex, "FORK_OPERATIONS", 1)
 
-    def recording_fork_map(worker, stacks, workers):
+    def recording_fork_map(worker, stacks, workers, store):
         created.append(workers)
-        return [worker(*stack) for stack in stacks]
+        for i, stack in enumerate(stacks):
+            store(i, worker(*stack))
 
     monkeypatch.setattr(ex, "_fork_map", recording_fork_map)
     monkeypatch.setattr(ex, "_usable_cores", lambda: cores)
@@ -437,7 +438,7 @@ def _reports_at_one_and_two_threads_without_a_fork(monkeypatch, tmp_path, line):
     echoed threads and the time stamp dropped; a fork fails the test."""
     monkeypatch.setattr(ex, "_usable_cores", lambda: 2)
 
-    def no_fork(worker, stacks, workers):
+    def no_fork(worker, stacks, workers, store):
         raise AssertionError("a run priced below two workers forked")
 
     monkeypatch.setattr(ex, "_fork_map", no_fork)
@@ -743,9 +744,9 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
         cycles._gram(np.ones((2, 200, 200)))
         return [_worker_threads()]
 
-    def spy(worker, stacks, workers):
-        seen.extend(out for outs in fork_map(probe, [(200, [])] * 4, workers) for out in outs)
-        return fork_map(worker, stacks, workers)
+    def spy(worker, stacks, workers, store):
+        fork_map(probe, [(200, [])] * 4, workers, lambda i, outs: seen.extend(outs))
+        return fork_map(worker, stacks, workers, store)
 
     monkeypatch.setattr(ex, "_fork_map", spy)
     monkeypatch.setattr(ex, "_usable_cores", lambda: 2)
@@ -791,6 +792,22 @@ def test_a_worker_error_reaches_the_parent_with_its_type(monkeypatch, capsys):
             "--reps", "4", "--seed", "3", "--threads", "2"]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "stack at n=8 refused" in capsys.readouterr().err
+    _assert_no_child_left()
+
+
+def test_the_fork_map_stores_every_stack_once_under_its_index():
+    """Each stack's output reaches ``store`` once, under the stack's index,
+    from whichever child ran it; every child is reaped."""
+    stored = {}
+
+    def store(i, rows):
+        assert i not in stored
+        stored[i] = rows
+
+    ex._fork_map(lambda k: np.full((k, 2), float(k)), [(k,) for k in range(1, 8)], 3, store)
+    assert sorted(stored) == list(range(7))
+    for i, rows in stored.items():
+        assert rows.tolist() == [[i + 1.0] * 2] * (i + 1)
     _assert_no_child_left()
 
 
