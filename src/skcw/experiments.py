@@ -17,11 +17,12 @@ consecutive streams of one size from ``seed`` (at most ``STACK_ELEMENTS``
 matrix entries): ``_observation_worker(n, seed, count, *size args)``
 samples it as one (B, n, n) array and returns one float array, a row per
 replicate, each value bit for bit what the replicate alone gives, which
-the driver writes into its rows of the run's one array.  A run whose priced work does not pay for a second worker (``_worker_count``:
-below 2^32 operations, every benchmark line and criterion 8 but not
-criteria 4-7) computes in this process; otherwise the stacks run in forked
-children (``_fork_map``), each size cut so that every child gets the same
-share of it.
+the driver writes into its rows of the run's one array.  A run whose
+priced work does not pay for a second worker (``_worker_count``: below
+2^32 operations, every benchmark line and criterion 8 but not criteria
+4-7) computes in this process; otherwise the stacks run in forked children
+(``_fork_map``), each size cut so that every child gets the same share of
+it.
 
 Every comparison is recorded as a named check carrying the rule, the
 observed value, the target and the tolerance; a report is never a bare
@@ -105,10 +106,10 @@ _STREAM_BLOCK = 1 << 32
 # 113 matrices at n = 12, 40 at n = 20, and one from n = 91 on, where a
 # stacked product runs slower than one matrix at a time
 STACK_ELEMENTS = 1 << 14
-# a run forks only when its priced work (``_worker_count``: replicates
-# times the grid's summed price) reaches two of these.  Each forked child
-# costs 11-16 ms of CPU beyond its share, and on the 2-vCPU VM two children
-# often take turns on what behaves like one CPU.  A sweep of one worker against two
+# a run forks only when its priced work (replicates times the grid's summed
+# price, ``_worker_count``) reaches two of these.  Each forked child costs
+# 11-16 ms of CPU beyond its share, and on the 2-vCPU VM two children often
+# take turns on what behaves like one CPU.  A sweep of one worker against two
 # (wall ms of ``cli.main``, medians of 16 alternating fresh-process pairs
 # over ten minutes, with the pairs two workers won; priced work in brackets):
 #   decomposition 12..20, 200 replicates (1.2e8)    44 /   73   0/16
@@ -635,7 +636,7 @@ def _fork_map(worker: Callable, stacks: list, workers: int,
         error, results = pickle.loads(payload)
         if error is not None:
             raise error
-        for i, values in zip(range(w, len(stacks), workers), results):
+        for i, values in zip(range(w, len(stacks), workers), results, strict=True):
             store(i, values)
 
 
@@ -737,10 +738,10 @@ def _drive(config: ExperimentConfig, kind: str) -> ExperimentReport:
     """Run every replicate of every size and assemble the report.
 
     The kind is checked before its row's ``plan`` builds the plan, so a
-    plan never sees another kind's config.  Every kind runs ``_observation_worker``,
-    looked up by its module-level name at call time, so a wrapper installed
-    under the name (the perfbench tracer) is what runs, in this process or
-    in a child.
+    plan never sees another kind's config.  Every kind runs
+    ``_observation_worker``, looked up by its module-level name at call
+    time, so a wrapper installed under the name (the perfbench tracer) is
+    what runs, in this process or in a child.
 
     The stacks of every size, in grid order (``_stacks``), go through one
     map, ``_observation_worker(*stack)`` per stack, over ``_worker_count``
