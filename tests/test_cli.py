@@ -397,8 +397,11 @@ _EDGE_REFUSALS = [
 ]
 
 
-@pytest.mark.parametrize("line, refused", [(line, None) for line in _EDGE_RUNS]
-                         + _EDGE_REFUSALS)
+_EDGE_CASES = [(line, None) for line in _EDGE_RUNS] + _EDGE_REFUSALS
+
+
+@pytest.mark.parametrize("line, refused", _EDGE_CASES, ids=[
+    f"{line}-{refused is not None}" for line, refused in _EDGE_CASES])
 def test_edge_case_command_lines_end_in_a_report_or_one_error(request, capsys, line, refused):
     """A line runs to a report, or exits 1 with its one error line."""
     if refused:
