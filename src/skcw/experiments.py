@@ -754,9 +754,10 @@ def _drive(config: ExperimentConfig, kind: str) -> ExperimentReport:
     into its rows of the run's one array as it comes, with no list of the
     stacks' arrays and no copy of them all.  Size s reads rows
     s * replicates to (s + 1) * replicates, each of the kind's columns by
-    name (``_row_dtype``).  The whole run holds this process at one OpenBLAS thread: the children
-    inherit that count, so ``set_blas_threads`` never has to call the
-    setter in them, and the setter would start a BLAS thread server there.
+    name (``_row_dtype``).  The whole run holds this process at one
+    OpenBLAS thread: the children inherit that count, so
+    ``set_blas_threads`` never has to call the setter in them, and the
+    setter would start a BLAS thread server there.
     """
     if config.kind != kind:
         raise ValueError(f"config kind is {config.kind!r}, expected {kind!r}")
@@ -1134,15 +1135,16 @@ def run_decomposition(config: ExperimentConfig) -> ExperimentReport:
 
 KIND_TABLE = {
     "clt": Kind("free-energy fluctuation experiment", ("beta", "J", "Jprime"),
-                ("n_fluct",), _clt_plan, _clt_refusals),
+                ("n_fluct",), _clt_plan, refusals=_clt_refusals),
     "cycles": Kind("signed-cycle statistics under the null law", ("kmax", "cycle_budget"),
                    ("cycles",), _cycles_plan, flag_defaults={"kmax": 4}),
     "tilted": Kind("signed-cycle statistics under the tilt",
                    ("beta", "kmax", "cycle_budget", "sigma"), ("cycles",), _tilted_plan,
-                   _tilted_refusals, {"kmax": 3}),
+                   refusals=_tilted_refusals, flag_defaults={"kmax": 3}),
     "approx": Kind("cycle vs spectral-statistic residuals",
                    ("kmax", "cycle_budget", "centering_replicates"), ("cycles", "traces"),
-                   _approx_plan, _approx_refusals, {"kmax": 5}, least_depth=3),
+                   _approx_plan, refusals=_approx_refusals, flag_defaults={"kmax": 5},
+                   least_depth=3),
     "decomposition": Kind("cycle decomposition of log Z",
                           ("beta", "J", "Jprime", "m", "cycle_budget"),
                           ("residual", "n_fluct"), _decomposition_plan, depth="m"),
