@@ -17,12 +17,13 @@ consecutive streams of one size from ``seed`` (at most ``STACK_ELEMENTS``
 matrix entries): ``_observation_worker(n, seed, count, *size args)``
 samples it as one (B, n, n) array and returns one float array, a row per
 replicate, each value bit for bit what the replicate alone gives, which
-the driver writes into its rows of the run's one array.  A run whose
-priced work does not pay for a second worker (``_worker_count``: below
-2^32 operations, every benchmark line and criterion 8 but not criteria
-4-7) computes in this process; otherwise the stacks run in forked children
-(``_fork_map``), each size cut so that every child gets the same share of
-it.
+one loop (``_write_rows``) writes into its rows of the run's one array.  A
+run whose priced work does not pay for a second worker (``_worker_count``:
+below 2^32 operations, every benchmark line and criterion 8 but not
+criteria 4-7) computes in this process; otherwise the stacks run in forked
+children (``_fork_map``), each size cut so that every child gets the same
+share of it; they write into the array, then an anonymous shared mapping,
+and send back only None or the exception they raised.
 
 Every comparison is recorded as a named check carrying the rule, the
 observed value, the target and the tolerance; a report is never a bare
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import mmap
 import os
 import pickle
 import signal
@@ -103,8 +105,13 @@ SIGMAS = tuple(_SPIN_VECTORS)
 
 _STREAM_BLOCK = 1 << 32
 # at most this many matrix entries (B * n^2) in one stack of replicates:
-# 113 matrices at n = 12, 40 at n = 20, and one from n = 91 on, where a
-# stacked product runs slower than one matrix at a time
+# 113 matrices at n = 12, 40 at n = 20, and one from n = 91 on.  Stacks of
+# one are not the fastest there: the cycle series of 40 matrices at one BLAS
+# thread took 6.8-7.2 ms in stacks of one at n = 100 against 5.1-5.6 ms in
+# stacks of 5-10 (25 against 28 ms at n = 200).  The cap stays for memory:
+# on the decomp_serial line 2^16 raised peak RSS from 38.3 to 40.4 MB (+5.5%)
+# and 2^17 to 43.2 MB (+13%), while 2^16 moved wall time by -3.5%
+# (approx_grid) to -10% (decomp_serial), too little to show as a gain
 STACK_ELEMENTS = 1 << 14
 # a run forks only when its priced work (replicates times the grid's summed
 # price, ``_worker_count``) reaches two of these.  Each forked child costs
@@ -588,69 +595,81 @@ def _stacks(config: ExperimentConfig, size_args: list, workers: int) -> list[tup
     return stacks
 
 
-def _fork_map(worker: Callable, stacks: list, workers: int,
-              store: Callable[[int, np.ndarray], None]) -> None:
-    """``store(i, worker(*stacks[i]))`` for every stack, the workers run in
-    ``workers`` forked children.
+def _write_rows(worker: Callable, stacks: list, flat: np.ndarray, starts: list,
+                first: int = 0, step: int = 1) -> None:
+    """``flat[starts[i]:starts[i + 1]] = worker(*stacks[i])`` for stacks
+    first, first + step, ...: the one loop that writes a run's rows."""
+    for i in range(first, len(stacks), step):
+        flat[starts[i]:starts[i + 1]] = worker(*stacks[i])
 
-    Child w runs stacks w, w + workers, ... and pickles its arrays, or the
-    exception it raised, back through a pipe.  The parent reads every pipe,
-    then takes the children in turn: it raises a child's exception with its
-    own type, or RuntimeError for a child that exited without writing, or
-    unpickles the child's arrays into ``store`` and drops its bytes.  Every
-    child is reaped before this stores, returns or raises, and killed first
-    when the parent stops reading early (an interrupt).  The worker, which
-    the driver passes as ``_observation_worker`` for every kind, is not
-    pickled, so the children run the very object passed in.
+
+def _fork_map(worker: Callable, stacks: list, workers: int, flat: np.ndarray,
+              starts: list) -> None:
+    """``_write_rows`` in ``workers`` forked children into ``flat``, an
+    anonymous shared mapping.  Child w writes stacks w, w + workers, ... and
+    sends only its outcome, None or the exception it raised, through a pipe.
+    Every child is reaped, and killed first when the parent stops reading
+    early (an interrupt), before the parent raises the first child's
+    exception with its own type, or ChildProcessError, naming the worker and
+    its exit status or signal, for a child that died without sending its
+    outcome.  The worker, which the driver passes as ``_observation_worker``
+    for every kind, is not pickled, so the children run the very object
+    passed in.
     """
     children = []  # (pid, read end of its pipe)
-    read_all = False
+    outcomes, statuses = [], []
     try:
         for w in range(workers):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _run_child(worker, stacks[w::workers], write_fd)
+                    _run_child(write_fd, worker, stacks, flat, starts, w, workers)
             except BaseException:
                 os.close(read_fd)
                 raise
             finally:
                 os.close(write_fd)
             children.append((pid, read_fd))
-        payloads = []
         for _, read_fd in children:
             with os.fdopen(read_fd, "rb", closefd=False) as pipe:
-                payloads.append(pipe.read())
-        read_all = True
+                outcomes.append(pipe.read())
     finally:
         for pid, read_fd in children:
             os.close(read_fd)
-            if not read_all:
+            if len(outcomes) < workers:
                 os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for w in range(workers):
-        payload, payloads[w] = payloads[w], None
-        if not payload:
-            raise RuntimeError(f"forked worker {w} exited without writing its outputs")
-        error, results = pickle.loads(payload)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for w, (outcome, status) in enumerate(zip(outcomes, statuses)):
+        if not outcome:
+            died = (f"was killed by signal {-status}" if status < 0
+                    else f"exited with status {status}")
+            raise ChildProcessError(f"forked worker {w} {died} before sending its outcome")
+        error = pickle.loads(outcome)
         if error is not None:
             raise error
-        for i, values in zip(range(w, len(stacks), workers), results, strict=True):
-            store(i, values)
 
 
-def _run_child(worker: Callable, stacks: list, write_fd: int) -> None:
-    """The whole life of a forked child: run its stacks, write the pickled
-    (exception or None, arrays) pair to the pipe and leave by ``os._exit``,
-    so it never returns into the parent's stack or runs its exit handlers."""
+def _run_child(write_fd: int, *write_args) -> None:
+    """The whole life of a forked child: ``_write_rows(*write_args)``, then
+    the pickled outcome to the pipe, and ``os._exit``, so it never returns
+    into the parent's stack or runs its exit handlers.  An exception that
+    does not survive a pickle round trip goes as a ChildProcessError that
+    names its type."""
     try:
+        outcome = None
         try:
             keep_freed_memory()
-            payload = pickle.dumps((None, [worker(*stack) for stack in stacks]))
+            _write_rows(*write_args)
         except BaseException as exc:
-            # one that does not pickle leaves the pipe empty, a RuntimeError
-            payload = pickle.dumps((exc, None))
+            outcome = exc
+        try:
+            payload = pickle.dumps(outcome)
+            pickle.loads(payload)
+        except Exception:
+            payload = pickle.dumps(ChildProcessError(
+                f"a forked worker raised {type(outcome).__name__}, which does not "
+                f"pickle: {outcome}"))
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(payload)
     finally:
@@ -743,16 +762,15 @@ def _drive(config: ExperimentConfig, kind: str) -> ExperimentReport:
     time, so a wrapper installed under the name (the perfbench tracer) is
     what runs, in this process or in a child.
 
-    The stacks of every size, in grid order (``_stacks``), go through one
-    map, ``_observation_worker(*stack)`` per stack, over ``_worker_count``
-    workers: one if the run's priced work does not pay for a second,
-    otherwise ``threads``, never more than replicates or usable cores.  One
-    worker runs in this process, with the stacks and values of
-    ``threads=1``; more run in forked children (``_fork_map``), started
+    ``_observation_worker(*stack)`` of every stack, in grid order
+    (``_stacks``), is written into the stack's rows of the run's one array
+    (``_write_rows``) by ``_worker_count`` workers: one if the run's priced
+    work does not pay for a second, otherwise ``threads``, never more than
+    replicates or usable cores.  One worker runs in this process, with the
+    stacks and values of ``threads=1``; more run in forked children
+    (``_fork_map``), which write into an anonymous shared mapping, started
     after every per-size input is checked and reaped before this returns,
-    so the run's resource usage covers them.  Each stack's array is written
-    into its rows of the run's one array as it comes, with no list of the
-    stacks' arrays and no copy of them all.  Size s reads rows
+    so the run's resource usage covers them.  Size s reads rows
     s * replicates to (s + 1) * replicates, each of the kind's columns by
     name (``_row_dtype``).  The whole run holds this process at one
     OpenBLAS thread: the children inherit that count, so
@@ -769,22 +787,19 @@ def _drive(config: ExperimentConfig, kind: str) -> ExperimentReport:
     # serial run's sampling time does not include the import
     import numpy.random  # noqa: F401
     dtype = _row_dtype(config)
-    flat = np.empty((config.replicates * len(config.sizes), dtype.itemsize // 8))
+    shape = (config.replicates * len(config.sizes), dtype.itemsize // 8)
+    flat = (np.empty(shape) if workers == 1
+            else np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape))
     starts = [0]  # stack i's rows of flat are starts[i] to starts[i + 1]
     for _, _, count, *_ in stacks:
         starts.append(starts[-1] + count)
-
-    def store(i, stack_rows):
-        flat[starts[i]:starts[i + 1]] = stack_rows
-
     results = []
     raw: dict = {}
     with one_blas_thread():
         if workers == 1:
-            for i, stack in enumerate(stacks):
-                store(i, _observation_worker(*stack))
+            _write_rows(_observation_worker, stacks, flat, starts)
         else:
-            _fork_map(_observation_worker, stacks, workers, store)
+            _fork_map(_observation_worker, stacks, workers, flat, starts)
         rows = flat.view(dtype)
         for n, size in zip(config.sizes, rows.reshape(len(config.sizes), -1)):
             summaries, checks, samples = plan.size_result(

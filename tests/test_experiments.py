@@ -4,11 +4,14 @@ reproducibility across worker counts."""
 import itertools
 import json
 import math
+import mmap
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -301,25 +304,46 @@ def test_raw_samples_kept_on_request():
     assert lean.raw_samples is None
 
 
+# a small run of each kind, the grid ones with two sizes
+TINY = {
+    "clt": dict(params=PARAMS, replicates=30),
+    "cycles": dict(params=ModelParams(beta=0.0, n=24), replicates=20, kmax=3),
+    "tilted": dict(
+        params=ModelParams(beta=0.3, n=12), replicates=20, kmax=3, n_grid=(8,)
+    ),
+    "approx": dict(
+        params=ModelParams(beta=0.0, n=12), replicates=20, kmax=4, n_grid=(8,),
+        centering_replicates=10,
+    ),
+    "decomposition": dict(
+        params=ModelParams(beta=0.25, J=0.5, n=10), replicates=20, m=3, n_grid=(8,)
+    ),
+}
+
+
 def test_reproducibility_across_worker_counts(monkeypatch):
-    tiny = {
-        "clt": dict(params=PARAMS, replicates=30),
-        "cycles": dict(params=ModelParams(beta=0.0, n=24), replicates=20, kmax=3),
-        "tilted": dict(
-            params=ModelParams(beta=0.3, n=12), replicates=20, kmax=3, n_grid=(8,)
-        ),
-        "approx": dict(
-            params=ModelParams(beta=0.0, n=12), replicates=20, kmax=4, n_grid=(8,),
-            centering_replicates=10,
-        ),
-        "decomposition": dict(
-            params=ModelParams(beta=0.25, J=0.5, n=10), replicates=20, m=3, n_grid=(8,)
-        ),
-    }
-    for kind, kwargs in tiny.items():
+    for kind, kwargs in TINY.items():
         serial, parallel = _one_and_two_workers(monkeypatch, kind, **kwargs)
         assert serial.results == parallel.results, kind
         assert serial.checks == parallel.checks, kind
+
+
+@pytest.mark.parametrize("kind", ex.KINDS)
+def test_raw_samples_do_not_depend_on_how_a_run_is_cut(monkeypatch, kind):
+    """A kind's raw samples are bit for bit the same with stacks of one
+    matrix, of the default ``STACK_ELEMENTS`` and of 2^20 entries, each
+    computed in this process and by two forked workers."""
+    monkeypatch.setattr(ex, "FORK_OPERATIONS", 1)
+    monkeypatch.setattr(ex, "_usable_cores", lambda: 2)
+    samples = set()
+    for elements in (1, ex.STACK_ELEMENTS, 1 << 20):
+        monkeypatch.setattr(ex, "STACK_ELEMENTS", elements)
+        for threads in (1, 2):
+            cfg = ex.ExperimentConfig(kind=kind, master_seed=11, threads=threads,
+                                      keep_raw=True, **TINY[kind])
+            report = getattr(ex, f"run_{kind}")(cfg)
+            samples.add(json.dumps(report.raw_samples))
+    assert len(samples) == 1
 
 
 def _one_and_two_workers(monkeypatch, kind, **kwargs):
@@ -373,10 +397,9 @@ def _record_fork_maps(monkeypatch, cores):
     created = []
     monkeypatch.setattr(ex, "FORK_OPERATIONS", 1)
 
-    def recording_fork_map(worker, stacks, workers, store):
+    def recording_fork_map(worker, stacks, workers, flat, starts):
         created.append(workers)
-        for i, stack in enumerate(stacks):
-            store(i, worker(*stack))
+        ex._write_rows(worker, stacks, flat, starts)
 
     monkeypatch.setattr(ex, "_fork_map", recording_fork_map)
     monkeypatch.setattr(ex, "_usable_cores", lambda: cores)
@@ -438,7 +461,7 @@ def _reports_at_one_and_two_threads_without_a_fork(monkeypatch, tmp_path, line):
     echoed threads and the time stamp dropped; a fork fails the test."""
     monkeypatch.setattr(ex, "_usable_cores", lambda: 2)
 
-    def no_fork(worker, stacks, workers, store):
+    def no_fork(worker, stacks, workers, flat, starts):
         raise AssertionError("a run priced below two workers forked")
 
     monkeypatch.setattr(ex, "_fork_map", no_fork)
@@ -739,14 +762,17 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     kept = []
     monkeypatch.setattr(ex, "keep_freed_memory", lambda: kept.append(os.getpid()))
 
-    def probe(n, seeds):
+    def probe(n):
         assert kept == [os.getpid()]
-        cycles._gram(np.ones((2, 200, 200)))
-        return [_worker_threads()]
+        cycles._gram(np.ones((2, n, n)))
+        blas, os_threads = _worker_threads()
+        return [[blas, -1 if os_threads is None else os_threads]]
 
-    def spy(worker, stacks, workers, store):
-        fork_map(probe, [(200, [])] * 4, workers, lambda i, outs: seen.extend(outs))
-        return fork_map(worker, stacks, workers, store)
+    def spy(worker, stacks, workers, flat, starts):
+        probed = _shared_rows(4, 2)
+        fork_map(probe, [(200,)] * 4, workers, probed, range(5))
+        seen.extend(probed.tolist())
+        return fork_map(worker, stacks, workers, flat, starts)
 
     monkeypatch.setattr(ex, "_fork_map", spy)
     monkeypatch.setattr(ex, "_usable_cores", lambda: 2)
@@ -757,7 +783,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     ex.run_clt(cfg)
     assert kept == []
     assert [blas for blas, _ in seen] == [1] * 4
-    if seen[0][1] is not None:
+    if seen[0][1] != -1:
         assert [os_threads for _, os_threads in seen] == [1] * 4
 
 
@@ -795,27 +821,84 @@ def test_a_worker_error_reaches_the_parent_with_its_type(monkeypatch, capsys):
     _assert_no_child_left()
 
 
-def test_the_fork_map_stores_every_stack_once_under_its_index():
-    """Each stack's output reaches ``store`` once, under the stack's index,
-    from whichever child ran it; every child is reaped."""
-    stored = {}
+def _shared_rows(rows, width):
+    """A zeroed (rows, width) float array that forked children write into."""
+    return np.frombuffer(mmap.mmap(-1, 8 * rows * width)).reshape(rows, width)
 
-    def store(i, rows):
-        assert i not in stored
-        stored[i] = rows
 
-    ex._fork_map(lambda k: np.full((k, 2), float(k)), [(k,) for k in range(1, 8)], 3, store)
-    assert sorted(stored) == list(range(7))
-    for i, rows in stored.items():
-        assert rows.tolist() == [[i + 1.0] * 2] * (i + 1)
+def test_the_fork_map_stores_every_stack_once_under_its_index(monkeypatch):
+    """Each stack's rows land once in the shared array, at the stack's rows,
+    from whichever child wrote them; only each child's outcome, None,
+    crosses a pipe, and every child is reaped."""
+    crossed = []
+
+    def loads(payload):
+        crossed.append(pickle.loads(payload))
+        return crossed[-1]
+
+    monkeypatch.setattr(ex, "pickle", SimpleNamespace(dumps=pickle.dumps, loads=loads))
+    calls = _shared_rows(7, 1)
+
+    def worker(k):
+        calls[k - 1] += 1
+        return np.full((k, 2), float(k))
+
+    starts = [0, *itertools.accumulate(range(1, 8))]
+    flat = _shared_rows(starts[-1], 2)
+    ex._fork_map(worker, [(k,) for k in range(1, 8)], 3, flat, starts)
+    assert calls.ravel().tolist() == [1.0] * 7
+    for k in range(1, 8):
+        assert flat[starts[k - 1]:starts[k]].tolist() == [[float(k)] * 2] * k
+    assert crossed == [None] * 3
     _assert_no_child_left()
 
 
 def test_a_worker_that_exits_without_writing_is_an_error(monkeypatch):
     cfg = _two_worker_clt(monkeypatch, lambda n, seed, count, *args: os._exit(3))
-    with pytest.raises(RuntimeError, match="exited without writing its outputs"):
+    with pytest.raises(ChildProcessError, match="^forked worker 0 exited with status 3 "
+                       "before sending its outcome$"):
         ex.run_clt(cfg)
     _assert_no_child_left()
+
+
+def test_a_killed_worker_ends_the_cli_in_one_error_line(monkeypatch, capsys):
+    """A worker killed by a signal, as the OOM killer does, is no traceback:
+    ``skcw`` exits 1 with one ``error:`` line that names the worker and the
+    signal, and every child is reaped."""
+    _two_worker_clt(monkeypatch,
+                    lambda n, seed, count, *args: os.kill(os.getpid(), signal.SIGKILL))
+    argv = ["clt", "--n", "8", "--beta", "0.2", "--reps", "4", "--threads", "2"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: forked worker 0 was killed by signal 9 before sending its outcome\n")
+    _assert_no_child_left()
+
+
+class _NeedsTwoArguments(Exception):
+    """Pickles, but its pickle calls ``__init__`` with one argument."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+
+
+def test_a_worker_error_that_does_not_pickle_names_its_type(monkeypatch):
+    """An exception that does not pickle, or does not unpickle, reaches the
+    parent as a ChildProcessError that names its type and message."""
+
+    class Local(Exception):
+        pass
+
+    for error in (Local("stack refused"), _NeedsTwoArguments("stack refused", 3)):
+
+        def worker(n, seed, count, *args, error=error):
+            raise error
+
+        cfg = _two_worker_clt(monkeypatch, worker)
+        name = type(error).__name__
+        with pytest.raises(ChildProcessError,
+                           match=f"raised {name}, which does not pickle: stack refused"):
+            ex.run_clt(cfg)
+        _assert_no_child_left()
 
 
 def test_an_interrupted_run_kills_and_reaps_its_children(monkeypatch):
