@@ -6,24 +6,26 @@ is one ``Kind`` row of ``KIND_TABLE`` (its help and flag defaults, fields,
 columns, plan builder and own refusals), so a new kind is one row and one
 plan.  An ``ExperimentConfig`` is the one input of every run, checked with
 every size of its grid before any sample is drawn; the report echoes the
-fields its kind reads, so a report re-runs from it.  Which of log Z and a
-cycle series the kind's columns need (``_needs``) decides what the worker
-computes, what a run is priced at and which shared refusals it meets.  The
-kind's ``_Plan`` gives its sampler, a per-size builder of summaries, checks
-and raw samples that takes the columns by name, the cross-size checks and
-the targets.  Replicate r at size index s uses stream_id = s * 2^32 + r
-under the master seed.  The unit of work is a stack, the ``count``
-consecutive streams of one size from ``seed`` (at most ``STACK_ELEMENTS``
-matrix entries): ``_observation_worker(n, seed, count, *size args)``
-samples it as one (B, n, n) array and returns one float array, a row per
-replicate, each value bit for bit what the replicate alone gives, which
-one loop (``_write_rows``) writes into its rows of the run's one array.  A
-run whose priced work does not pay for a second worker (``_worker_count``:
-below 2^32 operations, every benchmark line and criterion 8 but not
-criteria 4-7) computes in this process; otherwise the stacks run in forked
-children (``_fork_map``), each size cut so that every child gets the same
-share of it; they write into the array, then an anonymous shared mapping,
-and send back only None or the exception they raised.
+fields its kind reads, so a report re-runs from it.  The kind's columns
+are kernel outputs, log Z or the cycle series of every matrix; which
+kernels they read (``_needs``) decides what the worker computes, what a
+run is priced at and which shared refusals it meets.  The kind's ``_Plan``
+gives its sampler, a per-size builder that derives from the columns, by
+name, every sample it summarizes, checks and keeps raw, the cross-size
+checks and the targets.  Replicate r at size index s uses stream_id =
+s * 2^32 + r under the master seed.  The unit of work is a stack, the
+``count`` consecutive streams of one size from ``seed`` (at most
+``STACK_ELEMENTS`` matrix entries): ``_observation_worker(n, seed, count,
+*size args)`` samples it as one (B, n, n) array and returns the kernels'
+outputs as one float array, a row per replicate, each value bit for bit
+what the replicate alone gives, which one loop (``_write_rows``) writes
+into its rows of the run's one array.  A run whose priced work does not
+pay for a second worker (``_worker_count``: below 2^32 operations, every
+benchmark line and criterion 8 but not criteria 4-7) computes in this
+process; otherwise the stacks run in forked children (``_fork_map``), each
+size cut so that every child gets the same share of it; they write into
+the array, then an anonymous shared mapping, and send back only None or
+the exception they raised.
 
 Every comparison is recorded as a named check carrying the rule, the
 observed value, the target and the tolerance; a report is never a bare
@@ -78,22 +80,20 @@ from .randmat import (
 )
 
 SCHEMA_VERSION = 1
-# the columns ``_observation_worker`` computes of a matrix, each with what it
-# needs of the matrix, (log Z, its cycle series at the run's depth): one
-# value per matrix (``n_fluct``, log Z - n beta^2; ``residual``, the
-# decomposition residual at m), or one per k = 1..depth for the
-# ``SERIES_COLUMNS`` (``cycles``, C_{n,k}; ``traces``, Tr (A_hollow/sqrt n)^k)
-_COLUMN_NEEDS = {"n_fluct": (True, False), "residual": (True, True),
-                 "cycles": (False, True), "traces": (False, True)}
+# the columns ``_observation_worker`` computes of a matrix, each a kernel's
+# output: ``log_z``, one value per matrix (``exact_log_partition``), and the
+# ``SERIES_COLUMNS``, one value per k = 1..depth (``cycle_series``:
+# ``cycles``, C_{n,k}; ``traces``, Tr (A_hollow/sqrt n)^k)
 SERIES_COLUMNS = ("cycles", "traces")
 # the most values a run may store: replicates times sizes times the row width
 # of its kind's columns (``_row_dtype``).  A run holds each value several
 # times over: the run's array, a sorted copy and a Python float per sample in
 # ``ks_test``, and under --raw-samples a Python float and its JSON text.
-# ``clt --n 2 --raw-samples`` peaked at 50 MB of RSS with 10^5 replicates and
-# 141 MB with 10^6, about 100 bytes per value, so a run at the cap stays
-# near 500 MB.  The largest run of the acceptance suite stores 15000 values
-# (criterion 6), and the largest config of the tests 3e6, built but not run
+# ``clt --n 2 --raw-samples`` peaked at 50 MB of RSS with 10^5 replicates,
+# 141 MB with 10^6 and 371 MB with 2^22, the cap, about 100 bytes per value;
+# ``decomposition --n 4 --m 4 --raw-samples`` at its cap, 838860 replicates
+# of 1 + m values, at 218 MB.  CI runs both.  The largest run of the
+# acceptance suite stores 15000 values (criterion 6)
 MAX_STORED_VALUES = 1 << 22
 # spin vectors of the tilted law: name -> builder(n, seed)
 _SPIN_VECTORS = {
@@ -145,7 +145,7 @@ FORK_OPERATIONS = 1 << 31
 def _needs(columns: Sequence[str]) -> tuple[bool, bool]:
     """Whether ``columns`` of a matrix need (its log Z, its cycle series):
     the one rule of what a run computes, is priced at and is refused for."""
-    return tuple(any(_COLUMN_NEEDS[c][i] for c in columns) for i in (0, 1))
+    return "log_z" in columns, any(c in SERIES_COLUMNS for c in columns)
 
 
 class Kind(NamedTuple):
@@ -156,7 +156,7 @@ class Kind(NamedTuple):
     # (replicates, master_seed, n_grid, threads, keep_raw): the CLI offers,
     # and the report echoes, only these
     fields: tuple[str, ...]
-    columns: tuple[str, ...]  # what the worker computes of every matrix, in row order
+    columns: tuple[str, ...]  # the kernel outputs of every matrix it reads, in row order
     plan: Callable[[ExperimentConfig], _Plan]
     # raises for a config its own bounds refuse, after those of its columns' needs
     refusals: Callable[[ExperimentConfig], None] = lambda config: None
@@ -683,8 +683,9 @@ class _Plan:
     Its sampler draws the Gaussian ensemble, hollow if ``hollow``, or tilts
     it by beta along the spin vector ``spins(n)``.  ``size_result(n,
     **columns)`` takes the kind's columns (its row's ``columns``) at size n
-    by name, a row per replicate, and returns (summaries, checks, raw
-    samples); ``cross_checks(results)`` compares the sizes of a grid run.
+    by name, a row per replicate, derives there every sample formed of
+    log Z or C_{n,k}, and returns (summaries, checks, raw samples);
+    ``cross_checks(results)`` compares the sizes of a grid run.
     """
 
     size_result: Callable[..., tuple[dict, list, dict]]
@@ -710,8 +711,9 @@ def _observation_worker(
 ) -> np.ndarray:
     """One row of ``columns`` per matrix of the stack, drawn from the
     Gaussian ensemble (hollow if ``hollow``) or tilted by ``params.beta``
-    along ``spins``.  log Z and the cycle series are computed once, where a
-    column needs them; each value is bit for bit that of its matrix alone."""
+    along ``spins``: ``exact_log_partition`` (``log_z``) and
+    ``cycle_series`` (``cycles``, ``traces``), each called once where a
+    column is its output; each value is bit for bit that of its matrix alone."""
     if spins is None:
         a = sample_gaussian_matrix(n, seed, hollow=hollow, count=count)
     else:
@@ -719,14 +721,10 @@ def _observation_worker(
     needs_log_z, needs_series = _needs(columns)
     values = {}
     if needs_log_z:
-        log_z = exact_log_partition(a, params)
-        values["n_fluct"] = log_z - n * params.beta**2
+        values["log_z"] = exact_log_partition(a, params)
     if needs_series:
         series = cycle_series(a, depth, budget=budget)
         values.update(cycles=series.values, traces=series.traces)
-    if "residual" in columns:
-        values["residual"] = decomposition_residual(
-            a, params, depth, log_z, cycles=series.values)
     return np.column_stack([values[name] for name in columns])
 
 
@@ -840,7 +838,8 @@ def _clt_plan(config: ExperimentConfig) -> _Plan:
             TargetValue("variance", t.variance, "-b^2 - log(1-4b^2)/2"),
         )
 
-    def size_result(n, n_fluct):
+    def size_result(n, log_z):
+        n_fluct = log_z - n * params.beta**2
         summ = SampleSummary.from_samples(n_fluct)
         if t is None:
             checks = [
@@ -1103,7 +1102,9 @@ def _decomposition_plan(config: ExperimentConfig) -> _Plan:
     params = config.params
     degenerate = params.beta == 0.0
 
-    def size_result(n, residual, n_fluct):
+    def size_result(n, log_z, cycles):
+        n_fluct = log_z - n * params.beta**2
+        residual = decomposition_residual(replace(params, n=n), config.m, log_z, cycles)
         rsum = SampleSummary.from_samples(residual)
         fsum = SampleSummary.from_samples(n_fluct)
         if degenerate:
@@ -1150,7 +1151,7 @@ def run_decomposition(config: ExperimentConfig) -> ExperimentReport:
 
 KIND_TABLE = {
     "clt": Kind("free-energy fluctuation experiment", ("beta", "J", "Jprime"),
-                ("n_fluct",), _clt_plan, refusals=_clt_refusals),
+                ("log_z",), _clt_plan, refusals=_clt_refusals),
     "cycles": Kind("signed-cycle statistics under the null law", ("kmax", "cycle_budget"),
                    ("cycles",), _cycles_plan, flag_defaults={"kmax": 4}),
     "tilted": Kind("signed-cycle statistics under the tilt",
@@ -1162,7 +1163,7 @@ KIND_TABLE = {
                    least_depth=3),
     "decomposition": Kind("cycle decomposition of log Z",
                           ("beta", "J", "Jprime", "m", "cycle_budget"),
-                          ("residual", "n_fluct"), _decomposition_plan, depth="m"),
+                          ("log_z", "cycles"), _decomposition_plan, depth="m"),
 }
 KINDS = tuple(KIND_TABLE)
 

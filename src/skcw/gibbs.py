@@ -57,7 +57,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import cycle_series
 from .randmat import check_matrix, hollowed, one_blas_thread
 
 ENUMERATION_MAX_N = 28
@@ -497,30 +496,29 @@ def clt_targets(params: ModelParams) -> CltTargets:
     return CltTargets(limit=beta**2, mean=mean, variance=variance)
 
 
-def decomposition_residual(
-    a: np.ndarray,
-    params: ModelParams,
-    m: int,
-    log_z,
-    cycles=None,
-):
+def decomposition_residual(params: ModelParams, m: int, log_z, cycles):
     """Residual of the signed-cycle decomposition of log Z_n, truncated at m:
 
         log Z + log(1 - 2 beta J)/2 - (n-1) beta^2 + beta (J - J')
         - beta C_{n,1}
         - sum_{k=2..m} [2 (2 beta)^k (C_{n,k} - (n-1) I(k=2)) - (2 beta)^(2k)] / (4k).
 
-    ``log_z`` is log Z_n(beta) of ``a``, which the caller has evaluated
-    (``exact_log_partition``).  The cycles come from ``cycle_series``, so
-    1 <= m <= 5 and ``a`` passes its matrix check, unless the caller passes
-    the ``values`` of the series of ``a`` at depth m as ``cycles``.
-    For a stack (B, n, n), ``log_z`` holds the B values and the B residuals
-    are returned as an array.
+    ``log_z`` is log Z_n(beta) of one matrix (``exact_log_partition``) and
+    ``cycles`` its C_{n,1..K} for some K >= m (the ``values`` of its
+    ``cycle_series``); for a stack of B matrices, B values of log Z and a
+    (B, K) array of cycles give the B residuals as an array.  Refuses m
+    outside 1..K, and log Z and cycles of different matrix counts, before
+    any arithmetic.
     """
+    cycles = np.asarray(cycles, dtype=float)
+    if cycles.ndim not in (1, 2) or np.shape(log_z) != cycles.shape[:-1]:
+        raise ValueError(
+            f"need one log Z and (K,) cycles, or B of each as (B,) and (B, K), got "
+            f"log Z of shape {np.shape(log_z)} and cycles of shape {cycles.shape}")
+    if not 1 <= m <= cycles.shape[-1]:
+        raise ValueError(f"need 1 <= m <= {cycles.shape[-1]}, the cycles given, got m={m}")
     n = params.n
     beta = params.beta
-    if cycles is None:
-        cycles = cycle_series(a, m).values
     # cycles[k - 1] holds C_{n,k} of the matrix, or of every matrix
     cycles = cycles.T
     residual = (

@@ -239,11 +239,12 @@ def power_traces(m: np.ndarray, kmax: int) -> np.ndarray:
 
     Tr M^k = <M^(k//2), (M^(k - k//2))^T>, so kmax = 5 takes two matrix
     products instead of four; the transpose keeps this exact for a
-    non-symmetric M.  The powers come from ``matrix_powers``, so the traces
-    are the same in every process.
+    non-symmetric M.  Each power is one general product M^(j-1) @ M on one
+    BLAS thread, so the traces are the same in every process.
 
-    The test reference for the walk traces of ``cycles.cycle_series``; it
-    keeps its own guard, ``TRACE_FLOP_BUDGET`` on about kmax * n^3.
+    The test reference for the walk traces of ``cycles.cycle_series``, so
+    it shares none of the code of their Gram products; it keeps its own
+    guard, ``TRACE_FLOP_BUDGET`` on about kmax * n^3.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -255,27 +256,15 @@ def power_traces(m: np.ndarray, kmax: int) -> np.ndarray:
         raise ValueError(
             f"kmax*n^3 = {flops:.3g} exceeds the flop budget {TRACE_FLOP_BUDGET:g}"
         )
-    powers = matrix_powers(m, (kmax + 1) // 2)
+    powers = [m]
+    with one_blas_thread():
+        while len(powers) < (kmax + 1) // 2:
+            powers.append(powers[-1] @ m)
     traces = np.empty(kmax)
     traces[0] = np.trace(m)
     for k in range(2, kmax + 1):
         traces[k - 1] = np.sum(powers[k // 2 - 1] * powers[(k + 1) // 2 - 1].T)
     return traces
-
-
-def matrix_powers(m: np.ndarray, depth: int) -> list[np.ndarray]:
-    """[M, M^2, ..., M^depth], each power one general product M^(j-1) @ M.
-
-    It serves only ``power_traces``, the reference that the Gram products
-    of ``cycles.cycle_series`` are tested against, so it shares none of
-    their code.  The products run on one BLAS thread, so every process gets
-    the same bits.
-    """
-    powers = [m]
-    with one_blas_thread():
-        while len(powers) < depth:
-            powers.append(powers[-1] @ m)
-    return powers
 
 
 def hollowed(a: np.ndarray) -> np.ndarray:

@@ -237,7 +237,7 @@ def test_cycle_series_matches_individual_calls():
         assert value == cycle_series(a, k).values[k - 1]
     # the decomposition centers C_{n,2} by n - 1 and C_{n,3} not at all
     p = ModelParams(beta=0.2, n=20)
-    steps = np.diff([decomposition_residual(a, p, m, 0.0) for m in (1, 2, 3)])
+    steps = np.diff([decomposition_residual(p, m, 0.0, series.values) for m in (1, 2, 3)])
     mu2, mu3 = 0.4**2, 0.4**3
     assert steps[0] == pytest.approx(-(2 * mu2 * (series.values[1] - 19) - mu2**2) / 8)
     assert steps[1] == pytest.approx(-(2 * mu3 * series.values[2] - mu3**2) / 12)

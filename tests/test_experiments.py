@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from skcw import cli, cycles, randmat
 from skcw import experiments as ex
-from skcw.gibbs import ModelParams
+from skcw.gibbs import ModelParams, exact_log_partition
 from skcw.randmat import SeedSpec
 
 PARAMS = ModelParams(beta=0.25, J=1.0, Jprime=0.0, n=10)
@@ -667,16 +667,30 @@ def test_a_million_replicates_make_stream_range_stacks(workers):
 def test_a_worker_returns_one_float_row_per_replicate(kind):
     """The worker returns one float64 array for each kind's stack, one row
     of the kind's columns per replicate, and each row is bit for bit the
-    row of that replicate's stack of one."""
+    row of that replicate's stack of one.  The columns are the kernels'
+    outputs alone: ``log_z`` is ``exact_log_partition`` and ``cycles`` and
+    ``traces`` are ``cycle_series`` at the run's depth, and a derived
+    sample, such as n(F_n - beta^2) or the decomposition residual, is the
+    plan's."""
     cfg = ex.ExperimentConfig(
         kind=kind, params=ModelParams(beta=0.2, n=8), replicates=3, master_seed=9,
         kmax=4, m=3, sigma="random",
     )
     worker = ex._observation_worker
-    [args] = ex._size_args(cfg, ex.KIND_TABLE[kind].plan(cfg))
+    plan = ex.KIND_TABLE[kind].plan(cfg)
+    [args] = ex._size_args(cfg, plan)
     rows = worker(8, SeedSpec(9, 0), 3, *args)
     assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
-    assert rows.shape == (3, {"clt": 1, "decomposition": 2, "approx": 8}.get(kind, 4))
+    assert rows.shape == (3, {"clt": 1, "decomposition": 4, "approx": 8}.get(kind, 4))
+    names, params, depth = args[:3]
+    if plan.spins is None:
+        a = randmat.sample_gaussian_matrix(8, SeedSpec(9, 0), hollow=plan.hollow, count=3)
+    else:
+        a = randmat.sample_tilted_matrix(8, plan.spins(8), params.beta, SeedSpec(9, 0), 3)
+    series = cycles.cycle_series(a, depth)
+    kernels = {"log_z": exact_log_partition(a, params)[:, None], "cycles": series.values,
+               "traces": series.traces}
+    assert rows.tobytes() == np.hstack([kernels[name] for name in names]).tobytes()
     for r, row in enumerate(rows):
         single = worker(8, SeedSpec(9, r), 1, *args)
         assert single.shape == (1, *rows.shape[1:])
@@ -700,18 +714,18 @@ def test_a_column_has_the_same_bits_alone_and_in_every_kinds_set(kind):
         assert rows.shape == (5, sum(widths))
         return zip(names, np.split(rows, np.cumsum(widths)[:-1], axis=1))
 
-    alone = {name: dict(columns((name,)))[name] for name in ("n_fluct", "residual",
-                                                             "cycles", "traces")}
+    alone = {name: dict(columns((name,)))[name] for name in ("log_z", "cycles", "traces")}
     for names in (row.columns for row in ex.KIND_TABLE.values()):
         for name, values in columns(names):
             assert values.tobytes() == alone[name].tobytes(), (names, name)
 
 
 @pytest.mark.parametrize("kind, width", [("clt", 1), ("tilted", 3), ("approx", 6),
-                                         ("decomposition", 2)])
+                                         ("decomposition", 4)])
 def test_a_config_stores_at_most_the_cap(kind, width):
-    """Replicates times sizes times the kind's row width (kmax or m = 3)
-    may reach ``MAX_STORED_VALUES``, and one replicate more is refused."""
+    """Replicates times sizes times the kind's row width (kmax or m = 3,
+    and decomposition's log Z beside its m cycles) may reach
+    ``MAX_STORED_VALUES``, and one replicate more is refused."""
     cap = ex.MAX_STORED_VALUES
     kwargs = dict(kind=kind, params=ModelParams(beta=0.2, n=4), master_seed=1, kmax=3, m=3,
                   n_grid=(3,))

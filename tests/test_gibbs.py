@@ -3,6 +3,9 @@ convexity and gauge symmetries, limit-law targets."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -260,9 +263,10 @@ def test_stacked_oracles_and_decomposition_equal_singles():
         stacked = exact_log_partition(a, p, method=method)
         assert stacked.tolist() == [exact_log_partition(m, p, method=method) for m in a]
     log_z = exact_log_partition(a, p)
+    cycles = cycle_series(a, 5).values
     for m in range(1, 6):
-        stacked = decomposition_residual(a, p, m, log_z)
-        singles = [decomposition_residual(a[i], p, m, float(log_z[i])) for i in range(3)]
+        stacked = decomposition_residual(p, m, log_z, cycles)
+        singles = [decomposition_residual(p, m, float(log_z[i]), cycles[i]) for i in range(3)]
         assert stacked.tolist() == singles
 
 
@@ -566,16 +570,28 @@ def test_model_params_validation():
 def test_decomposition_residual_zero_beta():
     a = sample_gaussian_matrix(10, SeedSpec(45, 0))
     p = ModelParams(beta=0.0, J=0.5, Jprime=0.1, n=10)
-    assert decomposition_residual(a, p, 4, exact_log_partition(a, p)) == pytest.approx(
-        0.0, abs=1e-13
-    )
+    log_z, cycles = exact_log_partition(a, p), cycle_series(a, 4).values
+    assert decomposition_residual(p, 4, log_z, cycles) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_decomposition_residual_refuses_m_below_one():
-    a = sample_gaussian_matrix(6, SeedSpec(45, 1))
+    """m below 1, m above the cycles given, and log Z and cycles of
+    different numbers of matrices are refused before any arithmetic.
+    Unrefused, an m above the cycles reads past them (an IndexError), and
+    one matrix's cycles against three log Z values broadcast silently into
+    three residuals."""
+    a = sample_gaussian_matrix(6, SeedSpec(45, 1), count=3)
     p = ModelParams(beta=0.2, n=6)
-    with pytest.raises(ValueError, match="need 1 <= kmax <= n"):
-        decomposition_residual(a, p, 0, exact_log_partition(a, p))
+    log_z, cycles = exact_log_partition(a, p), cycle_series(a, 4).values
+    for m in (0, 5):
+        with pytest.raises(ValueError, match=f"need 1 <= m <= 4, the cycles given, got m={m}"):
+            decomposition_residual(p, m, log_z, cycles)
+        with pytest.raises(ValueError, match=f"got m={m}"):
+            decomposition_residual(p, m, float(log_z[0]), cycles[0])
+    for z, c in ((log_z, cycles[0]), (float(log_z[0]), cycles), (log_z[:2], cycles),
+                 (log_z, cycles[None])):
+        with pytest.raises(ValueError, match=r"need one log Z and \(K,\) cycles, or B of each"):
+            decomposition_residual(p, 4, z, c)
 
 
 @pytest.mark.parametrize("n", [9, 12, 40])
@@ -595,7 +611,19 @@ def test_decomposition_residual_reads_one_value_per_cycle(n):
             mu = (2.0 * p.beta) ** m
             centered = c[m - 1] - (n - 1) if m == 2 else c[m - 1]
             expected -= (2.0 * mu * centered - mu**2) / (4.0 * m)
-        assert decomposition_residual(a, p, m, log_z) == expected
+        assert decomposition_residual(p, m, log_z, cycle_series(a, m).values) == expected
+
+
+def test_importing_gibbs_loads_no_cycle_code():
+    """The residual is a formula of the log Z and cycles it is given, so
+    ``gibbs`` computes no cycle series and does not import ``cycles``."""
+    src = os.path.dirname(os.path.dirname(gibbs.__file__))
+    code = "import sys, skcw.gibbs; print('skcw.cycles' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_decomposition_residual_is_small():
@@ -603,7 +631,8 @@ def test_decomposition_residual_is_small():
     res = []
     for r in range(50):
         a = sample_gaussian_matrix(14, SeedSpec(47, r))
-        res.append(decomposition_residual(a, p, 4, exact_log_partition(a, p)))
+        log_z, cycles = exact_log_partition(a, p), cycle_series(a, 4).values
+        res.append(decomposition_residual(p, 4, log_z, cycles))
     assert np.var(res, ddof=1) < 0.02
 
 

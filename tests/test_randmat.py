@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from skcw import cycles, gibbs, randmat
 from skcw.cycles import cycle_series
-from skcw.gibbs import ModelParams, decomposition_residual, exact_log_partition, rn_log_ratio
+from skcw.gibbs import ModelParams, exact_log_partition, rn_log_ratio
 from skcw.randmat import (
     SeedSpec,
     all_ones_spins,
@@ -231,16 +231,14 @@ def _refused_matrices():
     ]
 
 
-MATRIX_ENTRY_POINTS = ("split", "gray", "naive", "decomposition_residual",
-                       "rn_log_ratio", "cycle_series", "save_matrix_text")
+MATRIX_ENTRY_POINTS = ("split", "gray", "naive", "rn_log_ratio", "cycle_series",
+                       "save_matrix_text")
 
 
 def _call_entry_point(entry: str, a: np.ndarray, out: io.StringIO):
     p = ModelParams(beta=0.25, J=0.5, n=10)
     if entry in ("split", "gray", "naive"):
         return exact_log_partition(a, p, method=entry)
-    if entry == "decomposition_residual":
-        return decomposition_residual(a, p, 4, np.zeros(len(a)) if a.ndim == 3 else 0.0)
     if entry == "rn_log_ratio":
         return rn_log_ratio(a, p)
     if entry == "cycle_series":
@@ -254,12 +252,11 @@ def _call_entry_point(entry: str, a: np.ndarray, out: io.StringIO):
 )
 def test_bad_matrix_refused_before_any_product(monkeypatch, entry, a, message):
     """``check_matrix`` is the one matrix check of exact log Z (every
-    method), the decomposition residual, the RN log ratio, the cycle series
-    and the text format: each refuses the input with its message before M
-    is built, a kernel runs or a line is written.  Unchecked, the three
-    log Z methods disagree on the seeded non-symmetric matrix (0.950 split,
-    3.468 Gray, 0.599 naive), and the infinite pair gives infinite and NaN
-    cycles."""
+    method), the RN log ratio, the cycle series and the text format: each
+    refuses the input with its message before M is built, a kernel runs or
+    a line is written.  Unchecked, the three log Z methods disagree on the
+    seeded non-symmetric matrix (0.950 split, 3.468 Gray, 0.599 naive), and
+    the infinite pair gives infinite and NaN cycles."""
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
