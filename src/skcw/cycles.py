@@ -265,8 +265,7 @@ def cycle_series(a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET)
     across k.  ``randmat.check_matrix`` refuses a matrix that is not
     square, finite and exactly symmetric, and ``check_cycle_budget`` a
     larger kmax or a series beyond the budget, before any product is
-    taken.  A matrix whose diagonal is already zero is used as it is,
-    without a hollowed copy.
+    taken.  The products run on one hollowed copy of the input.
 
     One ``CycleStack`` comes back, of (kmax,) arrays for one matrix and
     (B, kmax) arrays for a stack (B, n, n), from stacked products and sums:
@@ -280,11 +279,7 @@ def cycle_series(a: np.ndarray, kmax: int, budget: float = DEFAULT_CYCLE_BUDGET)
         raise ValueError(f"need 1 <= kmax <= n, got kmax={kmax}, n={n}")
     check_cycle_budget(n, kmax, budget)
     stack = a if a.ndim == 3 else a[None]
-    if np.diagonal(stack, axis1=-2, axis2=-1).any():
-        at = hollowed(stack)
-    else:
-        at = np.ascontiguousarray(stack)
-    sums, walks = _walk_sums(at, kmax)
+    sums, walks = _walk_sums(hollowed(stack), kmax)
     values = [signed_cycle_c1(stack)]
     values += [s_k / n ** (k / 2.0) for k, s_k in enumerate(sums, start=2)]
     traces = [t / n ** (j / 2.0) for j, t in enumerate(walks, start=1)]

@@ -680,18 +680,18 @@ def _run_child(write_fd: int, *write_args) -> None:
 class _Plan:
     """What one experiment kind adds to the shared driver.
 
-    Its sampler draws the Gaussian ensemble, hollow if ``hollow``, or tilts
-    it by beta along the spin vector ``spins(n)``.  ``size_result(n,
-    **columns)`` takes the kind's columns (its row's ``columns``) at size n
-    by name, a row per replicate, derives there every sample formed of
-    log Z or C_{n,k}, and returns (summaries, checks, raw samples);
-    ``cross_checks(results)`` compares the sizes of a grid run.
+    Its sampler draws the plain Gaussian ensemble, every kind the same
+    matrices from a stream, or tilts it by beta along the spin vector
+    ``spins(n)``.  ``size_result(n, **columns)`` takes the kind's columns
+    (its row's ``columns``) at size n by name, a row per replicate,
+    derives there every sample formed of log Z or C_{n,k}, and returns
+    (summaries, checks, raw samples); ``cross_checks(results)`` compares
+    the sizes of a grid run.
     """
 
     size_result: Callable[..., tuple[dict, list, dict]]
     cross_checks: Callable[[list], list] = lambda results: []
     targets: tuple[TargetValue, ...] = ()
-    hollow: bool = False
     spins: Callable[[int], np.ndarray] | None = None
 
 
@@ -700,22 +700,22 @@ def _size_args(config: ExperimentConfig, plan: _Plan) -> list[tuple]:
     and checked before any replicate runs."""
     return [
         (KIND_TABLE[config.kind].columns, replace(config.params, n=n), config.depth,
-         config.cycle_budget, plan.hollow, None if plan.spins is None else plan.spins(n))
+         config.cycle_budget, None if plan.spins is None else plan.spins(n))
         for n in config.sizes
     ]
 
 
 def _observation_worker(
     n: int, seed: SeedSpec, count: int, columns: tuple[str, ...], params: ModelParams,
-    depth: int, budget: float, hollow: bool, spins: np.ndarray | None,
+    depth: int, budget: float, spins: np.ndarray | None,
 ) -> np.ndarray:
-    """One row of ``columns`` per matrix of the stack, drawn from the
-    Gaussian ensemble (hollow if ``hollow``) or tilted by ``params.beta``
-    along ``spins``: ``exact_log_partition`` (``log_z``) and
-    ``cycle_series`` (``cycles``, ``traces``), each called once where a
-    column is its output; each value is bit for bit that of its matrix alone."""
+    """One row of ``columns`` per matrix of the stack, drawn from the plain
+    Gaussian ensemble or tilted by ``params.beta`` along ``spins``:
+    ``exact_log_partition`` (``log_z``) and ``cycle_series`` (``cycles``,
+    ``traces``), each called once where a column is its output; each value
+    is bit for bit that of its matrix alone."""
     if spins is None:
-        a = sample_gaussian_matrix(n, seed, hollow=hollow, count=count)
+        a = sample_gaussian_matrix(n, seed, count=count)
     else:
         a = sample_tilted_matrix(n, spins, params.beta, seed, count)
     needs_log_z, needs_series = _needs(columns)
@@ -1074,7 +1074,7 @@ def _approx_plan(config: ExperimentConfig) -> _Plan:
             for k in range(4, kmax + 1)
         ]
 
-    return _Plan(size_result, cross_checks, hollow=True)
+    return _Plan(size_result, cross_checks)
 
 
 def _approx_refusals(config: ExperimentConfig) -> None:

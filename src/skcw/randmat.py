@@ -3,7 +3,7 @@
 Matrices are plain symmetric ``numpy`` arrays.  Three ensembles:
 
 * plain      -- i.i.d. standard normal strict upper triangle and diagonal;
-* hollow     -- same upper triangle, diagonal identically zero;
+* hollow     -- the plain draw with its diagonal set to zero;
 * tilted     -- strict upper triangle N(2*beta*sigma_i*sigma_j/sqrt(n), 1)
   for a fixed spin vector sigma, diagonal standard normal.
 
@@ -136,20 +136,19 @@ class SeedSpec:
 def sample_gaussian_matrix(
     n: int, seed: SeedSpec, hollow: bool = False, count: int | None = None
 ) -> np.ndarray:
-    """Symmetric n x n matrix with i.i.d. standard normal upper triangle.
-
-    ``hollow=True`` sets the diagonal to exactly zero (the matrix entering
-    the spectral statistics); otherwise the diagonal is standard normal.
+    """Symmetric n x n matrix with i.i.d. standard normal entries on and
+    above the diagonal.
 
     With ``count=None`` one matrix (n, n) is drawn from the stream of
     ``seed``; with a ``count`` of at least 1, a stack (count, n, n) from
     the streams ``seed.stream_id``, ``seed.stream_id + 1``, ... of its
     master seed.  Each stream's normals are drawn into one row of a draw
     array, the strict upper triangle (row-major, the order of
-    ``np.triu_indices``) and then the diagonal, or a zero in its place when
-    hollow, and one gather through the cached ``_gather_index`` places
-    every row, so every matrix of a stack is bit for bit the one its stream
-    alone gives.
+    ``np.triu_indices``) and then the diagonal, and one gather through the
+    cached ``_gather_index`` places every row, so every matrix of a stack
+    is bit for bit the one its stream alone gives.  ``hollow=True``
+    returns ``hollowed`` of that draw: the same off-diagonal, a zero
+    diagonal.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -157,9 +156,7 @@ def sample_gaussian_matrix(
         raise ValueError(f"count must be positive, got {count}")
     rows = 1 if count is None else count
     upper = n * (n - 1) // 2
-    draws = np.empty((rows, upper + 1 if hollow else upper + n))
-    if hollow:
-        draws[:, upper] = 0.0
+    draws = np.empty((rows, upper + n))
     # one Philox per call, re-keyed per stream by writing the key of one
     # state dict in place: constructing a Philox seeds it from OS entropy
     # first, which cost more than a whole draw at n = 12, and a fresh state
@@ -181,27 +178,29 @@ def sample_gaussian_matrix(
     for stream, row in enumerate(draws, start=seed.stream_id):
         key[1] = stream & _MASK64
         bits.state = state
-        rng.standard_normal(out=row[:upper] if hollow else row)
-    a = np.take(draws, _gather_index(n, hollow), axis=1).reshape(rows, n, n)
+        rng.standard_normal(out=row)
+    a = np.take(draws, _gather_index(n), axis=1).reshape(rows, n, n)
+    if hollow:
+        a = hollowed(a)
     return a[0] if count is None else a
 
 
 # a run samples at the few sizes of its grid; the bound keeps a long-lived
 # process from holding the indices of every size it ever drew
 @functools.lru_cache(maxsize=8)
-def _gather_index(n: int, hollow: bool) -> np.ndarray:
+def _gather_index(n: int) -> np.ndarray:
     """Read-only position, in a draw row of ``sample_gaussian_matrix``, of
     each entry of the n x n matrix in row-major order, cached per size:
     entry (i, j) with i < j reads the strict upper triangle's row-major
     position (the order of ``np.triu_indices``), (j, i) the same position,
-    and the diagonal reads the draws after the triangle, or the one zero
-    after it when hollow.  ``np.take`` through it returns a C-contiguous
-    stack in one pass, where two scatters and a diagonal write took three."""
+    and the diagonal reads the draws after the triangle.  ``np.take``
+    through it returns a C-contiguous stack in one pass, where two
+    scatters and a diagonal write took three."""
     rows, cols = np.triu_indices(n, 1)
     index = np.empty((n, n), dtype=np.intp)
     index[rows, cols] = index[cols, rows] = np.arange(rows.size)
     diag = np.arange(n)
-    index[diag, diag] = rows.size if hollow else rows.size + diag
+    index[diag, diag] = rows.size + diag
     index = index.ravel()
     index.flags.writeable = False
     return index

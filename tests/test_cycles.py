@@ -424,21 +424,14 @@ def test_asymmetric_input_refused_before_any_product(monkeypatch):
     assert signed_cycle_bruteforce(a, 4, method="dfs") == oracle_cycle(a, 4)
 
 
-def test_zero_diagonal_skips_the_hollowed_copy(monkeypatch):
-    """A hollow matrix enters the products as it is; a matrix with a
-    diagonal is hollowed first, and both give the same off-diagonal cycles."""
-    calls = []
-    real = cycles.hollowed
-
-    def counting_hollowed(x):
-        calls.append(x.shape)
-        return real(x)
-
-    monkeypatch.setattr(cycles, "hollowed", counting_hollowed)
-    plain = sample_gaussian_matrix(9, SeedSpec(35, 0))
-    hollow = sample_gaussian_matrix(9, SeedSpec(35, 0), hollow=True)
-    assert np.array_equal(cycle_series(hollow, 5).values[1:], cycle_series(plain, 5).values[1:])
-    assert calls == [(1, 9, 9)]
+def test_hollow_and_plain_draws_give_the_same_cycles():
+    """Every input is hollowed before the products, so a hollow draw and
+    the plain draw of its stream give the same off-diagonal cycles and the
+    same walk traces."""
+    plain = cycle_series(sample_gaussian_matrix(9, SeedSpec(35, 0)), 5)
+    hollow = cycle_series(sample_gaussian_matrix(9, SeedSpec(35, 0), hollow=True), 5)
+    assert np.array_equal(hollow.values[1:], plain.values[1:])
+    assert np.array_equal(hollow.traces, plain.traces)
 
 
 def test_depth_first_terms_are_charged_their_cost(monkeypatch):

@@ -684,7 +684,7 @@ def test_a_worker_returns_one_float_row_per_replicate(kind):
     assert rows.shape == (3, {"clt": 1, "decomposition": 4, "approx": 8}.get(kind, 4))
     names, params, depth = args[:3]
     if plan.spins is None:
-        a = randmat.sample_gaussian_matrix(8, SeedSpec(9, 0), hollow=plan.hollow, count=3)
+        a = randmat.sample_gaussian_matrix(8, SeedSpec(9, 0), count=3)
     else:
         a = randmat.sample_tilted_matrix(8, plan.spins(8), params.beta, SeedSpec(9, 0), 3)
     series = cycles.cycle_series(a, depth)
@@ -697,27 +697,42 @@ def test_a_worker_returns_one_float_row_per_replicate(kind):
         assert single[0].tobytes() == row.tobytes()
 
 
-@pytest.mark.parametrize("kind", ex.KINDS)
-def test_a_column_has_the_same_bits_alone_and_in_every_kinds_set(kind):
-    """Under each kind's sampler, each column the worker computes is bit
-    for bit the same whether it is asked for alone or in any kind's set."""
+def _column_args(kind):
+    """The worker's size arguments after its columns, at n = 8, for ``kind``."""
     cfg = ex.ExperimentConfig(
         kind=kind, params=ModelParams(beta=0.2, J=0.5, n=8), replicates=5, master_seed=4,
         kmax=4, m=4, sigma="random",
     )
     [(_, *args)] = ex._size_args(cfg, ex.KIND_TABLE[kind].plan(cfg))
+    return args
+
+
+def _worker_columns(kind, names):
+    """The worker's ``names`` columns, by name, of five replicates under the
+    sampler and size arguments of ``kind``."""
+    args = _column_args(kind)
     depth = args[1]
+    rows = ex._observation_worker(8, SeedSpec(4, 7), 5, names, *args)
+    widths = [depth if name in ex.SERIES_COLUMNS else 1 for name in names]
+    assert rows.shape == (5, sum(widths))
+    return dict(zip(names, np.split(rows, np.cumsum(widths)[:-1], axis=1)))
 
-    def columns(names):
-        rows = ex._observation_worker(8, SeedSpec(4, 7), 5, names, *args)
-        widths = [depth if name in ex.SERIES_COLUMNS else 1 for name in names]
-        assert rows.shape == (5, sum(widths))
-        return zip(names, np.split(rows, np.cumsum(widths)[:-1], axis=1))
 
-    alone = {name: dict(columns((name,)))[name] for name in ("log_z", "cycles", "traces")}
-    for names in (row.columns for row in ex.KIND_TABLE.values()):
-        for name, values in columns(names):
-            assert values.tobytes() == alone[name].tobytes(), (names, name)
+@pytest.mark.parametrize("kind", ex.KINDS)
+def test_a_column_has_the_same_bits_alone_and_in_every_kinds_set(kind):
+    """Under each kind's sampler, each column the worker computes is bit
+    for bit the same whether it is asked for alone or in any kind's set,
+    and every untilted kind draws the same matrices, so each column of its
+    sampler, C_{n,1} included, has the bits it has under ``clt``'s."""
+    names = ("log_z", "cycles", "traces")
+    alone = {name: _worker_columns(kind, (name,))[name] for name in names}
+    for kind_names in (row.columns for row in ex.KIND_TABLE.values()):
+        for name, values in _worker_columns(kind, kind_names).items():
+            assert values.tobytes() == alone[name].tobytes(), (kind_names, name)
+    spins = _column_args(kind)[-1]
+    if spins is None:
+        for name in names:
+            assert alone[name].tobytes() == _worker_columns("clt", (name,))[name].tobytes(), name
 
 
 @pytest.mark.parametrize("kind, width", [("clt", 1), ("tilted", 3), ("approx", 6),

@@ -52,20 +52,22 @@ def test_symmetry_and_hollow():
 
 @pytest.mark.parametrize("hollow", [False, True])
 def test_gather_index_is_cached_read_only(hollow):
-    """The gather index is built once per size and cannot be written
-    through; the draws it places are those of ``np.triu_indices``,
-    row-major, mirrored, followed by the diagonal (a zero when hollow), and
-    the stack it gathers is C-contiguous."""
-    index = randmat._gather_index(9, hollow)
-    assert randmat._gather_index(9, hollow) is index
+    """The gather index is built once per size, the same for a plain and a
+    hollow draw, and cannot be written through; the draws it places are
+    those of ``np.triu_indices``, row-major, mirrored, followed by the
+    diagonal, which a hollow draw sets to zero, and the stack it gathers is
+    C-contiguous."""
+    index = randmat._gather_index(9)
+    assert randmat._gather_index(9) is index
     with pytest.raises(ValueError):
         index[0] = 1
     want = np.zeros((9, 9))
     rng = SEED.generator()
     want[np.triu_indices(9, 1)] = rng.standard_normal(36)
     want += want.T
-    if not hollow:
-        want[np.diag_indices(9)] = rng.standard_normal(9)
+    want[np.diag_indices(9)] = rng.standard_normal(9)
+    if hollow:
+        want = hollowed(want)
     got = sample_gaussian_matrix(9, SEED, hollow=hollow, count=2)
     assert got.flags.c_contiguous
     assert got[0].tobytes() == want.tobytes()
