@@ -286,6 +286,16 @@ def _cmd_free_energy(args) -> int:
     if mean_field == math.inf:
         raise ValueError(f"free-energy needs n beta^2 below 1.8e308, got beta={args.beta:g} "
                          f"at n={args.n}")
+    # the kernel's exponents reach a few times the energy scale
+    # beta (|J| (n-1) + |J'|): at beta = 0.4 they overflowed from a scale
+    # of 1.05e308 (J < 0) and 1.8e308 (J > 0) at n = 4..28, and at beta = 2,
+    # n = 2 from 9e307; within 1e307 every sign, size and split of J and J'
+    # tried gave a finite log Z without a warning
+    scale = args.beta * (abs(args.J) * (args.n - 1) + abs(args.Jprime))
+    if not scale <= 1e307:
+        raise ValueError(
+            f"free-energy needs beta (|J| (n-1) + |J'|) within 1e307, got beta={args.beta:g}, "
+            f"J={args.J:g}, J'={args.Jprime:g} at n={args.n}")
     a = randmat.sample_gaussian_matrix(args.n, randmat.SeedSpec(args.seed, args.stream))
     log_z = gibbs.exact_log_partition(a, params)
     payload = {

@@ -92,8 +92,9 @@ SERIES_COLUMNS = ("cycles", "traces")
 # ``clt --n 2 --raw-samples`` peaked at 50 MB of RSS with 10^5 replicates,
 # 141 MB with 10^6 and 371 MB with 2^22, the cap, about 100 bytes per value;
 # ``decomposition --n 4 --m 4 --raw-samples`` at its cap, 838860 replicates
-# of 1 + m values, at 218 MB.  CI runs both.  The largest run of the
-# acceptance suite stores 15000 values (criterion 6)
+# of 1 + m values, at 183 MB.  CI runs both, under ceilings of 560 and 280
+# MB.  The largest run of the acceptance suite stores 15000 values
+# (criterion 6)
 MAX_STORED_VALUES = 1 << 22
 # spin vectors of the tilted law: name -> builder(n, seed)
 _SPIN_VECTORS = {

@@ -302,7 +302,10 @@ def _log_partition_split(m: np.ndarray, beta: float) -> np.ndarray:
                 n, h[i:j], b_uw2[i:j], q_u[i:j], q_w[i:j], huge[i:j], work, sums[i:j]
             )
     shift = e_a + su + sw + c[:, None]
-    row_log = shift + np.log(np.maximum(sums, _ROW_FLOOR))
+    # the log of each row's mean term: 1 / (rows_u rows_w) is a power of 2,
+    # so the scaling is exact, and at beta = 0, where every term is 1, each
+    # row's log is exactly 0
+    row_log = shift + np.log(np.maximum(sums, _ROW_FLOOR) * (1.0 / (rows_u * rows_w)))
     # X, Y and V are each at most 1 but may peak in different cells, so a
     # row's largest term, and with it the row sum, can underflow far outside
     # the paramagnetic regime; such a row is summed again with its exact
@@ -312,16 +315,14 @@ def _log_partition_split(m: np.ndarray, beta: float) -> np.ndarray:
         terms = ((tu @ b_uw2[k]) @ tw.T + q_u[k][:, None] + q_w[k]
                  + (h[k, i, :ku + 1] @ aug_u)[:, None] + h[k, i, ku + 1:] @ aug_w)
         top_i = float(terms.max())
-        row_log[k, i] = shift[k, i] + top_i + math.log(float(np.exp(terms - top_i).sum()))
+        row_log[k, i] = shift[k, i] + top_i + math.log(float(np.exp(terms - top_i).mean()))
     top = row_log.max(axis=1)
     totals = np.exp(row_log - top[:, None]).sum(axis=1)
-    # the pinned spin accounts for half the cube; sigma -> -sigma is exact.
+    # the pinned spin accounts for half the cube (sigma -> -sigma is exact),
+    # so 2^n = 2 rows_a rows_u rows_w and log Z is the log of the rows' mean.
     # math.log per matrix, as for one matrix alone: numpy's vector log need
     # not round the same way
-    return np.array([
-        t + math.log(2.0 * s) - n * math.log(2.0)
-        for t, s in zip(top.tolist(), totals.tolist())
-    ])
+    return np.array([t + math.log(s / rows_a) for t, s in zip(top.tolist(), totals.tolist())])
 
 
 def _split_row_sums(

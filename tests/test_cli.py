@@ -174,6 +174,28 @@ def test_free_energy_payload(tmp_path):
     assert data["targets"]["mean"] == pytest.approx(0.0246531, abs=1e-6)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, beta", [(2, 0.4), (12, 0.4), (28, 0.4), (12, 3.0)])
+@pytest.mark.parametrize("name, sign", [("J", 1.0), ("J", -1.0), ("Jprime", 1.0),
+                                        ("Jprime", -1.0)])
+def test_free_energy_runs_to_its_energy_scale_bound_and_refuses_beyond(
+        request, capsys, n, beta, name, sign):
+    """A coupling of either sign whose energy scale beta (|J| (n-1) + |J'|)
+    is just within 1e307 gives a finite log Z without a numpy warning; one
+    just beyond is refused in one error line before log Z is enumerated."""
+    per_unit = beta * (n - 1 if name == "J" else 1)
+    inside = ["free-energy", "--n", str(n), "--beta", str(beta), f"--{name}",
+              repr(sign * 0.99e307 / per_unit)]
+    assert run(inside) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert math.isfinite(json.loads(out, parse_constant=refuse_constant)["log_partition"])
+    request.getfixturevalue("no_compute")
+    assert run(inside[:-1] + [repr(sign * 1.01e307 / per_unit)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: free-energy needs beta (|J| (n-1) + |J'|)")
+
+
 def test_cycles_subcommand_small(tmp_path):
     out = tmp_path / "cyc.json"
     argv = ["cycles", "--n", "30", "--reps", "40", "--seed", "2",
@@ -394,6 +416,13 @@ _EDGE_REFUSALS = [
      "free-energy needs n beta^2 below 1.8e308, got beta=1e+200 at n=24"),
     ("free-energy --n 4 --beta 1e154 --J 1",
      "free-energy needs n beta^2 below 1.8e308, got beta=1e+154 at n=4"),
+    # an energy scale that overflows the kernel: refused before log Z too
+    ("free-energy --n 12 --beta 0.4 --J 1e308",
+     "free-energy needs beta (|J| (n-1) + |J'|) within 1e307, got beta=0.4, J=1e+308, "
+     "J'=0 at n=12"),
+    ("free-energy --n 12 --beta 0.4 --J -1e308",
+     "free-energy needs beta (|J| (n-1) + |J'|) within 1e307, got beta=0.4, J=-1e+308, "
+     "J'=0 at n=12"),
 ]
 
 

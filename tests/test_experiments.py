@@ -990,6 +990,16 @@ def test_degenerate_zero_beta_flagged():
     assert report.passed
     check = report.find_check("degenerate_zero_beta")
     assert check.passed and check.observed == 0.0
+    # n = 10 is a size where log Z at beta = 0 once missed 0 by a rounding
+    for report in (
+        ex.run_clt(ex.ExperimentConfig(
+            kind="clt", params=ModelParams(beta=0.0, n=10), n_grid=(6, 10), replicates=30,
+            master_seed=1)),
+        ex.run_decomposition(ex.ExperimentConfig(
+            kind="decomposition", params=ModelParams(beta=0.0, J=0.5, n=10), m=4,
+            replicates=30, master_seed=1)),
+    ):
+        assert report.passed, [c.name for c in report.all_checks() if not c.passed]
 
 
 def test_runner_kind_mismatch():
