@@ -681,13 +681,12 @@ def _run_child(write_fd: int, *write_args) -> None:
 class _Plan:
     """What one experiment kind adds to the shared driver.
 
-    Its sampler draws the plain Gaussian ensemble, every kind the same
-    matrices from a stream, or tilts it by beta along the spin vector
-    ``spins(n)``.  ``size_result(n, **columns)`` takes the kind's columns
-    (its row's ``columns``) at size n by name, a row per replicate,
-    derives there every sample formed of log Z or C_{n,k}, and returns
-    (summaries, checks, raw samples); ``cross_checks(results)`` compares
-    the sizes of a grid run.
+    Its sampler draws the Gaussian ensemble or tilts it by beta along the
+    spin vector ``spins(n)``.  ``size_result(n, **columns)`` takes the
+    kind's columns (its row's ``columns``) at size n by name, a row per
+    replicate, derives there every sample formed of log Z or C_{n,k}, and
+    returns (summaries, checks, raw samples); ``cross_checks(results)``
+    compares the sizes of a grid run.
     """
 
     size_result: Callable[..., tuple[dict, list, dict]]

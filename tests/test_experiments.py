@@ -729,8 +729,7 @@ def test_a_column_has_the_same_bits_alone_and_in_every_kinds_set(kind):
     for kind_names in (row.columns for row in ex.KIND_TABLE.values()):
         for name, values in _worker_columns(kind, kind_names).items():
             assert values.tobytes() == alone[name].tobytes(), (kind_names, name)
-    spins = _column_args(kind)[-1]
-    if spins is None:
+    if _column_args(kind)[-1] is None:  # no spins: the untilted Gaussian sampler
         for name in names:
             assert alone[name].tobytes() == _worker_columns("clt", (name,))[name].tobytes(), name
 
