@@ -8,11 +8,12 @@ order, schema_version 1, no NaN or Infinity) to --out or standard output;
 written is refused before any work is done.
 The five experiment subcommands share one path: their flags become an
 ``ExperimentConfig``, which validates the whole --n-grid before any
-replicate runs, and ``experiments.run_<subcommand>`` produces the report
+replicate runs, and ``experiments.run_experiment`` produces the report
 from that config alone.  Each subcommand is built from its kind's row of
-``experiments.KIND_TABLE``: its help, its flag defaults and the inputs it
-reads.  Besides the inputs of every run, a subcommand takes flags for
-those alone, and its report's ``config`` block echoes those alone.  An
+``experiments.KIND_TABLE``: its help, its flag defaults where they differ
+from the config's, and the inputs it reads.  Besides the inputs of every
+run, a subcommand takes flags for those alone, and its report's
+``config`` block echoes those alone.  An
 experiment run builds the parser of its own subcommand only; its help and
 usage errors are the same bytes as with every subcommand built.
 
@@ -22,8 +23,8 @@ set it, so OpenBLAS starts no idle threads beside the main one (every
 product runs on one BLAS thread anyway).  ``main`` first asks glibc to
 keep freed arrays in the heap (``experiments.keep_freed_memory``), as the
 forked workers do, so a serial run does not fault its pages in again on
-every replicate.  A library caller of ``experiments.run_*`` keeps its own
-BLAS threads and allocator.
+every replicate.  A library caller of ``experiments.run_experiment`` keeps
+its own BLAS threads and allocator.
 
 Exit codes: 0 success with all verdicts passing, 2 verdict failure,
 1 usage, regime or budget errors.
@@ -46,7 +47,6 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import experiments, gibbs, randmat
-from .cycles import DEFAULT_CYCLE_BUDGET
 from .experiments import ExperimentConfig, ExperimentReport
 from .gibbs import ModelParams
 
@@ -81,20 +81,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 # the flag of each config field an experiment kind may read (the ``fields``
-# of its row of experiments.KIND_TABLE), stored under the field's name
+# of its row of experiments.KIND_TABLE), stored under the field's name and
+# defaulting to the field's default
 _FIELD_FLAGS = {
     "beta": ("--beta", dict(type=float, required=True, help="inverse temperature")),
-    "J": ("--J", dict(type=float, default=0.0, help="uniform coupling")),
-    "Jprime": ("--Jprime", dict(type=float, default=0.0, help="diagonal coupling")),
-    "kmax": ("--kmax", dict(type=int, help="largest cycle length")),
-    "m": ("--m", dict(type=int, default=4, help="cycle truncation depth")),
+    "J": ("--J", dict(type=float, default=ModelParams.J, help="uniform coupling")),
+    "Jprime": ("--Jprime", dict(type=float, default=ModelParams.Jprime,
+                                help="diagonal coupling")),
+    "kmax": ("--kmax", dict(type=int, default=ExperimentConfig.kmax,
+                            help="largest cycle length")),
+    "m": ("--m", dict(type=int, default=ExperimentConfig.m, help="cycle truncation depth")),
     "cycle_budget": ("--budget", dict(
-        type=float, default=DEFAULT_CYCLE_BUDGET, metavar="BUDGET", help=(
+        type=float, default=ExperimentConfig.cycle_budget, metavar="BUDGET", help=(
             "the operation budget (inf for none; NaN or negative is refused), the only "
             "compute guard: cycle sums, which stop at k=5, cost 2*n^3 at every k"))),
-    "sigma": ("--sigma", dict(choices=experiments.SIGMAS, default="ones", help=(
-        "spin vector defining the tilt, built at every size; random draws from a "
-        "seed derived from --seed; echoed as config.sigma"))),
+    "sigma": ("--sigma", dict(
+        choices=experiments.SIGMAS, default=ExperimentConfig.sigma, help=(
+            "spin vector defining the tilt, built at every size; random draws from a "
+            "seed derived from --seed; echoed as config.sigma"))),
     "centering_replicates": ("--centering-reps", dict(type=int, metavar="N", help=(
         "accepted (>= 1) and echoed in the report; the centering is exact, so no "
         "centering samples are drawn"))),
@@ -256,7 +260,7 @@ def _cmd_experiment(args) -> int:
         if not args.out:
             raise ValueError("--format csv needs --out; the samples go to <out>.csv")
         _check_writable(args.out + ".csv")
-    report = getattr(experiments, f"run_{args.command}")(_make_config(args))
+    report = experiments.run_experiment(_make_config(args))
     return _report_exit(report, args)
 
 
@@ -296,6 +300,17 @@ def _cmd_free_energy(args) -> int:
         raise ValueError(
             f"free-energy needs beta (|J| (n-1) + |J'|) within 1e307, got beta={args.beta:g}, "
             f"J={args.J:g}, J'={args.Jprime:g} at n={args.n}")
+    # log Z is at most beta (J' + the largest J part of H: J (n-1), spins
+    # aligned, or -J (n - n % 2) / n, half of them flipped), up to Gaussian
+    # terms far below the rounding of n beta^2 wherever this binds (beta >
+    # 2e153), so below this n_fluct = log Z - n beta^2 is -inf
+    top = args.beta * args.Jprime + args.beta * (
+        args.J * (args.n - 1) if args.J >= 0 else -args.J * (args.n - args.n % 2) / args.n)
+    if top - mean_field == -math.inf:
+        raise ValueError(
+            f"free-energy needs n beta^2 - log Z below 1.8e308, got n beta^2 = "
+            f"{mean_field:.4g} and log Z at most {top:.4g} (beta={args.beta:g}, "
+            f"J={args.J:g}, J'={args.Jprime:g} at n={args.n})")
     a = randmat.sample_gaussian_matrix(args.n, randmat.SeedSpec(args.seed, args.stream))
     log_z = gibbs.exact_log_partition(a, params)
     payload = {

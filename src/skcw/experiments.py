@@ -1,15 +1,16 @@
 """Replicated Monte Carlo experiments, statistics and machine-readable reports.
 
 The five experiments (clt, cycles, tilted, approx, decomposition) share
-one driver, ``_drive``, and one worker, ``_observation_worker``.  Each kind
-is one ``Kind`` row of ``KIND_TABLE`` (its help and flag defaults, fields,
-columns, plan builder and own refusals), so a new kind is one row and one
-plan.  An ``ExperimentConfig`` is the one input of every run, checked with
-every size of its grid before any sample is drawn; the report echoes the
-fields its kind reads, so a report re-runs from it.  The kind's columns
-are kernel outputs, log Z or the cycle series of every matrix; which
-kernels they read (``_needs``) decides what the worker computes, what a
-run is priced at and which shared refusals it meets.  The kind's ``_Plan``
+one entry point, ``run_experiment(config)``, and one worker,
+``_observation_worker``.  Each kind is one ``Kind`` row of ``KIND_TABLE``
+(its help and flag defaults, fields, columns, plan builder and own
+refusals), so a new kind is one row and one plan.  An ``ExperimentConfig``
+is the one input of every run, checked with every size of its grid
+before any sample is drawn; the report echoes the fields its kind reads,
+so a report re-runs from it.  The kind's columns are kernel outputs,
+log Z or the cycle series of every matrix; which kernels they read
+(``_needs``) decides what the worker computes, what a run is priced at
+and which shared refusals it meets.  The kind's ``_Plan``
 gives its sampler, a per-size builder that derives from the columns, by
 name, every sample it summarizes, checks and keeps raw, the cross-size
 checks and the targets.  Replicate r at size index s uses stream_id =
@@ -751,14 +752,13 @@ def _worker_count(config: ExperimentConfig) -> int:
     return min(config.threads, config.replicates, _usable_cores())
 
 
-def _drive(config: ExperimentConfig, kind: str) -> ExperimentReport:
-    """Run every replicate of every size and assemble the report.
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Run every replicate of every size of ``config`` and assemble the
+    report of its kind, ``config.kind``, the one entry point of every kind.
 
-    The kind is checked before its row's ``plan`` builds the plan, so a
-    plan never sees another kind's config.  Every kind runs
-    ``_observation_worker``, looked up by its module-level name at call
-    time, so a wrapper installed under the name (the perfbench tracer) is
-    what runs, in this process or in a child.
+    Every kind runs ``_observation_worker``, looked up by its module-level
+    name at call time, so a wrapper installed under the name (the perfbench
+    tracer) is what runs, in this process or in a child.
 
     ``_observation_worker(*stack)`` of every stack, in grid order
     (``_stacks``), is written into the stack's rows of the run's one array
@@ -775,9 +775,7 @@ def _drive(config: ExperimentConfig, kind: str) -> ExperimentReport:
     ``set_blas_threads`` never has to call the setter in them, and the
     setter would start a BLAS thread server there.
     """
-    if config.kind != kind:
-        raise ValueError(f"config kind is {config.kind!r}, expected {kind!r}")
-    plan = KIND_TABLE[kind].plan(config)
+    plan = KIND_TABLE[config.kind].plan(config)
     workers = _worker_count(config)
     stacks = _stacks(config, _size_args(config, plan), workers)
     # numpy imports numpy.random on first use; imported here, before the map,
@@ -811,7 +809,7 @@ def _drive(config: ExperimentConfig, kind: str) -> ExperimentReport:
         c.passed for c in cross
     )
     return ExperimentReport(
-        kind=kind,
+        kind=config.kind,
         config=_config_echo(config),
         targets=plan.targets,
         results=tuple(results),
@@ -826,6 +824,7 @@ def _drive(config: ExperimentConfig, kind: str) -> ExperimentReport:
 
 
 def _clt_plan(config: ExperimentConfig) -> _Plan:
+    """Free-energy fluctuation law: n (F_n - beta^2) vs Normal(f1, alpha1)."""
     params = config.params
     if params.beta == 0.0:
         t = None
@@ -878,11 +877,6 @@ def _clt_refusals(config: ExperimentConfig) -> None:
         raise ValueError(
             f"clt needs a positive limit variance, got 0 at beta={p.beta:g}, "
             f"J={p.J:g}, J'={p.Jprime:g}")
-
-
-def run_clt(config: ExperimentConfig) -> ExperimentReport:
-    """Free-energy fluctuation law: n (F_n - beta^2) vs Normal(f1, alpha1)."""
-    return _drive(config, "clt")
 
 
 # ---------------------------------------------------------------------------
@@ -966,6 +960,8 @@ def _cycle_plan(
 
 
 def _cycles_plan(config: ExperimentConfig) -> _Plan:
+    """Signed-cycle law under the null ensemble: centered C_{n,k} are
+    asymptotically independent Normal(0, 2k), independent of C_{n,1}."""
     return _cycle_plan(
         config,
         targets=tuple(
@@ -976,13 +972,10 @@ def _cycles_plan(config: ExperimentConfig) -> _Plan:
     )
 
 
-def run_cycles(config: ExperimentConfig) -> ExperimentReport:
-    """Signed-cycle law under the null ensemble: centered C_{n,k} are
-    asymptotically independent Normal(0, 2k), independent of C_{n,1}."""
-    return _drive(config, "cycles")
-
-
 def _tilted_plan(config: ExperimentConfig) -> _Plan:
+    """Cycle law under the tilted ensemble: centered C_{n,k} shift to
+    (2 beta)^k with unchanged variance 2k, for any fixed spin vector;
+    ``config.sigma`` names the vector built at each size."""
     beta = config.params.beta
     # random spins use one seed, derived from the master seed, at every size
     seed = SeedSpec(config.master_seed).derived(0x5160)
@@ -1009,18 +1002,15 @@ def _tilted_refusals(config: ExperimentConfig) -> None:
                          f"beta={beta:g} with kmax={kmax}")
 
 
-def run_tilted(config: ExperimentConfig) -> ExperimentReport:
-    """Cycle law under the tilted ensemble: centered C_{n,k} shift to
-    (2 beta)^k with unchanged variance 2k, for any fixed spin vector;
-    ``config.sigma`` names the vector built at each size."""
-    return _drive(config, "tilted")
-
-
 # ---------------------------------------------------------------------------
 # approx: cycles against Chebyshev spectral statistics
 
 
 def _approx_plan(config: ExperimentConfig) -> _Plan:
+    """Spectral-statistic approximation: residuals C_{n,k} - centered
+    Tr P_k(A/sqrt n) per matrix, their variance against Var(C_{n,k}), and
+    the shrink across sizes.  The centering E Tr P_k is exact
+    (``cycles.exact_centering``)."""
     kmax = config.kmax
 
     def size_result(n, cycles, traces):
@@ -1085,20 +1075,13 @@ def _approx_refusals(config: ExperimentConfig) -> None:
             f"need at least 1 centering replicate, got {config.centering_replicates}")
 
 
-def run_approx(config: ExperimentConfig) -> ExperimentReport:
-    """Spectral-statistic approximation: residuals C_{n,k} - centered
-    Tr P_k(A/sqrt n) per matrix, their variance against Var(C_{n,k}), and
-    the shrink across sizes.  The centering E Tr P_k is exact
-    (``cycles.exact_centering``); ``config.centering_replicates`` is
-    validated and echoed but draws no samples."""
-    return _drive(config, "approx")
-
-
 # ---------------------------------------------------------------------------
 # decomposition: log Z against its signed-cycle expansion
 
 
 def _decomposition_plan(config: ExperimentConfig) -> _Plan:
+    """Signed-cycle decomposition of log Z: the truncated expansion explains
+    most of the free-energy fluctuation and its residual shrinks with n."""
     params = config.params
     degenerate = params.beta == 0.0
 
@@ -1140,12 +1123,6 @@ def _decomposition_plan(config: ExperimentConfig) -> _Plan:
     return _Plan(size_result, cross_checks)
 
 
-def run_decomposition(config: ExperimentConfig) -> ExperimentReport:
-    """Signed-cycle decomposition of log Z: the truncated expansion explains
-    most of the free-energy fluctuation and its residual shrinks with n."""
-    return _drive(config, "decomposition")
-
-
 # ---------------------------------------------------------------------------
 # the experiment kinds, one row each, in the order the command line lists them
 
@@ -1153,7 +1130,7 @@ KIND_TABLE = {
     "clt": Kind("free-energy fluctuation experiment", ("beta", "J", "Jprime"),
                 ("log_z",), _clt_plan, refusals=_clt_refusals),
     "cycles": Kind("signed-cycle statistics under the null law", ("kmax", "cycle_budget"),
-                   ("cycles",), _cycles_plan, flag_defaults={"kmax": 4}),
+                   ("cycles",), _cycles_plan),
     "tilted": Kind("signed-cycle statistics under the tilt",
                    ("beta", "kmax", "cycle_budget", "sigma"), ("cycles",), _tilted_plan,
                    refusals=_tilted_refusals, flag_defaults={"kmax": 3}),

@@ -15,7 +15,11 @@ import pytest
 
 from skcw import combinat
 from skcw.cycles import chebyshev_lss, signed_cycle_bruteforce
-from skcw.experiments import ExperimentConfig, run_approx, run_clt, run_cycles, run_tilted, run_decomposition
+from skcw.experiments import (
+    ExperimentConfig, run_experiment as run_approx, run_experiment as run_clt,
+    run_experiment as run_cycles, run_experiment as run_tilted,
+    run_experiment as run_decomposition,
+)
 from skcw.gibbs import (
     ModelParams,
     clt_targets,

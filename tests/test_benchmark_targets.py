@@ -29,11 +29,10 @@ def test_every_tracer_target_resolves():
 
 
 def test_every_kind_has_the_driver_names_the_tracer_finds():
-    """The tracer finds the driver layer by name, ``run_*`` and ``*_worker``,
-    and reports nothing when a function goes by another name: every kind
-    has its ``run_*`` and runs the one worker, ``_observation_worker``."""
-    for kind in experiments.KINDS:
-        assert callable(getattr(experiments, f"run_{kind}", None)), kind
-    workers = [name for name in vars(experiments) if name.endswith("_worker")]
-    assert workers == ["_observation_worker"]
-    assert callable(experiments._observation_worker)
+    """The tracer finds the driver layer by name, the callables of
+    ``skcw.experiments`` named ``run_*`` or ``*_worker``, and reports
+    nothing when a function goes by another name: every kind runs through
+    ``run_experiment`` and the one worker, ``_observation_worker``."""
+    found = {name for name, value in vars(experiments).items()
+             if callable(value) and (name.startswith("run_") or name.endswith("_worker"))}
+    assert found == {"run_experiment", "run_identities", "_observation_worker"}

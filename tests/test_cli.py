@@ -196,6 +196,33 @@ def test_free_energy_runs_to_its_energy_scale_bound_and_refuses_beyond(
     assert out == "" and err.startswith("error: free-energy needs beta (|J| (n-1) + |J'|)")
 
 
+@pytest.mark.parametrize("n", [2, 3, 12])
+@pytest.mark.parametrize("J_part", [0.0, 2e305, -2e305])
+def test_free_energy_runs_to_its_n_fluct_bound_and_refuses_beyond(
+        request, capsys, n, J_part):
+    """With n beta^2 = 1.75e308, a J' < 0 that puts n beta^2 - log Z just
+    within 1.8e308 gives a finite n_fluct without a numpy warning; one just
+    beyond is refused in one error line before log Z is enumerated.  log Z
+    is at most beta (J' + the largest J part of H), ``J_part`` here: J (n-1)
+    with J > 0, -J (n - n % 2) / n with J < 0."""
+    beta = math.sqrt(1.75e308 / n)
+    J = J_part / beta / (n - 1 if J_part >= 0 else (n - n % 2) / n)
+    argv = ["free-energy", "--n", str(n), "--beta", repr(beta), "--J", repr(J), "--Jprime"]
+    big = sys.float_info.max
+
+    def line(share):  # beta J' = n beta^2 - share * big - J_part, without overflow
+        return argv + [repr((n * beta**2 - big - (share - 1) * big - J_part) / beta)]
+
+    assert run(line(0.99)) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert math.isfinite(json.loads(out, parse_constant=refuse_constant)["n_fluct"])
+    request.getfixturevalue("no_compute")
+    assert run(line(1.01)) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: free-energy needs n beta^2 - log Z below 1.8e308")
+
+
 def test_cycles_subcommand_small(tmp_path):
     out = tmp_path / "cyc.json"
     argv = ["cycles", "--n", "30", "--reps", "40", "--seed", "2",
@@ -423,6 +450,10 @@ _EDGE_REFUSALS = [
     ("free-energy --n 12 --beta 0.4 --J -1e308",
      "free-energy needs beta (|J| (n-1) + |J'|) within 1e307, got beta=0.4, J=-1e+308, "
      "J'=0 at n=12"),
+    # n_fluct = log Z - n beta^2 below the float range: refused before log Z too
+    ("free-energy --n 2 --beta 9.4e153 --Jprime -1.06e153",
+     "free-energy needs n beta^2 - log Z below 1.8e308, got n beta^2 = 1.767e+308 and "
+     "log Z at most -9.964e+306 (beta=9.4e+153, J=0, J'=-1.06e+153 at n=2)"),
 ]
 
 
@@ -645,7 +676,7 @@ def test_every_report_reruns_from_its_config_echo(tmp_path, argv):
     echo["n_grid"] = tuple(echo["n_grid"])
     if echo.get("cycle_budget") == "inf":
         echo["cycle_budget"] = math.inf
-    report = getattr(experiments, f"run_{argv[0]}")(experiments.ExperimentConfig(**echo))
+    report = experiments.run_experiment(experiments.ExperimentConfig(**echo))
     assert json.loads(json.dumps(report.to_dict(), allow_nan=False)) == written
 
 

@@ -179,7 +179,7 @@ def test_depth_beyond_the_closed_forms_refused_for_every_kind(kind):
 
 def test_report_round_trip_and_named_verdicts():
     cfg = ex.ExperimentConfig(kind="clt", params=PARAMS, replicates=50, master_seed=7)
-    report = ex.run_clt(cfg)
+    report = ex.run_experiment(cfg)
     for check in list(report.all_checks()):
         assert check.name and check.rule
     blob = json.dumps(report.to_dict(), sort_keys=True)
@@ -201,7 +201,7 @@ def test_every_kind_round_trips_through_strict_json(kind):
         kind=kind, params=params, replicates=5, master_seed=3, n_grid=(6, 8),
         kmax=3, m=3, keep_raw=True, cycle_budget=math.inf,
     )
-    report = getattr(ex, f"run_{kind}")(cfg)
+    report = ex.run_experiment(cfg)
     text = json.dumps(report.to_dict(), allow_nan=False)
     back = ex.ExperimentReport.from_dict(json.loads(text, parse_constant=refuse_constant))
     assert back == report
@@ -238,7 +238,7 @@ def test_check_names_of_every_kind(kind, extra, per_size, cross):
         kind=kind, params=ModelParams(beta=0.2, n=8), replicates=20, master_seed=4,
         n_grid=(6, 8), **extra,
     )
-    report = getattr(ex, f"run_{kind}")(cfg)
+    report = ex.run_experiment(cfg)
     assert {r.n: [c.name for c in r.checks] for r in report.results} == per_size
     assert [c.name for c in report.checks] == cross
 
@@ -252,7 +252,7 @@ def test_ks_checks_recompute_from_raw_samples(kind):
         kind=kind, params=ModelParams(beta=0.2, n=n), replicates=25, master_seed=9,
         kmax=3, keep_raw=True,
     )
-    report = getattr(ex, f"run_{kind}")(cfg)
+    report = ex.run_experiment(cfg)
     raw = report.raw_samples[str(n)]
     targets = {t.name: t.value for t in report.targets}
     if kind == "clt":
@@ -273,7 +273,7 @@ def test_ks_checks_recompute_from_raw_samples(kind):
 
 def test_report_lookup_helpers():
     cfg = ex.ExperimentConfig(kind="clt", params=PARAMS, replicates=40, master_seed=7)
-    report = ex.run_clt(cfg)
+    report = ex.run_experiment(cfg)
     c = report.find_check("clt_mean", n=10)
     assert c.name == "clt_mean"
     assert report.summary(10, "n_fluct").count == 40
@@ -285,7 +285,7 @@ def test_report_lookup_helpers():
 
 def test_schema_version_guard():
     cfg = ex.ExperimentConfig(kind="clt", params=PARAMS, replicates=30, master_seed=7)
-    d = ex.run_clt(cfg).to_dict()
+    d = ex.run_experiment(cfg).to_dict()
     d["schema_version"] = 99
     with pytest.raises(ValueError):
         ex.ExperimentReport.from_dict(d)
@@ -295,10 +295,10 @@ def test_raw_samples_kept_on_request():
     cfg = ex.ExperimentConfig(
         kind="clt", params=PARAMS, replicates=25, master_seed=7, keep_raw=True
     )
-    report = ex.run_clt(cfg)
+    report = ex.run_experiment(cfg)
     assert report.raw_samples is not None
     assert len(report.raw_samples["10"]["n_fluct"]) == 25
-    lean = ex.run_clt(
+    lean = ex.run_experiment(
         ex.ExperimentConfig(kind="clt", params=PARAMS, replicates=25, master_seed=7)
     )
     assert lean.raw_samples is None
@@ -341,7 +341,7 @@ def test_raw_samples_do_not_depend_on_how_a_run_is_cut(monkeypatch, kind):
         for threads in (1, 2):
             cfg = ex.ExperimentConfig(kind=kind, master_seed=11, threads=threads,
                                       keep_raw=True, **TINY[kind])
-            report = getattr(ex, f"run_{kind}")(cfg)
+            report = ex.run_experiment(cfg)
             samples.add(json.dumps(report.raw_samples))
     assert len(samples) == 1
 
@@ -350,9 +350,8 @@ def _one_and_two_workers(monkeypatch, kind, **kwargs):
     """The run at ``threads`` 1 and 2, with a fork priced at one operation so
     that the second forks whatever its work."""
     monkeypatch.setattr(ex, "FORK_OPERATIONS", 1)
-    run = getattr(ex, f"run_{kind}")
     return [
-        run(ex.ExperimentConfig(kind=kind, master_seed=11, threads=t, **kwargs))
+        ex.run_experiment(ex.ExperimentConfig(kind=kind, master_seed=11, threads=t, **kwargs))
         for t in (1, 2)
     ]
 
@@ -409,18 +408,18 @@ def _record_fork_maps(monkeypatch, cores):
 def test_one_pool_per_run_never_wider_than_replicates(monkeypatch):
     created = _record_fork_maps(monkeypatch, cores=64)
     grid = dict(kind="clt", params=PARAMS, master_seed=2, n_grid=(6, 8))
-    ex.run_clt(ex.ExperimentConfig(replicates=3, threads=64, **grid))
-    ex.run_clt(ex.ExperimentConfig(replicates=5, threads=2, **grid))
-    ex.run_clt(ex.ExperimentConfig(replicates=5, threads=1, **grid))
+    ex.run_experiment(ex.ExperimentConfig(replicates=3, threads=64, **grid))
+    ex.run_experiment(ex.ExperimentConfig(replicates=5, threads=2, **grid))
+    ex.run_experiment(ex.ExperimentConfig(replicates=5, threads=1, **grid))
     assert created == [3, 2]
 
 
 def test_pool_never_wider_than_usable_cores(monkeypatch):
     created = _record_fork_maps(monkeypatch, cores=2)
     grid = dict(kind="clt", params=PARAMS, master_seed=2, n_grid=(6, 8))
-    report = ex.run_clt(ex.ExperimentConfig(replicates=5, threads=8, **grid))
+    report = ex.run_experiment(ex.ExperimentConfig(replicates=5, threads=8, **grid))
     monkeypatch.setattr(ex, "_usable_cores", lambda: 1)
-    ex.run_clt(ex.ExperimentConfig(replicates=5, threads=8, **grid))
+    ex.run_experiment(ex.ExperimentConfig(replicates=5, threads=8, **grid))
     assert created == [2]  # one usable core computes in this process
     assert report.config["threads"] == 8
 
@@ -580,7 +579,7 @@ def test_one_map_per_run_in_grid_order(monkeypatch):
     cfg = ex.ExperimentConfig(
         kind="clt", params=PARAMS, replicates=3, master_seed=5, n_grid=(6, 8)
     )
-    report = ex.run_clt(cfg)
+    report = ex.run_experiment(cfg)
     assert len(seen) == 1
     assert _replicate_seeds(seen[0]) == [
         (n, SeedSpec(5, s * 2**32 + r)) for s, n in enumerate((6, 8, 10)) for r in range(3)
@@ -756,9 +755,8 @@ def test_stack_grouping_leaves_raw_samples_unchanged(kind, kwargs):
     """At 7 replicates a size is one stack, at 200 its first stack holds 100
     matrices at n = 12 and 50 at n = 16: the first 7 replicates' samples
     are the same bits either way."""
-    run = getattr(ex, f"run_{kind}")
     raw = [
-        run(ex.ExperimentConfig(
+        ex.run_experiment(ex.ExperimentConfig(
             kind=kind, replicates=reps, master_seed=17, n_grid=(12, 16, 20),
             keep_raw=True, **kwargs,
         )).raw_samples
@@ -808,7 +806,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     cfg = ex.ExperimentConfig(
         kind="clt", params=PARAMS, replicates=4, master_seed=3, threads=2, n_grid=(8,)
     )
-    ex.run_clt(cfg)
+    ex.run_experiment(cfg)
     assert kept == []
     assert [blas for blas, _ in seen] == [1] * 4
     if seen[0][1] != -1:
@@ -840,7 +838,7 @@ def test_a_worker_error_reaches_the_parent_with_its_type(monkeypatch, capsys):
 
     cfg = _two_worker_clt(monkeypatch, refusing_worker)
     with pytest.raises(ValueError, match="stack at n=8 refused"):
-        ex.run_clt(cfg)
+        ex.run_experiment(cfg)
     _assert_no_child_left()
     argv = ["clt", "--n", "10", "--n-grid", "8", "--beta", "0.25", "--J", "1",
             "--reps", "4", "--seed", "3", "--threads", "2"]
@@ -885,7 +883,7 @@ def test_a_worker_that_exits_without_writing_is_an_error(monkeypatch):
     cfg = _two_worker_clt(monkeypatch, lambda n, seed, count, *args: os._exit(3))
     with pytest.raises(ChildProcessError, match="^forked worker 0 exited with status 3 "
                        "before sending its outcome$"):
-        ex.run_clt(cfg)
+        ex.run_experiment(cfg)
     _assert_no_child_left()
 
 
@@ -925,7 +923,7 @@ def test_a_worker_error_that_does_not_pickle_names_its_type(monkeypatch):
         name = type(error).__name__
         with pytest.raises(ChildProcessError,
                            match=f"raised {name}, which does not pickle: stack refused"):
-            ex.run_clt(cfg)
+            ex.run_experiment(cfg)
         _assert_no_child_left()
 
 
@@ -946,7 +944,7 @@ def test_an_interrupted_run_kills_and_reaps_its_children(monkeypatch):
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.5)
         with pytest.raises(KeyboardInterrupt):
-            ex.run_clt(cfg)
+            ex.run_experiment(cfg)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -985,32 +983,20 @@ def test_degenerate_zero_beta_flagged():
         replicates=20,
         master_seed=3,
     )
-    report = ex.run_clt(cfg)
+    report = ex.run_experiment(cfg)
     assert report.passed
     check = report.find_check("degenerate_zero_beta")
     assert check.passed and check.observed == 0.0
     # n = 10 is a size where log Z at beta = 0 once missed 0 by a rounding
     for report in (
-        ex.run_clt(ex.ExperimentConfig(
+        ex.run_experiment(ex.ExperimentConfig(
             kind="clt", params=ModelParams(beta=0.0, n=10), n_grid=(6, 10), replicates=30,
             master_seed=1)),
-        ex.run_decomposition(ex.ExperimentConfig(
+        ex.run_experiment(ex.ExperimentConfig(
             kind="decomposition", params=ModelParams(beta=0.0, J=0.5, n=10), m=4,
             replicates=30, master_seed=1)),
     ):
         assert report.passed, [c.name for c in report.all_checks() if not c.passed]
-
-
-def test_runner_kind_mismatch():
-    cfg = ex.ExperimentConfig(kind="clt", params=PARAMS, replicates=10, master_seed=1)
-    with pytest.raises(ValueError):
-        ex.run_cycles(cfg)
-    with pytest.raises(ValueError):
-        ex.run_tilted(cfg)
-    with pytest.raises(ValueError):
-        ex.run_approx(cfg)
-    with pytest.raises(ValueError):
-        ex.run_decomposition(cfg)
 
 
 def test_run_identities_passes():
@@ -1031,8 +1017,8 @@ def test_tilted_sigma_gauge_statistical_equivalence():
     base = dict(
         params=ModelParams(beta=0.4, n=n), replicates=300, master_seed=13, kmax=3
     )
-    ones = ex.run_tilted(ex.ExperimentConfig(kind="tilted", **base))
-    mixed = ex.run_tilted(
+    ones = ex.run_experiment(ex.ExperimentConfig(kind="tilted", **base))
+    mixed = ex.run_experiment(
         ex.ExperimentConfig(kind="tilted", **{**base, "master_seed": 14, "sigma": "random"})
     )
     s1 = ones.summary(n, "cycle_3")
